@@ -19,12 +19,12 @@ from .errors import (AssemblyError, ConfigError, GestError, LoaderError,
 from .events import (STATS_SCHEMA_VERSION, CheckpointWritten,
                      GenerationCompleted, IndividualEvaluated, RecorderSet,
                      RunEvent, RunFinished, RunRecorder, RunStarted)
-from .individual import Individual, random_individual
+from .individual import Individual, random_individual, selection_key
 from .instruction import ConcreteInstruction, InstructionLibrary, InstructionSpec
 from .loader import instantiate, load_class
 from .operand import ImmediateOperand, LabelOperand, Operand, RegisterOperand
-from .operators import (CROSSOVER_OPERATORS, mutate, one_point_crossover,
-                        tournament_select, uniform_crossover)
+from .operators import (mutate, one_point_crossover, tournament_select,
+                        uniform_crossover)
 from .output import (FileRecorder, OutputRecorder, individual_filename,
                      read_stats)
 from .population import Population, load_population
@@ -41,11 +41,11 @@ __all__ = [
     "STATS_SCHEMA_VERSION", "CheckpointWritten", "GenerationCompleted",
     "IndividualEvaluated", "RecorderSet", "RunEvent", "RunFinished",
     "RunRecorder", "RunStarted",
-    "Individual", "random_individual",
+    "Individual", "random_individual", "selection_key",
     "ConcreteInstruction", "InstructionLibrary", "InstructionSpec",
     "instantiate", "load_class",
     "ImmediateOperand", "LabelOperand", "Operand", "RegisterOperand",
-    "CROSSOVER_OPERATORS", "mutate", "one_point_crossover",
+    "mutate", "one_point_crossover",
     "tournament_select", "uniform_crossover",
     "FileRecorder", "OutputRecorder", "individual_filename", "read_stats",
     "Population", "load_population",

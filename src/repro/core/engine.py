@@ -76,6 +76,9 @@ class GenerationStats:
 
     number: int
     best_fitness: float
+    #: Mean over the individuals that have a fitness; pruned
+    #: individuals (see :class:`~repro.search.pruning.PruningStrategy`)
+    #: have none and are left out.
     mean_fitness: float
     best_uid: int
     compile_failures: int
@@ -87,12 +90,14 @@ class GenerationStats:
     #: Which search strategy proposed this generation; lets analysis
     #: scripts tell GA and baseline runs apart in stats.jsonl.
     strategy: str = "genetic"
-    #: Surrogate-search record for this generation, when the strategy
-    #: publishes one through ``generation_metrics()`` (the
-    #: ``static_rank`` wrapper reports simulated/pruned/replayed counts
-    #: and the static-vs-simulated Spearman rank correlation here; it
-    #: lands in stats.jsonl).  Excluded from equality like the other
-    #: observability fields.
+    #: Pruning record for this generation, when the strategy publishes
+    #: one through ``generation_metrics()``: the ``static_rank`` and
+    #: ``surrogate`` wrappers report their simulated/pruned/replayed
+    #: counts and the Spearman rank correlation between the ranker's
+    #: predictions and the measured fitnesses here, plus ranker fields
+    #: (``metric``; ``warm_hits``/``explored``/``training_size``/
+    #: ``probe``).  It lands in stats.jsonl; excluded from equality
+    #: like the other observability fields.
     surrogate: Optional[dict] = field(default=None, compare=False)
     #: Individuals satisfied from the evaluation cache this pass.
     cache_hits: int = field(default=0, compare=False)

@@ -6,6 +6,11 @@ results, fitness value and parent ids so that the output recorder can
 persist the provenance the paper describes (population binaries contain
 "the source code, the id, the parent ids and the measurement values of
 each individual").
+
+A pruning search strategy may settle an individual without measuring
+it; such a *pruned* individual has no fitness and no measurements, only
+its position in the pruning ranker's order.  :func:`selection_key` is
+the one order every selection operator and population ranking uses.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from collections import Counter
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import ConfigError
 from .instruction import ConcreteInstruction, InstructionLibrary
 
-__all__ = ["Individual", "random_individual"]
+__all__ = ["Individual", "random_individual", "selection_key"]
 
 
 class Individual:
@@ -30,7 +36,8 @@ class Individual:
     """
 
     __slots__ = ("instructions", "uid", "parent_ids", "measurements",
-                 "fitness", "generation", "compile_failed", "screen_failed")
+                 "fitness", "generation", "compile_failed", "screen_failed",
+                 "_pruned_rank")
 
     def __init__(self, instructions: Sequence[ConcreteInstruction],
                  uid: int = -1,
@@ -78,8 +85,30 @@ class Individual:
         return Individual(self.instructions, uid=uid, parent_ids=parent_ids)
 
     @property
+    def pruned_rank(self) -> Optional[int]:
+        """Position in the pruning ranker's order (0 = its favourite)
+        when a pruning strategy settled this individual unmeasured;
+        ``None`` otherwise.  The slot stays unset rather than ``None``
+        on unpruned individuals, so they pickle to the same bytes as
+        before pruning had a status of its own."""
+        return getattr(self, "_pruned_rank", None)
+
+    @property
+    def pruned(self) -> bool:
+        return self.pruned_rank is not None
+
+    @property
     def evaluated(self) -> bool:
-        return self.fitness is not None
+        """True once the individual needs no evaluation: it has a
+        fitness, or it was pruned."""
+        return self.fitness is not None or self.pruned
+
+    def mark_pruned(self, rank: int) -> None:
+        """Settle this individual without measuring it: no fitness, no
+        measurements, only its ``rank`` in the pruning ranker's order."""
+        self.measurements = []
+        self.fitness = None
+        self._pruned_rank = rank
 
     def record_evaluation(self, measurements: Sequence[float],
                           fitness: float,
@@ -91,9 +120,29 @@ class Individual:
         self.screen_failed = screen_failed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fit = "unmeasured" if self.fitness is None else f"{self.fitness:.4f}"
+        if self.fitness is not None:
+            fit = f"{self.fitness:.4f}"
+        else:
+            fit = "pruned" if self.pruned else "unmeasured"
         return (f"Individual(uid={self.uid}, len={len(self)}, "
                 f"fitness={fit})")
+
+
+def selection_key(individual: Individual) -> Tuple[bool, float]:
+    """The order of selection and ranking; a larger key is fitter.
+
+    Individuals with a fitness compare by it and all rank above pruned
+    ones; pruned individuals keep their ranker's order among
+    themselves.  The first element tells the two kinds apart, so
+    fitness-weighted operators can leave pruned individuals out.
+    """
+    if individual.fitness is not None:
+        return True, individual.fitness
+    if individual.pruned:
+        return False, -individual.pruned_rank
+    raise ConfigError(
+        f"individual uid={individual.uid} has not been evaluated; "
+        "selection requires fitness values")
 
 
 def random_individual(library: InstructionLibrary, size: int,

@@ -18,7 +18,7 @@ from random import Random
 from typing import List, Sequence, Set, Tuple
 
 from .errors import ConfigError
-from .individual import Individual
+from .individual import Individual, selection_key
 from .instruction import InstructionLibrary
 
 __all__ = [
@@ -26,16 +26,7 @@ __all__ = [
     "one_point_crossover",
     "uniform_crossover",
     "mutate",
-    "CROSSOVER_OPERATORS",
 ]
-
-
-def _fitness(individual: Individual) -> float:
-    if individual.fitness is None:
-        raise ConfigError(
-            f"individual uid={individual.uid} has not been evaluated; "
-            "selection requires fitness values")
-    return individual.fitness
 
 
 #: (tournament_size, population_size) pairs already warned about, so a
@@ -47,7 +38,7 @@ def tournament_select(population: Sequence[Individual], rng: Random,
                       tournament_size: int = 5) -> Individual:
     """Pick ``tournament_size`` individuals at random (with replacement,
     matching the paper's "randomly pick five individuals") and return
-    the fittest of them.
+    the fittest of them under :func:`selection_key`.
 
     A tournament larger than the population adds no selection pressure
     — the extra draws just re-sample the same individuals — so it is
@@ -71,7 +62,7 @@ def tournament_select(population: Sequence[Individual], rng: Random,
     best = population[rng.randrange(len(population))]
     for _ in range(tournament_size - 1):
         contender = population[rng.randrange(len(population))]
-        if _fitness(contender) > _fitness(best):
+        if selection_key(contender) > selection_key(best):
             best = contender
     return best
 
@@ -114,12 +105,6 @@ def _check_lengths(parent1: Individual, parent2: Individual) -> None:
         raise ConfigError(
             f"crossover requires equal-length parents "
             f"({len(parent1)} vs {len(parent2)})")
-
-
-CROSSOVER_OPERATORS = {
-    "one_point": one_point_crossover,
-    "uniform": uniform_crossover,
-}
 
 
 def mutate(instructions: List, library: InstructionLibrary, rng: Random,

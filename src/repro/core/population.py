@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import ConfigError
-from .individual import Individual
+from .individual import Individual, selection_key
 
 __all__ = ["Population", "load_population"]
 
@@ -50,37 +50,30 @@ class Population:
         return all(ind.evaluated for ind in self.individuals)
 
     def fittest(self) -> Individual:
-        """The individual with the highest fitness value."""
+        """The first individual under :func:`selection_key`: the
+        highest fitness (the earliest of equals)."""
         if not self.individuals:
             raise ConfigError("population is empty")
-        best = self.individuals[0]
-        for individual in self.individuals[1:]:
-            if individual.fitness is None:
-                raise ConfigError(
-                    f"individual uid={individual.uid} is unevaluated")
-            if best.fitness is None or individual.fitness > best.fitness:
-                best = individual
-        if best.fitness is None:
-            raise ConfigError("population has no evaluated individuals")
-        return best
+        return max(self.individuals, key=selection_key)
 
     def ranked(self) -> List[Individual]:
-        """Individuals sorted fittest-first (stable for equal fitness)."""
-        if not self.evaluated:
-            raise ConfigError("cannot rank a partially evaluated population")
-        return sorted(self.individuals,
-                      key=lambda ind: ind.fitness, reverse=True)
+        """Individuals sorted fittest-first under :func:`selection_key`
+        (stable for equal fitness; pruned individuals last)."""
+        return sorted(self.individuals, key=selection_key, reverse=True)
 
     def mean_fitness(self) -> float:
-        if not self.individuals:
-            raise ConfigError("population is empty")
+        """Mean over the individuals that have a fitness; pruned
+        individuals have none and do not count."""
         total = 0.0
+        count = 0
         for individual in self.individuals:
-            if individual.fitness is None:
-                raise ConfigError(
-                    f"individual uid={individual.uid} is unevaluated")
-            total += individual.fitness
-        return total / len(self.individuals)
+            has_fitness, value = selection_key(individual)
+            if has_fitness:
+                total += value
+                count += 1
+        if not count:
+            raise ConfigError("population has no individual with a fitness")
+        return total / count
 
     # -- persistence ---------------------------------------------------------
 

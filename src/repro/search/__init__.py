@@ -14,10 +14,11 @@ MicroGrad centralises tuning mechanisms over a fixed evaluation core:
   the strategy registry;
 * strategies: ``genetic`` (the paper's GA, bit-identical to the
   pre-refactor engine), ``random`` (the paper's baseline),
-  ``hill_climb``, ``simulated_annealing``, ``static_rank`` (a wrapper
-  pruning any base strategy's offspring by static predicted fitness)
-  and ``surrogate`` (a wrapper pruning by an online-learned ridge
-  model, see :mod:`repro.surrogate`).
+  ``hill_climb``, ``simulated_annealing``, and two pruning wrappers
+  over any base strategy (:mod:`repro.search.pruning`):
+  ``static_rank`` ranks offspring by static predicted fitness,
+  ``surrogate`` by an online-learned ridge model (see
+  :mod:`repro.surrogate`).
 
 Importing this package registers every built-in operator and strategy.
 """

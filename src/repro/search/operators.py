@@ -34,12 +34,11 @@ depends on it.
 
 from __future__ import annotations
 
-import warnings
 from random import Random
-from typing import Callable, List, Sequence, Set, Tuple
+from typing import Callable, List, Sequence
 
 from ..core.errors import ConfigError
-from ..core.individual import Individual
+from ..core.individual import Individual, selection_key
 from ..core.operators import (mutate, one_point_crossover,
                               tournament_select, uniform_crossover)
 from .registry import Registry
@@ -60,14 +59,6 @@ REPLACEMENT_POLICIES = Registry("replacement_policy",
                                 diagnostic_code="SC209")
 
 
-def _fitness(individual: Individual) -> float:
-    if individual.fitness is None:
-        raise ConfigError(
-            f"individual uid={individual.uid} has not been evaluated; "
-            "selection requires fitness values")
-    return individual.fitness
-
-
 # -- selection --------------------------------------------------------------
 
 @SELECTION_OPERATORS.register("tournament")
@@ -83,28 +74,34 @@ def roulette_select(individuals: Sequence[Individual], rng: Random,
 
     Fitness values in this framework are non-negative (compile and
     screen failures score exactly 0), so the wheel is the plain fitness
-    sum.  A population whose total fitness is 0 — every individual
-    failed — degrades to a uniform pick so the search can still move.
+    sum.  Pruned individuals have no fitness to weigh and never enter
+    the wheel.  A wheel whose total is 0 — every individual failed —
+    degrades to a uniform pick so the search can still move.
     """
     if not individuals:
         raise ConfigError("cannot select from an empty population")
+    wheel = []
     total = 0.0
     for individual in individuals:
-        value = _fitness(individual)
+        has_fitness, value = selection_key(individual)
+        if not has_fitness:
+            continue
         if value < 0:
             raise ConfigError(
                 f"roulette selection requires non-negative fitness; "
                 f"individual uid={individual.uid} has {value}")
+        wheel.append(individual)
         total += value
     if total <= 0.0:
-        return individuals[rng.randrange(len(individuals))]
+        pool = wheel or individuals
+        return pool[rng.randrange(len(pool))]
     pick = rng.random() * total
     accumulated = 0.0
-    for individual in individuals:
+    for individual in wheel:
         accumulated += individual.fitness
         if pick < accumulated:
             return individual
-    return individuals[-1]
+    return wheel[-1]
 
 
 @SELECTION_OPERATORS.register("rank")
@@ -116,12 +113,13 @@ def rank_select(individuals: Sequence[Individual], rng: Random,
     fitness scale — useful when the measured metric spans a narrow band
     (e.g. IPC between 1.2 and 1.5) and roulette would be near-uniform.
     Ties keep population order (stable sort), so the draw is fully
-    deterministic under a seeded RNG.
+    deterministic under a seeded RNG; pruned individuals take the
+    lowest ranks, in their ranker's order.
     """
     if not individuals:
         raise ConfigError("cannot select from an empty population")
     n = len(individuals)
-    ascending = sorted(individuals, key=_fitness)
+    ascending = sorted(individuals, key=selection_key)
     pick = rng.random() * (n * (n + 1) / 2.0)
     accumulated = 0.0
     for rank, individual in enumerate(ascending, start=1):

@@ -1,0 +1,252 @@
+"""Pruning wrappers: a ranker in front of any search strategy.
+
+GeST pays one board measurement per individual per generation.  A
+pruning wrapper composes with any registered base strategy (default:
+the paper's GA) and spends that budget where a ranker expects it to
+matter.  Per generation:
+
+1. the base strategy proposes offspring as usual (same RNG stream,
+   same uid allocation);
+2. offspring whose exact genome was already measured replay the
+   recorded measurements (the per-source noise substream makes a
+   re-measurement bit-identical, so the replay is exact, not an
+   approximation);
+3. the ranker orders the remaining fresh offspring by predicted
+   fitness, and only the top ``top_fraction`` enter the measurement
+   path;
+4. the rest are marked pruned (:meth:`Individual.mark_pruned`): no
+   fitness, no measurements, only their place in the ranker's order.
+   :func:`~repro.core.individual.selection_key` ranks them below every
+   individual with a fitness, so they can still breed but never win,
+   and no mean counts them.
+
+Generation 0 is never pruned: it anchors the search.  Every generation
+the wrapper records how well the ranker's predictions ordered the
+measured fitnesses (Spearman rank correlation); the engine attaches the
+record to :class:`~repro.core.engine.GenerationStats` and it lands in
+``stats.jsonl``.
+
+The rankers are the registered strategies themselves: ``static_rank``
+prices offspring with the static cost model
+(:mod:`repro.search.static_rank`), ``surrogate`` with an online-learned
+ridge model (:mod:`repro.search.surrogate`).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+from ..core.errors import ConfigError
+from ..core.individual import Individual
+from ..core.population import Population
+from ..cpu.microarch import microarch_for
+from ..staticcheck.configlint import detect_syntax
+from ..staticcheck.costmodel import spearman
+from .base import STRATEGIES, SearchStrategy
+
+__all__ = ["PruningStrategy"]
+
+#: Default microarchitecture per SimISA syntax when the ``platform``
+#: parameter is omitted: the stock CLI platform for ARM templates, the
+#: only x86 preset otherwise.  Ranking survives a latency-table
+#: mismatch (only the ordering matters), but configs searching a
+#: specific platform should name it.
+_DEFAULT_PLATFORM = {"arm": "cortex_a15", "x86": "athlon_x4"}
+
+
+def _fraction(value) -> float:
+    fraction = float(value)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("top_fraction must be in (0, 1]")
+    return fraction
+
+
+def _optional_text(value) -> Optional[str]:
+    if value is None:
+        return None
+    text = str(value).strip()
+    return text or None
+
+
+class PruningStrategy(SearchStrategy):
+    """A base strategy whose fresh offspring a ranker prunes.
+
+    Subclasses declare ``base``, ``platform`` and ``top_fraction``
+    among their :attr:`PARAMS`, implement :meth:`_predict`, and may
+    override :meth:`_admit` and :meth:`_explore`; ranker state rides
+    along by extending ``_bound``, ``observe``, ``state_dict`` and
+    ``load_state``.
+    """
+
+    def _bound(self) -> None:
+        base_name = self.params["base"]
+        if base_name == self.name:
+            raise ConfigError(
+                f"search strategy {self.name!r} cannot wrap itself; "
+                "pick a concrete base strategy (e.g. base=\"genetic\")",
+                diagnostic_code="SC210")
+        self._base: SearchStrategy = STRATEGIES.get(base_name)(None)
+        self._base.bind(self.config, self.rng, self._take_uid)
+
+        platform = self.params["platform"]
+        if platform is None:
+            syntax = detect_syntax(self.config.template_text)
+            if syntax is None:
+                raise ConfigError(
+                    f"search strategy {self.name!r} cannot infer the "
+                    "target platform: the template assembles under "
+                    "neither SimISA syntax; set the 'platform' "
+                    "parameter explicitly", diagnostic_code="SC210")
+            platform = _DEFAULT_PLATFORM[syntax]
+        self._arch = microarch_for(platform)
+
+        # Checkpointed via state_dict:
+        #: genome key -> (measurements, fitness, compile_failed,
+        #: screen_failed) of every measured individual seen so far.
+        self._memo: Dict[Tuple, Tuple] = {}
+        #: uid -> predicted fitness for this generation's offspring
+        #: (the Spearman sample, once they are measured).
+        self._predictions: Dict[int, float] = {}
+        self._simulated = 0
+        self._pruned = 0
+        self._replayed = 0
+        #: uids a checkpoint from before pruned individuals had a
+        #: status of their own lists as pruned (see load_state).
+        self._legacy_pruned: Set[int] = set()
+        self._last_metrics: Optional[Dict[str, Any]] = None
+
+    # -- the ranker ---------------------------------------------------------
+
+    def _predict(self, individuals: List[Individual]
+                 ) -> Optional[Dict[int, float]]:
+        """uid -> predicted fitness, or None while the ranker cannot
+        rank yet (nothing is pruned then).  Individuals left out rank
+        last and stay out of the Spearman sample."""
+        raise NotImplementedError
+
+    def _admit(self, fresh: List[Individual]) -> List[Individual]:
+        """The fresh offspring the ranker may prune; the others are
+        measured unranked.  Called for every generation, 0 included."""
+        return fresh
+
+    def _explore(self, below_cut: List[Individual],
+                 number: int) -> List[Individual]:
+        """Offspring ranked below the cut to measure anyway."""
+        return []
+
+    # -- the search contract ------------------------------------------------
+
+    def initial_population(self) -> Population:
+        population = self._base.initial_population()
+        self._prune(population)
+        return population
+
+    def next_population(self, population: Population,
+                        next_number: int) -> Population:
+        self._settle_legacy_pruned(population)
+        children = self._base.next_population(population, next_number)
+        self._prune(children)
+        return children
+
+    def _prune(self, population: Population) -> None:
+        """Replay, rank, cut and mark one generation's offspring."""
+        fresh: List[Individual] = []
+        replayed: List[Individual] = []
+        for child in population:
+            if child.evaluated:
+                continue
+            hit = self._memo.get(child.genome_key())
+            if hit is None:
+                fresh.append(child)
+                continue
+            measurements, fitness, compile_failed, screen_failed = hit
+            child.record_evaluation(list(measurements), fitness,
+                                    compile_failed=compile_failed,
+                                    screen_failed=screen_failed)
+            replayed.append(child)
+
+        candidates = self._admit(fresh)
+        predictions = self._predict(fresh + replayed)
+        ranked, cut = candidates, len(candidates)
+        if predictions is not None and population.number > 0:
+            ranked = sorted(candidates, key=lambda c: (
+                -predictions.get(c.uid, float("-inf")), c.uid))
+            cut = math.ceil(self.params["top_fraction"] * len(ranked))
+        promoted = self._explore(ranked[cut:], population.number)
+        pruned = 0
+        for position, child in enumerate(ranked[cut:], start=cut):
+            if child not in promoted:
+                child.mark_pruned(position)
+                pruned += 1
+
+        self._predictions = predictions or {}
+        self._simulated = len(candidates) - pruned
+        self._pruned = pruned
+        self._replayed = len(replayed)
+
+    def _settle_legacy_pruned(self, population: Population) -> None:
+        """Mark the placeholder-fitness individuals of a resumed legacy
+        checkpoint pruned, keeping their placeholder order."""
+        if not self._legacy_pruned:
+            return
+        legacy = sorted((i for i in population
+                         if i.uid in self._legacy_pruned),
+                        key=lambda i: i.fitness, reverse=True)
+        for position, individual in enumerate(legacy):
+            individual.mark_pruned(position)
+        self._legacy_pruned = set()
+
+    def observe(self, population: Population) -> None:
+        self._settle_legacy_pruned(population)
+        self._base.observe(population)
+        pairs = []
+        for individual in population:
+            if individual.fitness is None:
+                continue
+            self._memo.setdefault(
+                individual.genome_key(),
+                (tuple(individual.measurements), individual.fitness,
+                 individual.compile_failed, individual.screen_failed))
+            prediction = self._predictions.get(individual.uid)
+            if prediction is not None:
+                pairs.append((prediction, individual.fitness))
+        self._last_metrics = {
+            "base": self._base.name,
+            "platform": self._arch.name,
+            "simulated": self._simulated,
+            "pruned": self._pruned,
+            "replayed": self._replayed,
+            "spearman": spearman([p for p, _ in pairs],
+                                 [f for _, f in pairs]),
+        }
+
+    def generation_metrics(self, number: int) -> Optional[Dict[str, Any]]:
+        """The surrogate record the engine attaches to
+        :class:`~repro.core.engine.GenerationStats` (and stats.jsonl)."""
+        return self._last_metrics
+
+    # -- checkpoint support -------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "base_state": self._base.state_dict(),
+            "memo": dict(self._memo),
+            "predictions": dict(self._predictions),
+            "simulated": self._simulated,
+            "pruned": self._pruned,
+            "replayed": self._replayed,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        self._base.load_state(state.get("base_state") or {})
+        self._memo = dict(state.get("memo") or {})
+        self._predictions = dict(state.get("predictions") or {})
+        self._simulated = state.get("simulated", 0)
+        self._pruned = state.get("pruned", 0)
+        self._replayed = state.get("replayed", 0)
+        # Checkpoints written before pruned individuals had a status of
+        # their own gave them placeholder fitnesses below every measured
+        # one and listed their uids under "pruned_uids"; the population
+        # is marked when the wrapper next sees it.
+        self._legacy_pruned = set(state.get("pruned_uids") or ())

@@ -1,74 +1,32 @@
-"""Surrogate-assisted search: static ranking in front of any strategy.
+"""Static-cost-model pruning: the ``static_rank`` wrapper.
 
-The ROADMAP's surrogate item asks for exactly what the static cost
-model provides: a per-candidate fitness proxy cheap enough to price a
-whole generation for less than one simulated measurement.  This module
-packages it as a *wrapper* strategy — ``static_rank`` composes with any
-registered base strategy (default: the paper's GA) and interposes on
-its proposals:
-
-1. the base strategy proposes the next generation as usual (same RNG
-   stream, same uid allocation — the wrapper draws no randomness);
-2. offspring whose exact genome was already simulated replay their
-   recorded measurements (the per-source noise substream makes a
-   re-measurement bit-identical, so the replay is exact, not an
-   approximation);
-3. the remaining fresh offspring are assembled and priced with
-   :func:`repro.staticcheck.costmodel.static_score`; only the top
-   ``top_fraction`` enter the simulated measurement path;
-4. pruned offspring are pre-marked with a placeholder fitness strictly
-   below every simulated fitness, rank-ordered by their static score —
-   they stay comparable to each other under tournament selection but
-   can never beat a measured individual or surface as the run's best.
-
-Per generation the wrapper records how well the static ordering
-predicted the simulated one (Spearman rank correlation over the
-individuals that were actually measured); the engine attaches the
-record to :class:`~repro.core.engine.GenerationStats` and it lands in
-``stats.jsonl`` for analysis.
+The static cost model prices a candidate for far less than one
+simulated measurement, so a whole generation can be ranked before any
+of it is measured.  This wrapper ranks any base strategy's fresh
+offspring by :func:`repro.staticcheck.costmodel.static_score` and
+measures only the top ``top_fraction``; the shared machinery (replay
+memo, cut, pruned status, Spearman record, checkpoint state) lives in
+:mod:`repro.search.pruning`.  The wrapper draws no randomness.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..core.errors import AssemblyError, ConfigError
+from ..core.errors import AssemblyError
 from ..core.individual import Individual
 from ..core.population import Population
 from ..core.template import Template
-from ..cpu.microarch import microarch_for
 from ..isa import assembler_for
-from ..staticcheck.configlint import detect_syntax
-from ..staticcheck.costmodel import spearman, static_score
-from .base import STRATEGIES, SearchStrategy
+from ..staticcheck.costmodel import static_score
+from .base import STRATEGIES
+from .pruning import PruningStrategy, _fraction, _optional_text
 
 __all__ = ["StaticRankStrategy"]
 
-#: Default microarchitecture per SimISA syntax when the ``platform``
-#: parameter is omitted: the stock CLI platform for ARM templates, the
-#: only x86 preset otherwise.  Ranking survives a latency-table
-#: mismatch (only the ordering matters), but configs searching a
-#: specific platform should name it.
-_DEFAULT_PLATFORM = {"arm": "cortex_a15", "x86": "athlon_x4"}
-
-
-def _fraction(value) -> float:
-    fraction = float(value)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("top_fraction must be in (0, 1]")
-    return fraction
-
-
-def _optional_text(value) -> Optional[str]:
-    if value is None:
-        return None
-    text = str(value).strip()
-    return text or None
-
 
 @STRATEGIES.register("static_rank")
-class StaticRankStrategy(SearchStrategy):
+class StaticRankStrategy(PruningStrategy):
     """Static-cost-model pruning wrapped around a base strategy.
 
     Parameters
@@ -78,16 +36,16 @@ class StaticRankStrategy(SearchStrategy):
     platform:
         Microarchitecture preset whose latency/port/energy tables price
         the candidates; defaults per the template's syntax
-        (:data:`_DEFAULT_PLATFORM`).
+        (``cortex_a15`` for ARM, ``athlon_x4`` for x86).
     metric:
         What :func:`static_score` predicts — ``ipc`` or one of the
         power-family metrics (``power``/``energy``/``temperature``/
         ``didt``).  Default ``ipc``.
     top_fraction:
         Fraction of each generation's fresh offspring sent to full
-        simulation (default 0.5); the rest are pruned with placeholder
-        fitnesses.  Generation 0 is always fully measured — it anchors
-        the search and the first Spearman record.
+        simulation (default 0.5); the rest are pruned.  Generation 0 is
+        always fully measured — it anchors the search and the first
+        Spearman record.
     """
 
     name = "static_rank"
@@ -99,51 +57,14 @@ class StaticRankStrategy(SearchStrategy):
     }
 
     def _bound(self) -> None:
-        base_name = self.params["base"]
-        if base_name == self.name:
-            raise ConfigError(
-                "search strategy 'static_rank' cannot wrap itself; "
-                "pick a concrete base strategy (e.g. base=\"genetic\")",
-                diagnostic_code="SC210")
-        base_cls = STRATEGIES.get(base_name)
-        self._base: SearchStrategy = base_cls(None)
-        self._base.bind(self.config, self.rng, self._take_uid)
-
-        platform = self.params["platform"]
-        if platform is None:
-            syntax = detect_syntax(self.config.template_text)
-            if syntax is None:
-                raise ConfigError(
-                    "search strategy 'static_rank' cannot infer the "
-                    "target platform: the template assembles under "
-                    "neither SimISA syntax; set the 'platform' "
-                    "parameter explicitly", diagnostic_code="SC210")
-            platform = _DEFAULT_PLATFORM[syntax]
-        self._arch = microarch_for(platform)
+        super()._bound()
         self._assembler = assembler_for(self._arch.isa)
         self._template = Template(self.config.template_text)
         self._metric = self.params["metric"]
-
-        # Surrogate state (all checkpointed via state_dict):
-        #: genome key -> (measurements, fitness, compile_failed,
-        #: screen_failed) of every simulated individual seen so far.
-        self._memo: Dict[Tuple, Tuple] = {}
         #: genome key -> static score; elitism clones and replayed
         #: genomes recur every generation, and their static score is a
         #: pure function of the genome, so it is never recomputed.
         self._score_memo: Dict[Tuple, float] = {}
-        #: Lowest simulated fitness observed; placeholder fitnesses of
-        #: pruned candidates live strictly below it.
-        self._floor = 0.0
-        #: uid -> static score for candidates sent to simulation this
-        #: generation (feeds the Spearman record in observe()).
-        self._pending_scores: Dict[int, float] = {}
-        self._pruned_uids: set = set()
-        self._replayed = 0
-        self._selected = 0
-        self._last_metrics: Optional[Dict[str, Any]] = None
-
-    # -- scoring ------------------------------------------------------------
 
     def _score(self, individual: Individual) -> float:
         """Static predicted fitness; -inf for unassemblable genomes
@@ -164,128 +85,18 @@ class StaticRankStrategy(SearchStrategy):
         self._score_memo[key] = score
         return score
 
-    # -- the search contract ------------------------------------------------
-
-    def initial_population(self) -> Population:
-        population = self._base.initial_population()
-        # Generation 0 is fully measured; score it anyway so the first
-        # stats.jsonl record already carries a Spearman figure.
-        self._pending_scores = {
-            individual.uid: self._score(individual)
-            for individual in population if not individual.evaluated}
-        self._pruned_uids = set()
-        self._replayed = 0
-        self._selected = len(self._pending_scores)
-        return population
-
-    def next_population(self, population: Population,
-                        next_number: int) -> Population:
-        children = self._base.next_population(population, next_number)
-        pending: List[Individual] = []
-        replayed: List[Individual] = []
-        self._replayed = 0
-        for child in children:
-            if child.evaluated:
-                continue
-            hit = self._memo.get(child.genome_key())
-            if hit is not None:
-                measurements, fitness, compile_failed, screen_failed = hit
-                child.record_evaluation(list(measurements), fitness,
-                                        compile_failed=compile_failed,
-                                        screen_failed=screen_failed)
-                replayed.append(child)
-                self._replayed += 1
-            else:
-                pending.append(child)
-
-        scores = {child.uid: self._score(child) for child in pending}
-        if self.params["top_fraction"] >= 1.0:
-            # No-prune short-circuit: everything is simulated, so the
-            # ranking sort and the placeholder machinery are dead work.
-            selected: List[Individual] = pending
-            pruned: List[Individual] = []
-        else:
-            ranked = sorted(pending, key=lambda c: (-scores[c.uid], c.uid))
-            keep = max(1, math.ceil(self.params["top_fraction"]
-                                    * len(ranked))) if ranked else 0
-            selected, pruned = ranked[:keep], ranked[keep:]
-
-        # Placeholder fitnesses: strictly inside (floor - 1, floor),
-        # ordered by static rank, so pruned candidates keep a useful
-        # ordering under tournament selection yet never outrank any
-        # measured individual (simulated fitnesses are >= floor).
-        span = len(pruned) + 1
-        for position, child in enumerate(pruned):
-            placeholder = self._floor - 1.0 + (len(pruned) - position) / span
-            child.record_evaluation([], placeholder)
-        self._pending_scores = {c.uid: scores[c.uid] for c in selected}
-        # Replayed children carry a real simulated fitness, so their
-        # static scores widen the Spearman sample at negligible cost.
-        for child in replayed:
-            self._pending_scores[child.uid] = self._score(child)
-        self._pruned_uids = {c.uid for c in pruned}
-        self._selected = len(selected)
-        return children
+    def _predict(self, individuals: List[Individual]) -> Dict[int, float]:
+        return {individual.uid: self._score(individual)
+                for individual in individuals}
 
     def observe(self, population: Population) -> None:
-        self._base.observe(population)
-        pairs: List[Tuple[float, float]] = []
-        new_floor = self._floor
-        for individual in population:
-            if individual.uid in self._pruned_uids:
-                continue
-            if individual.fitness is None:
-                continue
-            self._memo.setdefault(
-                individual.genome_key(),
-                (tuple(individual.measurements), individual.fitness,
-                 individual.compile_failed, individual.screen_failed))
-            new_floor = min(new_floor, individual.fitness)
-            score = self._pending_scores.get(individual.uid)
-            if score is not None:
-                pairs.append((score, individual.fitness))
-        self._floor = new_floor
-        rho = spearman([p[0] for p in pairs], [p[1] for p in pairs]) \
-            if len(pairs) >= 2 else None
-        self._last_metrics = {
-            "base": self._base.name,
-            "platform": self._arch.name,
-            "metric": self._metric,
-            "simulated": self._selected,
-            "pruned": len(self._pruned_uids),
-            "replayed": self._replayed,
-            "spearman": rho,
-        }
-
-    def generation_metrics(self, number: int) -> Optional[Dict[str, Any]]:
-        """The surrogate record the engine attaches to
-        :class:`~repro.core.engine.GenerationStats` (and stats.jsonl)."""
-        return self._last_metrics
-
-    # -- checkpoint support -------------------------------------------------
+        super().observe(population)
+        self._last_metrics["metric"] = self._metric
 
     def state_dict(self) -> Dict[str, Any]:
-        return {
-            "base_state": self._base.state_dict(),
-            "memo": dict(self._memo),
-            "score_memo": dict(self._score_memo),
-            "floor": self._floor,
-            "pending_scores": dict(self._pending_scores),
-            "pruned_uids": sorted(self._pruned_uids),
-            "replayed": self._replayed,
-            "selected": self._selected,
-            "last_metrics": self._last_metrics,
-        }
+        return {**super().state_dict(),
+                "score_memo": dict(self._score_memo)}
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        if not state:
-            return
-        self._base.load_state(state.get("base_state") or {})
-        self._memo = dict(state.get("memo") or {})
+        super().load_state(state)
         self._score_memo = dict(state.get("score_memo") or {})
-        self._floor = state.get("floor", 0.0)
-        self._pending_scores = dict(state.get("pending_scores") or {})
-        self._pruned_uids = set(state.get("pruned_uids") or ())
-        self._replayed = state.get("replayed", 0)
-        self._selected = state.get("selected", 0)
-        self._last_metrics = state.get("last_metrics")

@@ -1,34 +1,29 @@
 """Surrogate-assisted search: an online-learned fitness model in front
 of any strategy.
 
-``static_rank`` (PR 5) prunes offspring with a *fixed* analytical
-proxy; this wrapper learns the proxy instead, the NeuroScalar way: a
-ridge regression (:class:`~repro.surrogate.model.RidgeModel`) over
-static cost-model features plus an optional short-probe vector
+``static_rank`` prunes offspring with a *fixed* analytical proxy; this
+wrapper learns the proxy instead, the NeuroScalar way: a ridge
+regression (:class:`~repro.surrogate.model.RidgeModel`) over static
+cost-model features plus an optional short-probe vector
 (:class:`~repro.surrogate.features.SurrogateFeaturizer`), refit every
 generation from the fitnesses the run has actually observed.  The
 model keeps improving as the search runs — MicroGrad's metric-driven
 feedback loop applied to the search's own evaluation budget.
 
-Per generation:
+On top of the shared pruning machinery (:mod:`repro.search.pruning`),
+per generation:
 
-1. the base strategy proposes offspring as usual (same RNG stream,
-   same uid allocation);
-2. offspring whose genome was already simulated replay their recorded
-   measurements (exact, per the per-source noise contract);
-3. offspring whose rendered source sits in the evaluation cache pass
-   straight through — the evaluator replays them for free and the
-   observed fitness becomes training data (the cache-to-training-set
-   export, snapshot once via ``iter_entries()`` at warm-start);
-4. the rest are featurized in one batch and, once the model has seen
-   ``min_train`` rows, ranked by predicted fitness: the top
-   ``top_fraction`` are simulated, an ε-draw promotes a few pruned
-   candidates for unbiased training data, and the remainder get
-   placeholder fitnesses strictly below every simulated fitness
-   (the ``static_rank`` placeholder scheme);
-5. ``observe`` feeds the new (features, fitness) pairs back into the
-   model and records prediction quality (Spearman over this
-   generation's predicted-vs-simulated pairs) for stats.jsonl.
+1. fresh offspring are featurized in one batch (one probe pass for the
+   whole pool; rows are memoised per genome);
+2. offspring whose rendered source sits in the evaluation cache pass
+   straight through unranked — the evaluator replays them for free and
+   the observed fitness becomes training data (the cache-to-training-
+   set export, snapshot once via ``iter_entries()`` at warm-start);
+3. once the model has seen ``min_train`` rows it ranks the rest by
+   predicted fitness, and an ε-draw promotes a few candidates below
+   the cut for unbiased training data;
+4. ``observe`` feeds the new (features, fitness) pairs back into the
+   model.
 
 Until the model is trained every candidate is simulated — the warm-up
 generations anchor the search and the training set.
@@ -36,19 +31,14 @@ generations anchor the search and the training set.
 
 from __future__ import annotations
 
-import math
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import ConfigError
 from ..core.individual import Individual
 from ..core.population import Population
-from ..cpu.microarch import microarch_for
-from ..staticcheck.configlint import detect_syntax
-from ..staticcheck.costmodel import spearman
 from ..surrogate import RidgeModel, SurrogateFeaturizer
-from .base import STRATEGIES, SearchStrategy
-from .static_rank import _DEFAULT_PLATFORM, _fraction, _optional_text
+from .base import STRATEGIES
+from .pruning import PruningStrategy, _fraction, _optional_text
 
 __all__ = ["SurrogateStrategy"]
 
@@ -86,7 +76,7 @@ def _positive_float(value) -> float:
 
 
 @STRATEGIES.register("surrogate")
-class SurrogateStrategy(SearchStrategy):
+class SurrogateStrategy(PruningStrategy):
     """Learned-model pruning wrapped around a base strategy.
 
     Parameters
@@ -134,27 +124,7 @@ class SurrogateStrategy(SearchStrategy):
     }
 
     def _bound(self) -> None:
-        base_name = self.params["base"]
-        if base_name == self.name:
-            raise ConfigError(
-                "search strategy 'surrogate' cannot wrap itself; "
-                "pick a concrete base strategy (e.g. base=\"genetic\")",
-                diagnostic_code="SC210")
-        base_cls = STRATEGIES.get(base_name)
-        self._base: SearchStrategy = base_cls(None)
-        self._base.bind(self.config, self.rng, self._take_uid)
-
-        platform = self.params["platform"]
-        if platform is None:
-            syntax = detect_syntax(self.config.template_text)
-            if syntax is None:
-                raise ConfigError(
-                    "search strategy 'surrogate' cannot infer the "
-                    "target platform: the template assembles under "
-                    "neither SimISA syntax; set the 'platform' "
-                    "parameter explicitly", diagnostic_code="SC210")
-            platform = _DEFAULT_PLATFORM[syntax]
-        self._arch = microarch_for(platform)
+        super()._bound()
         self._featurizer = SurrogateFeaturizer(
             self.config.template_text, self._arch,
             probe_cycles=self.params["probe"])
@@ -165,10 +135,7 @@ class SurrogateStrategy(SearchStrategy):
         self._cache = None
         self._warm_entries: Dict[str, Any] = {}
 
-        # Surrogate state (all checkpointed via state_dict):
-        #: genome key -> (measurements, fitness, compile_failed,
-        #: screen_failed) of every simulated individual seen so far.
-        self._memo: Dict[Tuple, Tuple] = {}
+        # Checkpointed via state_dict:
         #: genome key -> feature row, so replayed clones never
         #: re-featurize.
         self._feature_memo: Dict[Tuple, Dict[str, float]] = {}
@@ -176,19 +143,8 @@ class SurrogateStrategy(SearchStrategy):
         self._train_rows: List[Dict[str, float]] = []
         self._train_targets: List[float] = []
         self._trained_keys: set = set()
-        #: Lowest simulated fitness observed; placeholder fitnesses of
-        #: pruned candidates live strictly below it.
-        self._floor = 0.0
-        #: uid -> feature row / predicted fitness for candidates that
-        #: will carry a real fitness this generation.
-        self._pending_features: Dict[int, Dict[str, float]] = {}
-        self._pending_predictions: Dict[int, float] = {}
-        self._pruned_uids: set = set()
-        self._replayed = 0
-        self._selected = 0
         self._explored = 0
         self._warm_hits = 0
-        self._last_metrics: Optional[Dict[str, Any]] = None
 
     # -- engine wiring ------------------------------------------------------
 
@@ -210,243 +166,108 @@ class SurrogateStrategy(SearchStrategy):
         if callable(iterator):
             self._warm_entries = dict(iterator())
 
-    # -- featurization ------------------------------------------------------
+    # -- the ranker ---------------------------------------------------------
 
     def _featurize(self, individuals: List[Individual]
-                   ) -> Dict[int, Tuple[str, Optional[Dict[str, float]]]]:
-        """uid -> (source, features), reusing the genome-keyed memo and
-        batching the rest (one probe pass for the whole pool)."""
-        out: Dict[int, Tuple[str, Optional[Dict[str, float]]]] = {}
+                   ) -> Dict[int, Optional[str]]:
+        """uid -> rendered source (None for a feature-memo hit),
+        memoising every new row and batching the rest (one probe pass
+        for the whole pool)."""
+        sources: Dict[int, Optional[str]] = {}
         fresh: List[Individual] = []
         for individual in individuals:
-            row = self._feature_memo.get(individual.genome_key())
-            if row is not None:
-                out[individual.uid] = (None, row)
+            if individual.genome_key() in self._feature_memo:
+                sources[individual.uid] = None
             else:
                 fresh.append(individual)
         for individual, (source, row) in zip(
                 fresh, self._featurizer.featurize_batch(fresh)):
-            out[individual.uid] = (source, row)
+            sources[individual.uid] = source
             if row is not None:
                 self._feature_memo[individual.genome_key()] = row
-        return out
+        return sources
 
-    def _predict(self, row: Optional[Dict[str, float]]) -> float:
-        """Predicted fitness; -inf for unassemblable genomes (they
-        compile-fail to fitness 0, so they rank last and prune first)."""
-        if row is None:
-            return float("-inf")
-        return self._model.predict(row)
+    def _admit(self, fresh: List[Individual]) -> List[Individual]:
+        """Featurize the fresh offspring; those the warm cache snapshot
+        already holds pass straight through unranked."""
+        sources = self._featurize(fresh)
+        admitted = fresh
+        if self._warm_entries:
+            admitted = [child for child in fresh
+                        if sources[child.uid] is None
+                        or self._cache.key(sources[child.uid])
+                        not in self._warm_entries]
+        self._warm_hits = len(fresh) - len(admitted)
+        return admitted
 
-    # -- the search contract ------------------------------------------------
-
-    def initial_population(self) -> Population:
-        population = self._base.initial_population()
-        # Generation 0 is always fully simulated: it anchors the search
-        # and contributes the first training rows.
-        featurized = self._featurize(
-            [i for i in population if not i.evaluated])
-        self._pending_features = {
-            uid: row for uid, (_, row) in featurized.items()
-            if row is not None}
-        self._pending_predictions = {}
-        self._pruned_uids = set()
-        self._replayed = 0
-        self._explored = 0
-        self._warm_hits = 0
-        self._selected = len(featurized)
-        return population
-
-    def next_population(self, population: Population,
-                        next_number: int) -> Population:
-        children = self._base.next_population(population, next_number)
-        pending: List[Individual] = []
-        replayed: List[Individual] = []
-        self._replayed = 0
-        for child in children:
-            if child.evaluated:
-                continue
-            hit = self._memo.get(child.genome_key())
-            if hit is not None:
-                measurements, fitness, compile_failed, screen_failed = hit
-                child.record_evaluation(list(measurements), fitness,
-                                        compile_failed=compile_failed,
-                                        screen_failed=screen_failed)
-                replayed.append(child)
-                self._replayed += 1
-            else:
-                pending.append(child)
-
-        featurized = self._featurize(pending)
-        self._pending_features = {}
-        self._pending_predictions = {}
-
-        # Cache warm hits pass straight through: the evaluator replays
-        # them for free, and their observed fitness trains the model.
-        fresh: List[Individual] = []
-        warm: List[Individual] = []
-        for child in pending:
-            source, row = featurized[child.uid]
-            if row is not None:
-                self._pending_features[child.uid] = row
-            if self._warm_entries and source is not None \
-                    and self._cache is not None \
-                    and self._cache.key(source) in self._warm_entries:
-                warm.append(child)
-            else:
-                fresh.append(child)
-        self._warm_hits = len(warm)
-
+    def _predict(self, individuals: List[Individual]
+                 ) -> Optional[Dict[int, float]]:
+        """Model predictions; unassemblable genomes have no feature row
+        and are left out (they compile-fail to fitness 0, so they rank
+        last and prune first)."""
         if not self._model.fitted:
-            # Warm-up: simulate everything, learn from all of it.
-            self._pruned_uids = set()
-            self._explored = 0
-            self._selected = len(fresh)
-            for child in replayed:
-                self._register_prediction(child)
-            return children
+            return None
+        predictions: Dict[int, float] = {}
+        for individual in individuals:
+            row = self._feature_memo.get(individual.genome_key())
+            if row is not None:
+                predictions[individual.uid] = self._model.predict(row)
+        return predictions
 
-        predictions = {
-            child.uid: self._predict(featurized[child.uid][1])
-            for child in fresh}
-        ranked = sorted(fresh,
-                        key=lambda c: (-predictions[c.uid], c.uid))
-        keep = max(1, math.ceil(
-            self.params["top_fraction"] * len(ranked))) if ranked else 0
-        selected, rest = ranked[:keep], ranked[keep:]
-
-        # ε-exploration: each pruned candidate may be promoted anyway.
-        # The draws come from a generation-keyed stream — deterministic,
-        # resume-exact, and invisible to the base strategy's RNG.
+    def _explore(self, below_cut: List[Individual],
+                 number: int) -> List[Individual]:
+        """ε-exploration: each candidate below the cut may be promoted
+        anyway.  The draws come from a generation-keyed stream —
+        deterministic, resume-exact, and invisible to the base
+        strategy's RNG."""
         seed = self.config.ga.seed or 0
-        explore_rng = Random(
-            (seed * _EXPLORE_MIX + next_number) & (2 ** 64 - 1))
+        explore_rng = Random((seed * _EXPLORE_MIX + number) & (2 ** 64 - 1))
         epsilon = self.params["epsilon"]
-        pruned: List[Individual] = []
-        explored: List[Individual] = []
-        for child in rest:
-            if epsilon and explore_rng.random() < epsilon:
-                explored.append(child)
-            else:
-                pruned.append(child)
-
-        # Placeholder fitnesses: strictly inside (floor - 1, floor),
-        # ordered by predicted rank, so pruned candidates keep a useful
-        # ordering under tournament selection yet never outrank any
-        # measured individual (simulated fitnesses are >= floor).
-        span = len(pruned) + 1
-        for position, child in enumerate(pruned):
-            placeholder = self._floor - 1.0 + (len(pruned) - position) / span
-            child.record_evaluation([], placeholder)
-
-        for child in selected + explored:
-            self._pending_predictions[child.uid] = predictions[child.uid]
-        for child in warm:
-            row = self._pending_features.get(child.uid)
-            if row is not None:
-                self._pending_predictions[child.uid] = self._predict(row)
-        for child in replayed:
-            self._register_prediction(child)
-        self._pruned_uids = {c.uid for c in pruned}
-        self._selected = len(selected) + len(explored)
-        self._explored = len(explored)
-        return children
-
-    def _register_prediction(self, child: Individual) -> None:
-        """Replayed children carry a real simulated fitness, so a
-        memoised prediction widens the Spearman sample for free."""
-        if not self._model.fitted:
-            return
-        row = self._feature_memo.get(child.genome_key())
-        if row is not None:
-            self._pending_predictions[child.uid] = self._predict(row)
+        promoted = [child for child in below_cut
+                    if epsilon and explore_rng.random() < epsilon]
+        self._explored = len(promoted)
+        return promoted
 
     def observe(self, population: Population) -> None:
-        self._base.observe(population)
-        pairs: List[Tuple[float, float]] = []
-        new_floor = self._floor
+        super().observe(population)
         for individual in population:
-            if individual.uid in self._pruned_uids:
-                continue
             if individual.fitness is None:
                 continue
             key = individual.genome_key()
-            self._memo.setdefault(
-                key,
-                (tuple(individual.measurements), individual.fitness,
-                 individual.compile_failed, individual.screen_failed))
-            new_floor = min(new_floor, individual.fitness)
-            row = self._pending_features.get(individual.uid)
+            row = self._feature_memo.get(key)
             if row is not None and key not in self._trained_keys:
                 self._trained_keys.add(key)
                 self._train_rows.append(row)
                 self._train_targets.append(individual.fitness)
-            prediction = self._pending_predictions.get(individual.uid)
-            if prediction is not None and math.isfinite(prediction):
-                pairs.append((prediction, individual.fitness))
-        self._floor = new_floor
         if len(self._train_rows) >= self.params["min_train"]:
             self._model.fit(self._train_rows, self._train_targets)
-        rho = spearman([p[0] for p in pairs], [p[1] for p in pairs])
-        self._last_metrics = {
-            "base": self._base.name,
-            "platform": self._arch.name,
-            "simulated": self._selected,
-            "pruned": len(self._pruned_uids),
-            "replayed": self._replayed,
-            "warm_hits": self._warm_hits,
-            "explored": self._explored,
-            "training_size": len(self._train_rows),
-            "spearman": rho,
-            "probe": self.params["probe"],
-        }
-
-    def generation_metrics(self, number: int) -> Optional[Dict[str, Any]]:
-        """The surrogate record the engine attaches to
-        :class:`~repro.core.engine.GenerationStats` (and stats.jsonl)."""
-        return self._last_metrics
+        self._last_metrics.update(
+            warm_hits=self._warm_hits, explored=self._explored,
+            training_size=len(self._train_rows),
+            probe=self.params["probe"])
 
     # -- checkpoint support -------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "base_state": self._base.state_dict(),
-            "memo": dict(self._memo),
+            **super().state_dict(),
             "feature_memo": dict(self._feature_memo),
             "train_rows": list(self._train_rows),
             "train_targets": list(self._train_targets),
             "trained_keys": sorted(self._trained_keys),
-            "floor": self._floor,
-            "pending_features": dict(self._pending_features),
-            "pending_predictions": dict(self._pending_predictions),
-            "pruned_uids": sorted(self._pruned_uids),
-            "replayed": self._replayed,
-            "selected": self._selected,
             "explored": self._explored,
             "warm_hits": self._warm_hits,
-            "last_metrics": self._last_metrics,
             "model": self._model.state_dict(),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        if not state:
-            return
-        self._base.load_state(state.get("base_state") or {})
-        self._memo = dict(state.get("memo") or {})
+        super().load_state(state)
         self._feature_memo = dict(state.get("feature_memo") or {})
         self._train_rows = list(state.get("train_rows") or [])
         self._train_targets = list(state.get("train_targets") or [])
         self._trained_keys = set(
             tuple(key) if isinstance(key, list) else key
             for key in state.get("trained_keys") or ())
-        self._floor = state.get("floor", 0.0)
-        self._pending_features = dict(state.get("pending_features") or {})
-        self._pending_predictions = dict(
-            state.get("pending_predictions") or {})
-        self._pruned_uids = set(state.get("pruned_uids") or ())
-        self._replayed = state.get("replayed", 0)
-        self._selected = state.get("selected", 0)
         self._explored = state.get("explored", 0)
         self._warm_hits = state.get("warm_hits", 0)
-        self._last_metrics = state.get("last_metrics")
         self._model.load_state(state.get("model"))

@@ -1,8 +1,12 @@
 """Unit tests for individuals (repro.core.individual)."""
 
+import pickle
+
 import pytest
 
-from repro.core.individual import Individual, random_individual
+from repro.core.errors import ConfigError
+from repro.core.individual import Individual, random_individual, \
+    selection_key
 from repro.core.rng import make_rng
 
 
@@ -95,3 +99,46 @@ class TestRandomIndividual:
 
     def test_uid_passthrough(self, tiny_library, rng):
         assert random_individual(tiny_library, 3, rng, uid=5).uid == 5
+
+
+class TestPrunedStatus:
+    def test_mark_pruned_settles_without_fitness(self, arm_individual):
+        assert not arm_individual.pruned
+        assert arm_individual.pruned_rank is None
+        arm_individual.mark_pruned(3)
+        assert arm_individual.pruned and arm_individual.pruned_rank == 3
+        assert arm_individual.fitness is None
+        assert arm_individual.measurements == []
+        assert arm_individual.evaluated
+
+    def test_unpruned_pickle_has_no_pruned_slot(self, arm_individual):
+        arm_individual.record_evaluation([1.5], 1.5)
+        payload = pickle.dumps(arm_individual, protocol=4)
+        assert b"_pruned_rank" not in payload
+        assert not pickle.loads(payload).pruned
+
+    def test_pruned_status_survives_pickle(self, arm_individual):
+        arm_individual.mark_pruned(2)
+        loaded = pickle.loads(pickle.dumps(arm_individual, protocol=4))
+        assert loaded.pruned_rank == 2 and loaded.fitness is None
+
+    def test_clone_is_unpruned(self, arm_individual):
+        arm_individual.mark_pruned(0)
+        assert not arm_individual.clone(uid=9).pruned
+
+
+class TestSelectionKey:
+    def test_fitness_above_pruned_in_ranker_order(self):
+        scored_zero, scored_high = Individual([], uid=0), Individual([], uid=1)
+        scored_zero.record_evaluation([], 0.0, compile_failed=True)
+        scored_high.record_evaluation([2.0], 2.0)
+        first, second = Individual([], uid=2), Individual([], uid=3)
+        first.mark_pruned(0)
+        second.mark_pruned(1)
+        ascending = sorted([scored_high, second, scored_zero, first],
+                           key=selection_key)
+        assert ascending == [second, first, scored_zero, scored_high]
+
+    def test_unevaluated_rejected(self):
+        with pytest.raises(ConfigError, match="has not been evaluated"):
+            selection_key(Individual([], uid=4))

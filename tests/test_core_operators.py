@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.core.individual import Individual, random_individual
-from repro.core.operators import (CROSSOVER_OPERATORS, mutate,
-                                  one_point_crossover, tournament_select,
-                                  uniform_crossover)
+from repro.core.operators import (mutate, one_point_crossover,
+                                  tournament_select, uniform_crossover)
 from repro.core.rng import make_rng
+from repro.search import CROSSOVER_OPERATORS
 
 
 def _evaluated(library, rng, fitness, size=10):

@@ -57,6 +57,15 @@ class TestPopulation:
         pop = _population(tiny_library, size=4)
         assert pop.mean_fitness() == pytest.approx((0 + 1 + 2 + 3) / 4)
 
+    def test_pruned_rank_last_and_skip_the_mean(self, tiny_library):
+        pop = _population(tiny_library, size=4)
+        pop[3].mark_pruned(1)
+        pop[0].mark_pruned(0)
+        assert pop.evaluated
+        assert pop.fittest().uid == 2
+        assert [ind.uid for ind in pop.ranked()] == [2, 1, 0, 3]
+        assert pop.mean_fitness() == pytest.approx((1 + 2) / 2)
+
     def test_evaluated_flag(self, tiny_library):
         assert _population(tiny_library).evaluated
         assert not _population(tiny_library, evaluate=False).evaluated

@@ -444,7 +444,7 @@ class TestStaticRankStrategy:
         assert history.generations[1].measured == \
             history.generations[1].surrogate["simulated"]
 
-    def test_placeholders_never_win(self, tiny_library, tiny_template):
+    def test_pruned_never_win(self, tiny_library, tiny_template):
         config = _strategy_config(tiny_library, tiny_template,
                                   params={"top_fraction": "0.34"})
         engine = GeneticEngine(config, _measurement(), DefaultFitness())
@@ -454,12 +454,13 @@ class TestStaticRankStrategy:
         for population_stats in history.generations:
             assert population_stats.best_fitness >= 0.0
         final = history.final_population
-        pruned = [i for i in final if not i.measurements and
-                  i.fitness is not None and i.fitness < 0.0]
-        measured = [i for i in final if i.measurements]
-        if pruned and measured:
-            assert max(i.fitness for i in pruned) < \
-                min(i.fitness for i in measured)
+        pruned = [i for i in final if i.pruned]
+        assert pruned
+        assert all(i.fitness is None and not i.measurements
+                   for i in pruned)
+        assert not final.fittest().pruned
+        assert final.ranked()[-len(pruned):] == \
+            sorted(pruned, key=lambda i: i.pruned_rank)
 
     def test_memo_replays_previously_simulated_genomes(
             self, tiny_library, tiny_template):
@@ -490,7 +491,7 @@ class TestStaticRankStrategy:
         # Regression: replayed genomes (elitism clones) used to re-price
         # every generation; the score memo must hold each genome's
         # static_score to exactly one computation — including in the
-        # no-prune top_fraction=1.0 case, which also skips the ranking.
+        # no-prune top_fraction=1.0 case.
         import repro.search.static_rank as static_rank_module
         calls = []
         real = static_rank_module.static_score
@@ -520,15 +521,15 @@ class TestStaticRankStrategy:
     def test_state_round_trip(self, tiny_config):
         strategy = make_strategy("static_rank", None)
         strategy.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
-        strategy._memo[(("ADD", ("x1", "x2", "x3")),)] = ((1.0,), 1.0,
-                                                          False, False)
-        strategy._floor = -0.25
+        key = (("ADD", ("x1", "x2", "x3")),)
+        strategy._memo[key] = ((1.0,), 1.0, False, False)
+        strategy._score_memo[key] = 0.25
         state = strategy.state_dict()
         fresh = make_strategy("static_rank", None)
         fresh.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
-        assert fresh._floor == -0.25
+        assert fresh._score_memo == {key: 0.25}
 
 
 # ---------------------------------------------------------------------------

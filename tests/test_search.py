@@ -9,9 +9,12 @@ mid-run checkpoint/resume with its state intact, and is name-resolvable
 from the config, the CLI and the lint, all against the same registries.
 """
 
+import copy
 import json
 import pickle
+import shutil
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -22,7 +25,7 @@ from repro.core.config import (SearchParameters, config_to_xml,
                                parse_config_text)
 from repro.core.errors import ConfigError
 from repro.core.individual import Individual
-from repro.core.population import load_population
+from repro.core.population import Population, load_population
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.evaluation import ProcessPoolBackend, SerialBackend
 from repro.fitness import DefaultFitness
@@ -35,6 +38,7 @@ from repro.search.registry import Registry, suggest
 from repro.staticcheck import lint_config, lint_config_file, lint_search
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).resolve().parent / "data"
 
 ALL_STRATEGIES = ("genetic", "random", "hill_climb",
                   "simulated_annealing", "static_rank", "surrogate")
@@ -73,15 +77,24 @@ def _population_signature(path):
              i.screen_failed) for i in load_population(path)]
 
 
-def _scored(fitnesses):
-    """Evaluated genome-less individuals with the given fitness values."""
+def _scored(fitnesses, start=0):
+    """Evaluated genome-less individuals with the given fitness values,
+    numbered from ``start``."""
     individuals = []
-    for uid, fitness in enumerate(fitnesses):
+    for uid, fitness in enumerate(fitnesses, start=start):
         individual = Individual([], uid=uid)
         if fitness is not None:
             individual.record_evaluation([fitness], fitness)
         individuals.append(individual)
     return individuals
+
+
+def _pruned(uid, rank):
+    """A genome-less individual pruned at ``rank`` in its ranker's
+    order."""
+    individual = Individual([], uid=uid)
+    individual.mark_pruned(rank)
+    return individual
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +178,20 @@ class TestRouletteSelection:
         with pytest.raises(ConfigError, match="empty population"):
             roulette_select([], make_rng(1))
 
+    def test_pruned_never_enter_the_wheel(self):
+        individuals = _scored([0.5, 2.0]) + [_pruned(2, 0), _pruned(3, 1)]
+        rng = make_rng(4)
+        picks = {roulette_select(individuals, rng).uid
+                 for _ in range(200)}
+        assert picks == {0, 1}
+
+    def test_zero_wheel_picks_uniformly_among_scored(self):
+        individuals = _scored([0.0, 0.0]) + [_pruned(2, 0)]
+        rng = make_rng(6)
+        picks = {roulette_select(individuals, rng).uid
+                 for _ in range(200)}
+        assert picks == {0, 1}
+
 
 class TestRankSelection:
     def test_prefers_high_rank(self):
@@ -194,6 +221,16 @@ class TestRankSelection:
     def test_empty_population_rejected(self):
         with pytest.raises(ConfigError, match="empty population"):
             rank_select([], make_rng(1))
+
+    def test_pruned_take_the_lowest_ranks_in_ranker_order(self):
+        # Weights 1..4 ascending: pruned rank 1, pruned rank 0, then the
+        # scored individuals by fitness, zero fitness included.
+        individuals = [_pruned(0, 1)] + _scored([3.0, 0.0], start=1) + \
+            [_pruned(3, 0)]
+        rng = make_rng(8)
+        picks = [rank_select(individuals, rng).uid for _ in range(3000)]
+        shares = [picks.count(uid) / len(picks) for uid in range(4)]
+        assert shares[0] < shares[3] < shares[2] < shares[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +504,95 @@ class TestStrategyStateResume:
             strategy.load_state({"current": 42})
 
 
+class _CountingRandom(Random):
+    """A run RNG that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class TestWrappedLocalSearch:
+    """Hill climbing and annealing under a pruning wrapper walk only
+    the measured candidates."""
+
+    @pytest.mark.parametrize("base", ["hill_climb", "simulated_annealing"])
+    @pytest.mark.parametrize("wrapper", ["static_rank", "surrogate"])
+    def test_incumbent_measured_and_no_draw_for_pruned(
+            self, tiny_library, tiny_template, wrapper, base):
+        config = _config(tiny_library, tiny_template, generations=6,
+                         strategy=wrapper, params={"base": base})
+        rng = _CountingRandom(config.ga.seed)
+        engine = GeneticEngine(config, _power_measurement(),
+                               DefaultFitness(), rng=rng)
+        local = engine.strategy._base
+        walk = local.observe
+        pruned_seen = []
+
+        def observe(population):
+            pruned_seen.extend(i for i in population if i.pruned)
+            # The same walk over the measured candidates alone, from the
+            # same state, on a copy of the stream.
+            twin = copy.copy(local)
+            twin.rng = _CountingRandom()
+            twin.rng.setstate(rng.getstate())
+            measured = [i for i in population if not i.pruned]
+            type(local).observe(
+                twin, Population(measured, number=population.number))
+            before = rng.draws
+            walk(population)
+            assert local._current.measurements
+            assert local._current is twin._current
+            assert rng.draws - before == twin.rng.draws
+
+        local.observe = observe
+        engine.run()
+        assert pruned_seen
+
+
+class TestPruningSelectionMatrix:
+    """Every pruning wrapper over every base under every selection
+    operator runs, and its statistics count only real fitnesses."""
+
+    @pytest.mark.parametrize("selection", ["tournament", "roulette",
+                                           "rank"])
+    @pytest.mark.parametrize("base", ["genetic", "hill_climb",
+                                      "simulated_annealing"])
+    @pytest.mark.parametrize("wrapper", ["static_rank", "surrogate"])
+    def test_run_completes_with_honest_statistics(
+            self, tiny_library, tiny_template, tmp_path, wrapper, base,
+            selection):
+        # Both wrappers prune from generation 1 on, so generation 2 is
+        # bred from a population holding pruned individuals: the
+        # surrogate trains on generation 0 alone, and a high mutation
+        # rate keeps the local searches' neighbours fresh.
+        params = {"base": base}
+        if wrapper == "surrogate":
+            params["min_train"] = "6"
+        config = _config(tiny_library, tiny_template, generations=3,
+                         strategy=wrapper, params=params)
+        config.ga.parent_selection_method = selection
+        config.ga.mutation_rate = 0.5
+        recorder = OutputRecorder(tmp_path / "run")
+        history = GeneticEngine(config, _power_measurement(),
+                                DefaultFitness(), recorder=recorder).run()
+        assert len(history.generations) == 3
+        assert all(g.surrogate["pruned"] for g in history.generations[1:])
+        assert history.best_individual.measurements
+        files = recorder.population_files()
+        assert len(files) == 3
+        for stats, path in zip(history.generations, files):
+            fitnesses = [i.fitness for i in load_population(path)
+                         if i.fitness is not None]
+            assert min(fitnesses) >= 0.0
+            total = 0.0
+            for fitness in fitnesses:
+                total += fitness
+            assert stats.mean_fitness == total / len(fitnesses)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint versioning and migration
 # ---------------------------------------------------------------------------
@@ -566,6 +692,50 @@ class TestCheckpointMigration:
         with pytest.raises(ConfigError, match="not a checkpoint"):
             GeneticEngine.resume(config, _power_measurement(),
                                  DefaultFitness(), bogus)
+
+
+class TestLegacyPruningCheckpoints:
+    """Checkpoints written while pruned offspring still carried
+    placeholder fitnesses below a ``floor`` keep resuming.
+
+    ``tests/data/legacy_<wrapper>.ckpt`` are such v2 checkpoints: the
+    ``_config`` tiny search (6 generations, seed 99) stopped after
+    generation 2, in which the wrapper pruned.
+    """
+
+    @pytest.mark.parametrize("name", ["static_rank", "surrogate"])
+    def test_placeholders_resume_as_pruned(self, tiny_library,
+                                           tiny_template, tmp_path, name):
+        checkpoint = tmp_path / "legacy.ckpt"
+        shutil.copyfile(DATA / f"legacy_{name}.ckpt", checkpoint)
+        payload = pickle.loads(checkpoint.read_bytes())
+        assert "floor" in payload["strategy_state"]
+        placeholders = sorted(
+            (i for i in payload["population"]
+             if i.fitness is not None and i.fitness < 0.0),
+            key=lambda i: i.fitness, reverse=True)
+        assert placeholders
+
+        config = _config(tiny_library, tiny_template, generations=6,
+                         strategy=name)
+        full = GeneticEngine(config, _power_measurement(),
+                             DefaultFitness()).run()
+        resumed = GeneticEngine.resume(config, _power_measurement(),
+                                       DefaultFitness(), checkpoint)
+        population = resumed._resume_state["population"]
+        history = resumed.run(generations=6)
+
+        by_uid = {i.uid: i for i in population}
+        assert {i.uid for i in population if i.pruned} == \
+            {i.uid for i in placeholders}
+        assert [by_uid[i.uid].pruned_rank for i in placeholders] == \
+            list(range(len(placeholders)))
+        assert all(by_uid[i.uid].fitness is None for i in placeholders)
+        assert history.best_fitness_series() == \
+            full.best_fitness_series()[3:]
+        assert history.generations == full.generations[3:]
+        assert [g.surrogate for g in history.generations] == \
+            [g.surrogate for g in full.generations[3:]]
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ class TestSurrogateStrategy:
             if stats.surrogate["pruned"]:
                 assert stats.measured == stats.surrogate["simulated"]
 
-    def test_placeholders_never_win(self, tiny_library, tiny_template):
+    def test_pruned_never_win(self, tiny_library, tiny_template):
         config = _strategy_config(
             tiny_library, tiny_template, generations=5,
             params={"top_fraction": "0.34", "epsilon": "0"})
@@ -267,12 +267,13 @@ class TestSurrogateStrategy:
         history = engine.run()
         assert history.best_individual.measurements
         final = history.final_population
-        pruned = [i for i in final if not i.measurements and
-                  i.fitness is not None and i.fitness < 0.0]
-        measured = [i for i in final if i.measurements]
-        if pruned and measured:
-            assert max(i.fitness for i in pruned) < \
-                min(i.fitness for i in measured)
+        pruned = [i for i in final if i.pruned]
+        assert pruned
+        assert all(i.fitness is None and not i.measurements
+                   for i in pruned)
+        assert not final.fittest().pruned
+        assert final.ranked()[-len(pruned):] == \
+            sorted(pruned, key=lambda i: i.pruned_rank)
 
     def test_memo_replays_previously_simulated_genomes(
             self, tiny_library, tiny_template):
@@ -338,7 +339,6 @@ class TestSurrogateStrategy:
                                 for i in range(9)]
         strategy._train_targets = [float(i) for i in range(9)]
         strategy._trained_keys = {key}
-        strategy._floor = -0.5
         strategy._model.fit(strategy._train_rows,
                             strategy._train_targets)
         state = strategy.state_dict()
@@ -350,7 +350,6 @@ class TestSurrogateStrategy:
         assert fresh._memo == strategy._memo
         assert fresh._feature_memo == strategy._feature_memo
         assert fresh._trained_keys == {key}
-        assert fresh._floor == -0.5
         assert fresh._model.fitted
         probe_row = {"loop_length": 4.0, "chain": 1.0}
         assert fresh._model.predict(probe_row) == \
