@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from random import Random
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from ..core.errors import SimulationError, TargetError
 from ..core.rng import make_rng
 from ..isa import assembler_for
 from ..isa.model import Program
+from .batch import simulate_population
 from .cache import MemoryHierarchy
 from .microarch import MicroArch, microarch_for
 from .pdn import PDNModel, VoltageTrace
@@ -104,6 +105,21 @@ class RunResult:
     @property
     def v_min(self) -> float:
         return self.voltage.v_min
+
+
+class _Physics(NamedTuple):
+    """What :meth:`SimulatedMachine._physics` derives for one program:
+    everything a :class:`RunResult` holds except the noisy readings."""
+
+    program_name: str
+    trace: ExecutionTrace
+    cores: int
+    supply_v: float
+    core_power_w: float
+    chip_power_w: float
+    noc_power_w: float
+    voltage: VoltageTrace
+    crashed: bool
 
 
 class SimulatedMachine:
@@ -255,66 +271,12 @@ class SimulatedMachine:
         core.  ``supply_v`` overrides the machine setting for V_MIN
         sweeps.
         """
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        if power_sample_count < 1:
-            raise SimulationError("need at least one power sample")
-        cores = cores if cores is not None else 1
-        if not 1 <= cores <= self.arch.core_count:
-            raise SimulationError(
-                f"cores={cores} outside 1..{self.arch.core_count}")
-        supply = supply_v if supply_v is not None else self.supply_v
-
+        cores, supply = self._run_arguments(duration_s, cores,
+                                            power_sample_count, supply_v)
         trace = self.pipeline.execute(program, max_cycles=self.sim_cycles,
                                       hierarchy=self.hierarchy)
-
-        core_power = self.power.core_power_w(program, trace, vdd=supply)
-        # Idle cores still burn clock and leakage.
-        idle = self.idle_core_power_w()
-        noc_power = self._noc_power_w(program, trace, cores, supply)
-        chip_power = self.power.chip_power_w(core_power, cores) \
-            + idle * (self.arch.core_count - cores) + noc_power
-
-        ipc = self._noisy(trace.ipc, _IPC_NOISE[self.environment])
-        samples = [
-            max(0.0, self._noisy(chip_power, _POWER_NOISE[self.environment]))
-            for _ in range(power_sample_count)
-        ]
-        temperature_samples = [
-            self.thermal.sensor_reading_c(chip_power, duration_s)
-            + self._rng.gauss(0.0, _TEMP_NOISE_C[self.environment])
-            for _ in range(power_sample_count)
-        ]
-
-        current = self.power.current_trace_a(program, trace, vdd=supply)
-        # Independent per-core instances do not align their activity
-        # phases, so AC current adds incoherently (~sqrt(N)) while the
-        # DC component adds linearly.
-        mean_current = float(np.mean(current))
-        total_current = (mean_current * cores
-                         + (current - mean_current) * np.sqrt(cores))
-        voltage = self.pdn.simulate(
-            total_current, supply,
-            period=trace.period_cycles or None,
-            prefix=trace.prefix_cycles)
-        crashed = voltage.v_min < self.critical_voltage_v()
-
-        return RunResult(
-            program_name=program.name,
-            cores_used=cores,
-            duration_s=duration_s,
-            supply_v=supply,
-            ipc=max(0.0, ipc),
-            core_power_w=core_power,
-            chip_power_w=chip_power,
-            power_samples_w=samples,
-            temperature_samples_c=temperature_samples,
-            voltage=voltage,
-            crashed=crashed,
-            trace=trace,
-            cache=trace.cache_summary,
-            noc_power_w=noc_power,
-        )
+        physics = self._physics(program, trace, cores, supply)
+        return self._observe(physics, duration_s, power_sample_count)
 
     def run_source(self, source: str, name: str = "stress.s",
                    **kwargs) -> RunResult:
@@ -393,6 +355,86 @@ class SimulatedMachine:
 
     # -- internals ---------------------------------------------------------------
 
+    def _run_arguments(self, duration_s: float, cores: Optional[int],
+                       power_sample_count: int,
+                       supply_v: Optional[float]) -> Tuple[int, float]:
+        """Validate a run's arguments; returns ``(cores, supply)`` with
+        the defaults filled in."""
+        if duration_s <= 0:
+            raise SimulationError("duration must be positive")
+        if power_sample_count < 1:
+            raise SimulationError("need at least one power sample")
+        cores = cores if cores is not None else 1
+        if not 1 <= cores <= self.arch.core_count:
+            raise SimulationError(
+                f"cores={cores} outside 1..{self.arch.core_count}")
+        return cores, supply_v if supply_v is not None else self.supply_v
+
+    def _physics(self, program: Program, trace: ExecutionTrace,
+                 cores: int, supply: float) -> _Physics:
+        """The noise-free part of a run, derived from one energy trace:
+        core, NoC and chip power, the PDN waveform and the crash
+        verdict."""
+        energy = self.power.energy_trace_pj(program, trace)
+        core_power = self.power.core_power_from_energy_w(energy, supply)
+        noc_power = self._noc_power_w(program, trace, cores, supply)
+        # Idle cores still burn clock and leakage.
+        chip_power = self.power.chip_power_w(core_power, cores) \
+            + self.idle_core_power_w() * (self.arch.core_count - cores) \
+            + noc_power
+
+        current = self.power.current_from_energy_a(energy, supply)
+        # Independent per-core instances do not align their activity
+        # phases, so AC current adds incoherently (~sqrt(N)) while the
+        # DC component adds linearly.
+        mean_current = float(np.mean(current))
+        total_current = (mean_current * cores
+                         + (current - mean_current) * np.sqrt(cores))
+        voltage = self.pdn.simulate(
+            total_current, supply,
+            period=trace.period_cycles or None,
+            prefix=trace.prefix_cycles)
+        return _Physics(
+            program_name=program.name, trace=trace, cores=cores,
+            supply_v=supply, core_power_w=core_power,
+            chip_power_w=chip_power, noc_power_w=noc_power,
+            voltage=voltage,
+            crashed=voltage.v_min < self.critical_voltage_v())
+
+    def _observe(self, physics: _Physics, duration_s: float,
+                 power_sample_count: int) -> RunResult:
+        """One measurement of ``physics``: draws the IPC noise, then the
+        power samples, then the temperature readings.  Recorded results
+        and evaluation caches depend on that order."""
+        ipc = self._noisy(physics.trace.ipc, _IPC_NOISE[self.environment])
+        samples = [
+            max(0.0, self._noisy(physics.chip_power_w,
+                                 _POWER_NOISE[self.environment]))
+            for _ in range(power_sample_count)
+        ]
+        sensor = self.thermal.sensor_reading_c(physics.chip_power_w,
+                                               duration_s)
+        temperature_samples = [
+            sensor + self._rng.gauss(0.0, _TEMP_NOISE_C[self.environment])
+            for _ in range(power_sample_count)
+        ]
+        return RunResult(
+            program_name=physics.program_name,
+            cores_used=physics.cores,
+            duration_s=duration_s,
+            supply_v=physics.supply_v,
+            ipc=max(0.0, ipc),
+            core_power_w=physics.core_power_w,
+            chip_power_w=physics.chip_power_w,
+            power_samples_w=samples,
+            temperature_samples_c=temperature_samples,
+            voltage=physics.voltage,
+            crashed=physics.crashed,
+            trace=physics.trace,
+            cache=physics.trace.cache_summary,
+            noc_power_w=physics.noc_power_w,
+        )
+
     def _noisy(self, value: float, sigma_rel: float) -> float:
         if sigma_rel <= 0.0:
             return value
@@ -403,11 +445,12 @@ class BatchedMachine:
     """Population-batched execution path over a :class:`SimulatedMachine`.
 
     :meth:`run_batch` evaluates a whole generation's programs in one
-    pass: the pipeline model runs as a lockstep array simulation
-    (:func:`repro.cpu.batch.simulate_population`), the power model's
-    energy accumulation stacks into ``(population, cycles)`` arrays,
-    and the PDN responses solve as one vectorized Euler integration —
-    all bit-identical per individual to :meth:`SimulatedMachine.run`.
+    call.  Only the scheduling is batched: the pipeline model runs as a
+    lockstep array simulation
+    (:func:`repro.cpu.batch.simulate_population`).  Energy, power, the
+    PDN solve and the noise draws then run per program through the
+    same code as :meth:`SimulatedMachine.run`, so every observable is
+    bit-identical to it.
 
     Measurement noise is replayed per individual: the caller passes one
     noise key per program (the evaluation layer's per-source substream
@@ -419,9 +462,10 @@ class BatchedMachine:
     of re-running the simulator.
 
     Machines with a :class:`~repro.cpu.cache.MemoryHierarchy` attached
-    fall back to the serial path internally (the lockstep scheduler
-    models core-private execution only); the call still returns the
-    same results, just without the batching speedup.
+    schedule each program with the serial pipeline instead (the
+    lockstep scheduler models core-private execution only); the call
+    still returns the same results and still replays only the noise
+    per repeat.
     """
 
     def __init__(self, machine: SimulatedMachine) -> None:
@@ -437,119 +481,30 @@ class BatchedMachine:
         """Run every program; returns one result list (``repeats`` long)
         per program, in order."""
         machine = self.machine
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        if power_sample_count < 1:
-            raise SimulationError("need at least one power sample")
+        cores, supply = machine._run_arguments(duration_s, cores,
+                                               power_sample_count, supply_v)
         if repeats < 1:
             raise SimulationError("repeats must be >= 1")
-        cores = cores if cores is not None else 1
-        if not 1 <= cores <= machine.arch.core_count:
-            raise SimulationError(
-                f"cores={cores} outside 1..{machine.arch.core_count}")
         if noise_keys is not None and len(noise_keys) != len(programs):
             raise SimulationError("need one noise key per program")
         if not programs:
             return []
 
-        if machine.hierarchy is not None:
-            # Cache modelling is core-private serial state; run the
-            # ordinary path per program (reseeding exactly as the
-            # evaluation layer would).
-            out: List[List[RunResult]] = []
-            for index, program in enumerate(programs):
-                if noise_keys is not None:
-                    machine.reseed(noise_keys[index])
-                out.append([
-                    machine.run(program, duration_s=duration_s, cores=cores,
-                                power_sample_count=power_sample_count,
-                                supply_v=supply_v)
-                    for _ in range(repeats)])
-            return out
+        if machine.hierarchy is None:
+            traces = simulate_population(
+                programs, machine.arch, max_cycles=machine.sim_cycles,
+                detect_steady_state=machine.steady_state_detection)
+        else:
+            traces = [machine.pipeline.execute(
+                program, max_cycles=machine.sim_cycles,
+                hierarchy=machine.hierarchy) for program in programs]
 
-        from .batch import simulate_population
-        supply = supply_v if supply_v is not None else machine.supply_v
-        traces = simulate_population(
-            programs, machine.arch, max_cycles=machine.sim_cycles,
-            detect_steady_state=machine.steady_state_detection)
-
-        power = machine.power
-        scale = (supply / machine.arch.vdd_nominal) ** 2
-        static = power.static_power_w(supply)
-        frequency = machine.arch.frequency_hz
-        idle = machine.idle_core_power_w()
-        idle_cores = machine.arch.core_count - cores
-        root_cores = np.sqrt(cores)
-
-        energies = power.energy_traces_pj(programs, traces)
-        core_powers: List[float] = []
-        chip_powers: List[float] = []
-        noc_powers: List[float] = []
-        currents: List[np.ndarray] = []
-        for program, trace, energy in zip(programs, traces, energies):
-            energy = energy * scale
-            # Mirrors PowerModel.core_power_w with the shared trace.
-            start = int(len(energy) * 0.2)
-            steady = energy[start:] if len(energy) > start else energy
-            mean_pj = float(np.mean(steady)) if len(steady) else 0.0
-            core_power = mean_pj * 1e-12 * frequency + static
-            noc_power = machine._noc_power_w(program, trace, cores, supply)
-            chip_power = power.chip_power_w(core_power, cores) \
-                + idle * idle_cores + noc_power
-            # Mirrors PowerModel.current_trace_a with the shared trace.
-            current = (energy * 1e-12 * frequency + static) / supply
-            mean_current = float(np.mean(current))
-            currents.append(mean_current * cores
-                            + (current - mean_current) * root_cores)
-            core_powers.append(core_power)
-            chip_powers.append(chip_power)
-            noc_powers.append(noc_power)
-
-        voltages = machine.pdn.simulate_batch(
-            currents, supply,
-            periods=[t.period_cycles or None for t in traces],
-            prefixes=[t.prefix_cycles for t in traces])
-        critical = machine.critical_voltage_v()
-
-        power_sigma = _POWER_NOISE[machine.environment]
-        ipc_sigma = _IPC_NOISE[machine.environment]
-        temp_sigma = _TEMP_NOISE_C[machine.environment]
         results: List[List[RunResult]] = []
         for index, (program, trace) in enumerate(zip(programs, traces)):
+            physics = machine._physics(program, trace, cores, supply)
             if noise_keys is not None:
                 machine.reseed(noise_keys[index])
-            chip_power = chip_powers[index]
-            sensor = machine.thermal.sensor_reading_c(chip_power, duration_s)
-            voltage = voltages[index]
-            crashed = voltage.v_min < critical
-            rounds: List[RunResult] = []
-            for _ in range(repeats):
-                # Noise draw order matches SimulatedMachine.run exactly:
-                # ipc, then the power samples, then the temperatures.
-                ipc = machine._noisy(trace.ipc, ipc_sigma)
-                samples = [
-                    max(0.0, machine._noisy(chip_power, power_sigma))
-                    for _ in range(power_sample_count)
-                ]
-                temperature_samples = [
-                    sensor + machine._rng.gauss(0.0, temp_sigma)
-                    for _ in range(power_sample_count)
-                ]
-                rounds.append(RunResult(
-                    program_name=program.name,
-                    cores_used=cores,
-                    duration_s=duration_s,
-                    supply_v=supply,
-                    ipc=max(0.0, ipc),
-                    core_power_w=core_powers[index],
-                    chip_power_w=chip_power,
-                    power_samples_w=samples,
-                    temperature_samples_c=temperature_samples,
-                    voltage=voltage,
-                    crashed=crashed,
-                    trace=trace,
-                    cache=trace.cache_summary,
-                    noc_power_w=noc_powers[index],
-                ))
-            results.append(rounds)
+            results.append([
+                machine._observe(physics, duration_s, power_sample_count)
+                for _ in range(repeats)])
         return results

@@ -163,115 +163,6 @@ class PDNModel:
         return VoltageTrace(voltage=voltage, supply=supply_v,
                             warmup_samples=warmup)
 
-    def simulate_batch(self, currents: "list[np.ndarray]", supply_v: float,
-                       periods: "list[int | None]",
-                       prefixes: "list[int]",
-                       warmup_fraction: float = 0.25
-                       ) -> "list[VoltageTrace]":
-        """Integrate many current traces in one lockstep pass.
-
-        Bit-identical to calling :meth:`simulate` per trace: the
-        semi-implicit Euler update is applied elementwise over a
-        ``(population,)`` state vector, and IEEE-754 arithmetic is
-        performed per element in the same order as the scalar loop.
-        Rows whose ``(v, i)`` state recurs at a period boundary lock in
-        exactly as in :meth:`simulate` (tile the captured segment) and
-        drop out of the active set, so a batch of steady-state-detected
-        traces costs no more than the serial path while a batch of
-        full-length traces (no period hints) integrates as pure
-        vectorized lockstep.
-
-        Traces of different lengths are grouped by length and each
-        group runs as its own lockstep pass.
-        """
-        population = len(currents)
-        if population == 0:
-            return []
-        if len(periods) != population or len(prefixes) != population:
-            raise ValueError("currents/periods/prefixes length mismatch")
-        lengths = {len(c) for c in currents}
-        if len(lengths) != 1:
-            by_length: "dict[int, list[int]]" = {}
-            for row, trace in enumerate(currents):
-                by_length.setdefault(len(trace), []).append(row)
-            out: "list" = [None] * population
-            for rows in by_length.values():
-                solved = self.simulate_batch(
-                    [currents[r] for r in rows], supply_v,
-                    [periods[r] for r in rows],
-                    [prefixes[r] for r in rows],
-                    warmup_fraction=warmup_fraction)
-                for row, trace in zip(rows, solved):
-                    out[row] = trace
-            return out
-        n = lengths.pop()
-        if n == 0:
-            raise ValueError("current trace is empty")
-
-        p = self.params
-        dt = self.dt
-        r, l, c = p.r_ohm, p.l_h, p.c_f
-        cur = np.empty((population, n), dtype=np.float64)
-        for row, trace in enumerate(currents):
-            cur[row] = trace
-        # Per-row np.mean over a contiguous row uses the same pairwise
-        # reduction as the scalar path's np.mean of the 1-D trace.
-        mean = np.array([float(np.mean(cur[row]))
-                         for row in range(population)])
-        v = supply_v - r * mean            # DC operating point, per row
-        i = mean.copy()
-        voltage = np.empty((population, n), dtype=np.float64)
-
-        check_at = np.array(
-            [prefixes[row] if periods[row] and periods[row] > 0 else -1
-             for row in range(population)], dtype=np.int64)
-        period_arr = np.array(
-            [periods[row] if periods[row] else 0 for row in range(population)],
-            dtype=np.int64)
-        seen: "list[dict]" = [{} for _ in range(population)]
-
-        act = np.arange(population)        # global row per active lane
-        k = 0
-        while k < n and len(act):
-            due = np.nonzero(check_at[act] == k)[0]
-            if len(due):
-                finished = []
-                for lane in due:
-                    row = int(act[lane])
-                    state = (float(v[lane]), float(i[lane]))
-                    first = seen[row].get(state)
-                    if first is not None:
-                        segment = voltage[row, first:k]
-                        remaining = n - k
-                        repeats = remaining // len(segment)
-                        tail = remaining % len(segment)
-                        if repeats:
-                            voltage[row, k:k + repeats * len(segment)] = \
-                                np.tile(segment, repeats)
-                        if tail:
-                            voltage[row, n - tail:] = segment[:tail]
-                        finished.append(lane)
-                    else:
-                        seen[row][state] = k
-                        check_at[row] += period_arr[row]
-                if finished:
-                    keep = np.ones(len(act), dtype=bool)
-                    keep[finished] = False
-                    act = act[keep]
-                    v = v[keep]
-                    i = i[keep]
-                    if not len(act):
-                        break
-            i += dt * (supply_v - v - r * i) / l
-            v += dt * (i - cur[act, k]) / c
-            voltage[act, k] = v
-            k += 1
-
-        warmup = min(int(n * warmup_fraction), n - 1)
-        return [VoltageTrace(voltage=voltage[row], supply=supply_v,
-                             warmup_samples=warmup)
-                for row in range(population)]
-
     def impedance_magnitude(self, frequency_hz: float) -> float:
         """|Z(f)| seen by the die load — peaks near the resonance.
 

@@ -145,77 +145,19 @@ class PowerModel:
             per_cycle = per_cycle + np.asarray(trace.extra_energy_per_cycle)
         return per_cycle
 
-    def energy_traces_pj(self, programs: "List[Program]",
-                         traces: "List[ExecutionTrace]"
-                         ) -> "List[np.ndarray]":
-        """Per-cycle dynamic energy for a whole population at once.
-
-        Bit-identical to calling :meth:`energy_trace_pj` per pair: when
-        every trace simulated the same number of cycles (the common
-        case for a batched generation) the base + window-occupancy term
-        and the per-issue-position accumulation run as single
-        ``(population, cycles)`` array operations — each element sees
-        the same IEEE operations in the same order as the per-row path.
-        Ragged batches (mixed steady-state windows, cache effects) fall
-        back to the per-row computation.
-        """
-        if len(programs) != len(traces):
-            raise ValueError("programs/traces length mismatch")
-        population = len(programs)
-        if population == 0:
-            return []
-        sim_lengths = {len(t.occupancy_counts) for t in traces}
-        uniform = len(sim_lengths) == 1 and all(
-            t.extra_energy_per_cycle is None for t in traces)
-        if not uniform:
-            return [self.energy_trace_pj(program, trace)
-                    for program, trace in zip(programs, traces)]
-        n_sim = sim_lengths.pop()
-        arch = self.arch
-
-        occ = np.empty((population, n_sim), dtype=np.float64)
-        for row, trace in enumerate(traces):
-            occ[row] = trace.occupancy_counts
-        per_sim = arch.base_cycle_pj + arch.window_slot_pj * occ
-
-        # Flatten the ragged per-row issue lists; index the per-program
-        # slot energies through per-row offsets into one flat table.
-        slot_energy = [self.slot_energies_pj(p) for p in programs]
-        slot_base = np.zeros(population, dtype=np.int64)
-        for row in range(1, population):
-            slot_base[row] = slot_base[row - 1] + len(slot_energy[row - 1])
-        energy_flat = np.concatenate(slot_energy) if slot_energy else \
-            np.empty(0)
-        issue_energy = [
-            energy_flat[trace.issue_slots + slot_base[row]]
-            if len(trace.issue_slots) else np.empty(0)
-            for row, trace in enumerate(traces)]
-        issue_base = np.zeros(population, dtype=np.int64)
-        for row in range(1, population):
-            issue_base[row] = issue_base[row - 1] + len(issue_energy[row - 1])
-        issue_flat = np.concatenate(issue_energy) if issue_energy else \
-            np.empty(0)
-
-        counts = np.empty((population, n_sim), dtype=np.int64)
-        starts = np.empty((population, n_sim), dtype=np.int64)
-        for row, trace in enumerate(traces):
-            counts[row] = np.diff(trace.issue_offsets)
-            starts[row] = trace.issue_offsets[:-1] + issue_base[row]
-        max_count = int(counts.max()) if counts.size else 0
-        for position in range(max_count):
-            mask = counts > position
-            per_sim[mask] += issue_flat[starts[mask] + position]
-
-        return [trace.expand(per_sim[row])
-                for row, trace in enumerate(traces)]
-
     def current_trace_a(self, program: Program, trace: ExecutionTrace,
                         vdd: float | None = None) -> np.ndarray:
         """Per-cycle die current draw (amps) for the PDN model."""
+        return self.current_from_energy_a(
+            self.energy_trace_pj(program, trace), vdd)
+
+    def current_from_energy_a(self, energy_pj: np.ndarray,
+                              vdd: float | None = None) -> np.ndarray:
+        """Per-cycle die current (amps) of an :meth:`energy_trace_pj`
+        trace."""
         vdd = vdd if vdd is not None else self.arch.vdd_nominal
         scale = (vdd / self.arch.vdd_nominal) ** 2
-        energy_pj = self.energy_trace_pj(program, trace) * scale
-        dynamic_power_w = energy_pj * 1e-12 * self.arch.frequency_hz
+        dynamic_power_w = energy_pj * scale * 1e-12 * self.arch.frequency_hz
         total_power_w = dynamic_power_w + self.static_power_w(vdd)
         return total_power_w / vdd
 
@@ -229,9 +171,17 @@ class PowerModel:
                      vdd: float | None = None,
                      warmup_fraction: float = 0.2) -> float:
         """Average single-core power over the post-warm-up window."""
+        return self.core_power_from_energy_w(
+            self.energy_trace_pj(program, trace), vdd, warmup_fraction)
+
+    def core_power_from_energy_w(self, energy_pj: np.ndarray,
+                                 vdd: float | None = None,
+                                 warmup_fraction: float = 0.2) -> float:
+        """Average single-core power of an :meth:`energy_trace_pj` trace
+        over its post-warm-up window."""
         vdd = vdd if vdd is not None else self.arch.vdd_nominal
         scale = (vdd / self.arch.vdd_nominal) ** 2
-        energy = self.energy_trace_pj(program, trace) * scale
+        energy = energy_pj * scale
         start = int(len(energy) * warmup_fraction)
         steady = energy[start:] if len(energy) > start else energy
         mean_pj = float(np.mean(steady)) if len(steady) else 0.0

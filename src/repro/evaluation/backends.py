@@ -136,10 +136,10 @@ class BatchedBackend(ExecutorBackend):
     :class:`~repro.isa.splice.TemplateSplicer` (template scaffolding
     assembled once, only loop bodies re-decoded), and all programs then
     execute as a single :class:`~repro.cpu.machine.BatchedMachine` pass
-    — pipeline lockstep simulation, ``(population, cycles)`` energy
-    accumulation and a vectorized PDN solve.  Per-individual noise
-    substreams are replayed afterwards in job order, so every
-    observable is bit-identical to :class:`SerialBackend`.
+    — lockstep pipeline scheduling, then per-program energy, power and
+    PDN through the serial code.  Per-individual noise substreams are
+    replayed afterwards in job order, so every observable is
+    bit-identical to :class:`SerialBackend`.
 
     Pipelines that cannot batch (custom measurements without
     ``measure_from_result``, non-simulated targets) silently take the

@@ -6,7 +6,7 @@ does.  :class:`ShortProbe` runs a whole offspring pool for a small
 cycle budget (the StaticScreen ``period_probe`` regime, ~1.6k cycles —
 a fraction of a full measurement's budget) through
 :meth:`~repro.cpu.machine.BatchedMachine.run_batch`, so the entire
-generation probes in one vectorized NumPy pass.
+generation is scheduled in one lockstep pass.
 
 Determinism: the probe machine is private (fixed seed, bare-metal
 environment) and every program's noise stream is keyed by its rendered

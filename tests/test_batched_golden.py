@@ -5,8 +5,8 @@ The batched pipeline (:class:`repro.cpu.machine.BatchedMachine`,
 identical per-individual observables to the serial path — not merely
 statistically equivalent.  These tests enforce that promise across
 microarchitecture presets (in-order and out-of-order), steady-state
-detection on and off, cache-modelled machines (which take the batched
-path's serial fallback), repeated measurements, noisy environments,
+detection on and off, cache-modelled machines (which the batched path
+schedules serially), repeated measurements, noisy environments,
 and ragged generations where screen failures and evaluation-cache hits
 interleave with the batch.
 """
@@ -112,9 +112,14 @@ class TestBatchedMachineGoldens:
             for reference, result in zip(reference_rounds, rounds):
                 _assert_run_results_equal(reference, result)
 
-    def test_cache_hierarchy_falls_back_bit_identically(self, config):
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_cache_hierarchy_falls_back_bit_identically(self, config,
+                                                        repeats):
+        """Cache-modelled machines schedule serially; repeats still
+        equal that many serial ``machine.run`` rounds, noise included."""
         def build():
             return SimulatedMachine("cortex_a15", sim_cycles=400,
+                                    environment="os",
                                     hierarchy=MemoryHierarchy())
         machine = build()
         programs = _programs(machine, config, 6)
@@ -122,16 +127,20 @@ class TestBatchedMachineGoldens:
         serial = []
         for key, program in zip(keys, programs):
             machine.reseed(key)
-            serial.append(machine.run(program, duration_s=1.0,
-                                      power_sample_count=3))
+            serial.append([machine.run(program, duration_s=1.0,
+                                       power_sample_count=3)
+                           for _ in range(repeats)])
         replica = build()
         replica_programs = _programs(replica, config, 6)
         batched = BatchedMachine(replica).run_batch(
             replica_programs, duration_s=1.0, power_sample_count=3,
-            noise_keys=keys)
-        for reference, rounds in zip(serial, batched):
-            _assert_run_results_equal(reference, rounds[0])
-            assert rounds[0].cache is not None
+            noise_keys=keys, repeats=repeats)
+        for reference_rounds, rounds in zip(serial, batched):
+            assert len(rounds) == repeats
+            for reference, result in zip(reference_rounds, rounds):
+                _assert_run_results_equal(reference, result)
+                assert result.cache is not None
+                assert result.cache == reference.cache
 
     def test_ragged_steady_state_periods(self, config):
         """Mixed detected/undetected periods in one batch still match."""

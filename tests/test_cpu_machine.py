@@ -6,6 +6,7 @@ import pytest
 from repro.core.errors import (AssemblyError, SimulationError, TargetError)
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.microarch import PRESETS, microarch_for, preset_names
+from repro.cpu.power import PowerModel
 
 SRC = (".loop\nadd x1, x2, x3\nvmul v0, v8, v9\nldr x7, [x10, #16]\n"
        ".endloop\n")
@@ -157,6 +158,21 @@ class TestMachineBasics:
     def test_avg_peak_power_properties(self, a15_machine):
         result = a15_machine.run_source(SRC)
         assert result.peak_power_w >= result.avg_power_w
+
+    def test_run_computes_energy_trace_once(self, monkeypatch):
+        """Power and current both derive from one energy trace."""
+        machine = SimulatedMachine("cortex_a15", sim_cycles=600)
+        program = machine.compile(SRC)
+        calls = []
+        energy_trace_pj = PowerModel.energy_trace_pj
+
+        def counting(model, *args, **kwargs):
+            calls.append(args)
+            return energy_trace_pj(model, *args, **kwargs)
+
+        monkeypatch.setattr(PowerModel, "energy_trace_pj", counting)
+        machine.run(program)
+        assert len(calls) == 1
 
 
 class TestSimulatedTarget:
