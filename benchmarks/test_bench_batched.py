@@ -82,13 +82,6 @@ def _make_jobs(config, pipeline, round_seed: int):
     return jobs
 
 
-def _evaluate(backend, pipeline, jobs):
-    runner = getattr(backend, "evaluate_generation", None)
-    if callable(runner):
-        return runner(pipeline, jobs)
-    return backend.evaluate(pipeline, jobs)
-
-
 def _observables(results):
     return [(r.uid, r.measurements, r.fitness) for r in results]
 
@@ -106,7 +99,7 @@ def _run_regime(detection: bool, repeats: int, include_pool: bool):
             config, pipeline = state[name]
             jobs = _make_jobs(config, pipeline, round_seed)
             began = perf_counter()
-            results = _evaluate(backend, pipeline, jobs)
+            results = backend.evaluate(pipeline, jobs)
             seconds[name].append(perf_counter() - began)
             round_results[name] = _observables(results)
         for name, observed in round_results.items():
@@ -155,10 +148,8 @@ def test_bench_batched(benchmark):
     # What the auto-selector does at this scale, for the record.
     config, pipeline = _build_pipeline(detection=False, repeats=3)
     auto = AutoSelectBackend(pool_workers=os.cpu_count() or 1)
-    auto.evaluate_generation(pipeline,
-                             _make_jobs(config, pipeline, ROUND_SEEDS[0]))
-    results["auto_select"] = {"choice": auto.last_choice,
-                              "reason": auto.last_reason}
+    auto.evaluate(pipeline, _make_jobs(config, pipeline, ROUND_SEEDS[0]))
+    results["auto_select"] = {"choice": auto.name, "reason": auto.reason}
     auto.close()
 
     batched_speedup = headline["batched"]["speedup_vs_serial"]
@@ -174,8 +165,7 @@ def test_bench_batched(benchmark):
     # One pytest-benchmark-timed batched pass for the comparison tables.
     config, pipeline = _build_pipeline(detection=False, repeats=3)
     jobs = _make_jobs(config, pipeline, ROUND_SEEDS[0])
-    run_once(benchmark, lambda: BatchedBackend().evaluate_generation(
-        pipeline, jobs))
+    run_once(benchmark, lambda: BatchedBackend().evaluate(pipeline, jobs))
 
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\nwrote {OUTPUT.name}: headline full_sim_repeats_3 "

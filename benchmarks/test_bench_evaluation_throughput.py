@@ -22,8 +22,7 @@ from repro.core.engine import GeneticEngine
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.cache import MemoryHierarchy
 from repro.evaluation import (EvaluationCache, ProcessPoolBackend,
-                              SerialBackend)
-from repro.evaluation.backends import _run_job
+                              SerialBackend, backends)
 from repro.evaluation.pipeline import EmptyMeasurementError
 from repro.fitness.default_fitness import DefaultFitness
 from repro.measurement.power import PowerMeasurement
@@ -34,13 +33,25 @@ OUTPUT = REPO_ROOT / "BENCH_evaluation.json"
 
 POPULATION = 16
 GENERATIONS = 4
+#: The two dispatch arms are timed best-of-N over alternating rounds.
+DISPATCH_ROUNDS = 3
+
+
+def _run_job(job):
+    """Evaluate one job against the worker's forked pipeline replica."""
+    individual, source = job
+    try:
+        return backends._WORKER_PIPELINE.evaluate(individual, source=source)
+    except EmptyMeasurementError as exc:
+        return exc
 
 
 class PerJobPoolBackend(ProcessPoolBackend):
     """The pre-chunking dispatch strategy: one IPC round trip per
-    individual.  Kept here as the baseline for the dispatch-overhead
-    comparison — the chunked backend replaced it precisely because at
-    simulator evaluation rates the round trips dominated the work."""
+    individual, each evaluated by the worker's serial pipeline.  Kept
+    here as the baseline for the dispatch-overhead comparison — the
+    chunked backend replaced it precisely because at simulator
+    evaluation rates the round trips dominated the work."""
 
     def evaluate(self, pipeline, jobs):
         if not jobs:
@@ -96,11 +107,16 @@ def test_bench_evaluation_throughput(benchmark):
     }
 
     results["backends"]["serial"] = _timed_run(SerialBackend())
-    for workers in (2, 4):
-        results["backends"][f"pool_{workers}"] = _timed_run(
-            ProcessPoolBackend(workers))
-    results["backends"]["pool_4_per_job"] = _timed_run(
-        PerJobPoolBackend(4))
+    results["backends"]["pool_2"] = _timed_run(ProcessPoolBackend(2))
+    # The dispatch arms alternate round by round and keep their best.
+    dispatch = {"pool_4": ProcessPoolBackend,
+                "pool_4_per_job": PerJobPoolBackend}
+    for _ in range(DISPATCH_ROUNDS):
+        for key, backend_cls in dispatch.items():
+            run = _timed_run(backend_cls(4))
+            best = results["backends"].get(key)
+            if best is None or run["seconds"] < best["seconds"]:
+                results["backends"][key] = run
 
     serial_rate = results["backends"]["serial"]["individuals_per_second"]
     for key in ("pool_2", "pool_4", "pool_4_per_job"):

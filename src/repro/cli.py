@@ -22,7 +22,9 @@ reproduction mirrors that::
 
 ``run`` executes a GA search described by a main configuration file
 against a simulated platform, recording outputs per the paper's
-conventions.  The last four subcommands are GeST-as-a-service:
+conventions; its evaluation executor picks serial, batched or pooled
+evaluation per generation, and ``--workers`` only caps the pool.  The
+last four subcommands are GeST-as-a-service:
 ``submit`` enqueues a run into a sqlite result store
 (:mod:`repro.store`), ``serve`` starts the asyncio orchestrator
 (:mod:`repro.service`) that executes queued runs on concurrent worker
@@ -58,8 +60,7 @@ from .core.output import OutputRecorder
 from .cpu.machine import SimulatedMachine
 from .cpu.microarch import preset_names
 from .cpu.target import SimulatedTarget
-from .evaluation import EvaluationCache, StageTimings
-from .fitness.default_fitness import DefaultFitness
+from .evaluation import EvaluationCache, StageTimings, cache_fingerprint
 from .measurement.base import Measurement
 from .search import STRATEGIES
 from .staticcheck import (StaticScreen, analyze_cost, analyze_program,
@@ -95,18 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-lint", action="store_true",
                      help="skip the eager config lint before the search")
     run.add_argument("--workers", type=int, default=None,
-                     help="evaluation worker processes (default: the "
-                          "config's <evaluation workers=...>, or 1); "
-                          "each worker replicates the simulated board; "
-                          "0 means auto — size the pool from this "
-                          "machine and pick the engine per generation")
-    run.add_argument("--backend", default=None,
-                     choices=("auto", "serial", "batched", "pool"),
-                     help="evaluation execution engine (default: the "
-                          "config's <evaluation backend=...>, or auto); "
-                          "'batched' evaluates a whole generation as "
-                          "one vectorized pass, 'auto' routes each "
-                          "generation to the cheapest engine")
+                     help="evaluation worker processes the executor may "
+                          "use (default: the config's <evaluation "
+                          "workers=...>, or 1); each worker replicates "
+                          "the simulated board; 0 sizes the pool from "
+                          "the CPU count")
     run.add_argument("--strategy", default=None,
                      choices=STRATEGIES.names(),
                      help="search strategy proposing populations "
@@ -260,9 +254,7 @@ def _command_run(args: argparse.Namespace) -> int:
     target.connect()
     measurement = instantiate(config.measurement_class, Measurement,
                               target, config.measurement_params)
-    fitness_cls = load_class(config.fitness_class)
-    fitness = fitness_cls() if fitness_cls is not DefaultFitness \
-        else DefaultFitness()
+    fitness = load_class(config.fitness_class)()
 
     results_dir = args.results or config.results_dir
     recorder = OutputRecorder(results_dir) if results_dir else None
@@ -273,8 +265,7 @@ def _command_run(args: argparse.Namespace) -> int:
     cache = None
     cache_path = None
     if config.evaluation.cache:
-        fingerprint = (f"{measurement.fingerprint()}"
-                       f"|noise_seed={config.ga.seed or 0}")
+        fingerprint = cache_fingerprint(measurement, config.ga.seed or 0)
         if recorder is not None:
             cache_path = recorder.results_dir / "evaluation_cache.json"
         if cache_path is not None and cache_path.exists():
@@ -284,7 +275,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
     engine = GeneticEngine(config, measurement, fitness, recorder=recorder,
                            screen=screen, cache=cache, workers=args.workers,
-                           backend=args.backend, strategy=args.strategy)
+                           strategy=args.strategy)
     history = engine.run(args.generations)
     if cache is not None and cache_path is not None:
         cache.save(cache_path)

@@ -121,30 +121,24 @@ class GAParameters:
 class EvaluationParameters:
     """How a generation is evaluated (:mod:`repro.evaluation`).
 
-    ``workers`` sizes the executor: 1 keeps the in-process
-    :class:`~repro.evaluation.backends.SerialBackend`; N > 1 makes N
-    worker processes available (the paper measures on multiple boards
-    the same way); 0 means *auto* — size from the machine.  ``backend``
-    picks the execution engine: ``auto`` (default — route each
-    generation to the cheapest engine), ``serial``, ``batched`` (the
-    population-vectorized path), or ``pool``.  ``cache`` enables the
-    content-addressed :class:`~repro.evaluation.cache.EvaluationCache`.
-    Whatever the combination, the run's populations and history are
-    bit-identical — the evaluation layer's determinism contract.
+    ``workers`` caps the process pool the engine's auto-selecting
+    executor may use: 1 never pools; N > 1 makes N worker processes
+    available (the paper measures on multiple boards the same way); 0
+    sizes the pool from the machine.  The executor itself routes each
+    generation to serial, batched or pooled execution.  ``cache``
+    enables the content-addressed
+    :class:`~repro.evaluation.cache.EvaluationCache`.  Whatever the
+    combination, the run's populations and history are bit-identical —
+    the evaluation layer's determinism contract.
     """
 
     workers: int = 1
     cache: bool = False
-    backend: str = "auto"
 
     def validate(self) -> None:
         if self.workers < 0:
             raise ConfigError(
                 "evaluation workers must be >= 0 (0 = auto)")
-        if self.backend not in ("auto", "serial", "batched", "pool"):
-            raise ConfigError(
-                f"unknown evaluation backend {self.backend!r}; expected "
-                "one of auto, serial, batched, pool")
 
 
 @dataclass
@@ -360,8 +354,6 @@ def _parse_evaluation(
         raise ConfigError(f"{context}: non-numeric workers value") from exc
     if element.get("cache") is not None:
         evaluation.cache = _parse_bool(element.get("cache"), context)
-    if element.get("backend") is not None:
-        evaluation.backend = element.get("backend").strip().lower()
     evaluation.validate()
     return evaluation
 
@@ -468,7 +460,6 @@ def config_to_xml(config: RunConfig, template_filename: str = "template.s",
     ET.SubElement(root, "evaluation", {
         "workers": str(config.evaluation.workers),
         "cache": "true" if config.evaluation.cache else "false",
-        "backend": config.evaluation.backend,
     })
     ET.SubElement(root, "search", {
         "strategy": config.search.strategy,

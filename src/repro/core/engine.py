@@ -7,8 +7,8 @@ mutation, elitism), with ``random`` / ``hill_climb`` /
 ``simulated_annealing`` available for the paper's baseline comparisons.
 Evaluation — render, screen, measure, score — lives in the staged
 :mod:`repro.evaluation` layer, which the engine drives through a
-:class:`~repro.evaluation.evaluator.StagedEvaluator`: a pluggable
-executor backend (serial, or a process pool replicating the simulated
+:class:`~repro.evaluation.evaluator.StagedEvaluator`: an auto-selecting
+executor (serial, batched, or a process pool replicating the simulated
 board per worker — the paper measures on multiple boards the same way)
 plus an optional content-addressed evaluation cache.  Results merge
 back in deterministic uid order, so every backend/cache/strategy
@@ -36,9 +36,8 @@ from pathlib import Path
 from random import Random
 from typing import Callable, List, Optional, Sequence, Union
 
-from ..evaluation.backends import AutoSelectBackend, BatchedBackend, \
-    ExecutorBackend, ProcessPoolBackend, SerialBackend
-from ..evaluation.cache import EvaluationCache
+from ..evaluation.backends import AutoSelectBackend, ExecutorBackend
+from ..evaluation.cache import EvaluationCache, cache_fingerprint
 from ..evaluation.evaluator import GenerationOutcome, StagedEvaluator
 from ..evaluation.pipeline import (EvaluationPipeline, FitnessProtocol,
                                    MeasurementProtocol, ScreenProtocol,
@@ -58,9 +57,9 @@ __all__ = ["MeasurementProtocol", "FitnessProtocol", "ScreenProtocol",
            "ScreenReportProtocol", "GenerationStats", "RunHistory",
            "GeneticEngine", "WORKERS_ENV_VAR", "derive_run_id"]
 
-#: Environment override for the evaluation worker count (CI runs the
-#: suite under a 2-worker backend this way).  Explicit ``backend`` or
-#: ``workers`` arguments win over the environment.
+#: Environment override for the evaluation worker budget (CI runs the
+#: suite with a 2-worker pool available this way).  An explicit
+#: ``workers`` argument wins over the environment.
 WORKERS_ENV_VAR = "GEST_EVAL_WORKERS"
 
 
@@ -160,38 +159,6 @@ def derive_run_id(config: RunConfig, strategy_name: str) -> str:
     return "run-" + digest.hexdigest()[:12]
 
 
-def _resolve_backend(name: Optional[str],
-                     workers: int) -> ExecutorBackend:
-    """Build the executor backend for a name/worker-count pair.
-
-    ``workers == 0`` means "auto": size the worker pool from the
-    machine and let :class:`AutoSelectBackend` route each generation.
-    With ``name`` empty/"auto", one worker keeps the classic
-    :class:`SerialBackend` and several workers get the auto-selector —
-    which falls back to serial or batched execution on generations too
-    small to amortise the pool, instead of silently losing to fork and
-    pickle overhead as the unconditional pool default did.
-    """
-    if workers < 0:
-        raise ConfigError(
-            f"evaluation workers must be >= 0 (0 = auto), got {workers}")
-    pool_workers = workers if workers > 0 else (os.cpu_count() or 1)
-    label = (name or "auto").strip().lower()
-    if label == "serial":
-        return SerialBackend()
-    if label == "batched":
-        return BatchedBackend()
-    if label == "pool":
-        return ProcessPoolBackend(pool_workers)
-    if label == "auto":
-        if workers == 1:
-            return SerialBackend()
-        return AutoSelectBackend(pool_workers)
-    raise ConfigError(
-        f"unknown evaluation backend {name!r}; expected one of "
-        "serial, batched, pool, auto")
-
-
 def _workers_from_environment() -> Optional[int]:
     raw = os.environ.get(WORKERS_ENV_VAR)
     if not raw:
@@ -201,6 +168,19 @@ def _workers_from_environment() -> Optional[int]:
     except ValueError:
         raise ConfigError(
             f"{WORKERS_ENV_VAR}={raw!r} is not an integer worker count")
+
+
+def _pool_workers(workers: Optional[int], config: RunConfig) -> int:
+    """The auto-selector's pool size: the ``workers`` argument, else
+    ``GEST_EVAL_WORKERS``, else the config; 0 sizes from the machine."""
+    if workers is None:
+        workers = _workers_from_environment()
+    if workers is None:
+        workers = config.evaluation.workers
+    if workers < 0:
+        raise ConfigError(
+            f"evaluation workers must be >= 0 (0 = auto), got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 class GeneticEngine:
@@ -243,23 +223,20 @@ class GeneticEngine:
         without entering the measurement path; counts appear in
         :class:`GenerationStats`.
     backend:
-        Optional explicit :class:`ExecutorBackend` instance, or one of
-        the names ``"serial"``, ``"batched"``, ``"pool"``, ``"auto"``
-        (also settable via ``<evaluation backend=...>`` in the config).
-        Defaults from ``workers``: 1 → :class:`SerialBackend`, 0 (auto)
-        or N > 1 → :class:`AutoSelectBackend`, which sizes each
-        generation against measured crossover points instead of
-        unconditionally paying process-pool overhead.
+        Optional :class:`ExecutorBackend` instance replacing the
+        default :class:`AutoSelectBackend`, which routes each
+        generation to serial, batched or pooled execution from what it
+        can observe (job count, measurement repeats, simulated cycles).
     cache:
         Optional explicit :class:`EvaluationCache`; defaults to a fresh
         cache when ``config.evaluation.cache`` is set.
     workers:
-        Worker count when no explicit backend instance is given; wins
-        over the ``GEST_EVAL_WORKERS`` environment variable, which in
-        turn wins over ``config.evaluation.workers``.  ``0`` means
-        "auto" — let :class:`AutoSelectBackend` size the pool from the
-        machine — in the argument, the environment variable and the
-        config alike.
+        Process-pool size available to :class:`AutoSelectBackend` (1 =
+        never pool; unused when ``backend`` is given); wins over the
+        ``GEST_EVAL_WORKERS`` environment variable, which in turn wins
+        over ``config.evaluation.workers``.  ``0`` means "size the pool
+        from the machine" in the argument, the environment variable and
+        the config alike.
     strategy:
         Which search proposes populations: a registered strategy name,
         a ready :class:`~repro.search.SearchStrategy` instance, or
@@ -280,7 +257,7 @@ class GeneticEngine:
                  rng: Optional[Random] = None,
                  checkpoint_path: Optional[Union[str, Path]] = None,
                  screen: Optional[ScreenProtocol] = None,
-                 backend: Optional[Union[ExecutorBackend, str]] = None,
+                 backend: Optional[ExecutorBackend] = None,
                  cache: Optional[EvaluationCache] = None,
                  workers: Optional[int] = None,
                  strategy: Optional[Union[str, SearchStrategy]] = None,
@@ -316,16 +293,15 @@ class GeneticEngine:
             template=self.template, measurement=measurement,
             fitness=fitness, screen=screen,
             noise_seed=config.ga.seed if config.ga.seed is not None else 0)
-        if not isinstance(backend, ExecutorBackend):
-            if workers is None:
-                workers = _workers_from_environment()
-            if workers is None:
-                workers = config.evaluation.workers
-            if backend is None:
-                backend = config.evaluation.backend
-            backend = _resolve_backend(backend, workers)
+        if backend is None:
+            backend = AutoSelectBackend(_pool_workers(workers, config))
+        elif not isinstance(backend, ExecutorBackend):
+            raise TypeError(
+                f"backend must be an ExecutorBackend instance, got "
+                f"{backend!r}")
         if cache is None and config.evaluation.cache:
-            cache = EvaluationCache(self._cache_fingerprint(pipeline))
+            cache = EvaluationCache(
+                cache_fingerprint(measurement, pipeline.noise_seed))
         self.evaluator = StagedEvaluator(pipeline, backend=backend,
                                          cache=cache)
         # Strategies that learn from past evaluations (the surrogate
@@ -336,13 +312,6 @@ class GeneticEngine:
             warm_start(self.evaluator)
         self.run_id = run_id if run_id is not None \
             else derive_run_id(config, self.strategy.name)
-
-    def _cache_fingerprint(self, pipeline: EvaluationPipeline) -> str:
-        fingerprint = getattr(self.measurement, "fingerprint", None)
-        base = fingerprint() if callable(fingerprint) else \
-            f"{type(self.measurement).__module__}." \
-            f"{type(self.measurement).__qualname__}"
-        return f"{base}|noise_seed={pipeline.noise_seed}"
 
     # -- public API ---------------------------------------------------------
 

@@ -11,10 +11,11 @@ lives here:
   → score stages for one individual, with per-stage wall-time and a
   per-source noise-substream contract that makes every evaluation a
   pure function (the key to everything below);
-* :class:`SerialBackend` / :class:`ProcessPoolBackend` — pluggable
-  executors; the pool backend replicates the whole pipeline (machine,
-  measurement, screen) into N forked workers, the paper's "multiple
-  boards", with results merged in deterministic uid order;
+* :class:`SerialBackend` / :class:`ProcessPoolBackend` — executors
+  behind the auto-selecting backend the engine runs; the pool backend
+  replicates the whole pipeline (machine, measurement, screen) into N
+  forked workers, the paper's "multiple boards", with results merged
+  in deterministic uid order;
 * :class:`EvaluationCache` — content-addressed memoisation keyed on
   (target fingerprint, rendered source), so elitism clones and resumed
   runs skip the pipeline model;
@@ -26,7 +27,7 @@ histories under any backend, with the cache on or off.
 """
 
 from .backends import ExecutorBackend, ProcessPoolBackend, SerialBackend
-from .cache import CachedEvaluation, EvaluationCache
+from .cache import CachedEvaluation, EvaluationCache, cache_fingerprint
 from .evaluator import GenerationOutcome, StagedEvaluator
 from .pipeline import (EmptyMeasurementError, EvaluationPipeline,
                        EvaluationResult, FitnessProtocol,
@@ -35,7 +36,7 @@ from .pipeline import (EmptyMeasurementError, EvaluationPipeline,
 
 __all__ = [
     "ExecutorBackend", "ProcessPoolBackend", "SerialBackend",
-    "CachedEvaluation", "EvaluationCache",
+    "CachedEvaluation", "EvaluationCache", "cache_fingerprint",
     "GenerationOutcome", "StagedEvaluator",
     "EmptyMeasurementError", "EvaluationPipeline", "EvaluationResult",
     "FitnessProtocol", "MeasurementProtocol", "ScreenProtocol",

@@ -1,30 +1,39 @@
-"""Pluggable executor backends (the paper's "multiple boards").
+"""Executor backends (the paper's "multiple boards").
 
 GeST measures a generation's individuals on however many target boards
 are attached; the backend abstraction reproduces that degree of
-freedom.  A backend takes the pre-rendered jobs the driver could not
-satisfy from cache and returns one :class:`EvaluationResult` per job,
-**in submission order** — the driver merges them back into the
-population in deterministic uid order, so every backend yields
+freedom.  A backend's one entry point, :meth:`ExecutorBackend.evaluate`,
+takes the whole generation's pre-rendered jobs that the evaluator
+could not satisfy from cache and returns one :class:`EvaluationResult`
+per job, **in submission order** — the evaluator merges them back into
+the population in deterministic uid order, so every backend yields
 bit-identical checkpoints, populations and run histories.
 
-* :class:`SerialBackend` — the default: evaluates in the driver
-  process against the live plug-in objects, sharing their state
-  (screen counters, call counters in test doubles) exactly as the old
-  monolithic engine loop did.
+* :class:`SerialBackend` — evaluates job by job in the engine's
+  process against the live plug-in objects, sharing their state (screen
+  counters, call counters in test doubles).
 
-* :class:`ProcessPoolBackend` — fans jobs out over N forked worker
-  processes.  Each worker inherits a *replica* of the whole pipeline —
-  its own :class:`~repro.cpu.machine.SimulatedMachine`, measurement,
-  fitness and screen — so per-board state never races.  Requires the
-  ``fork`` start method (the pipeline deliberately replicates by
-  inheritance so even unpicklable user plug-ins parallelise); results
-  and the per-job individuals are pickled across the process boundary.
+* :class:`BatchedBackend` — evaluates the generation as one lockstep
+  batch through the pipeline's own screen, compile-failure and score
+  stages.
 
-An :class:`EmptyMeasurementError` raised inside a worker is returned
-*in band* as the result item for its job; the driver applies every
-result before the failure point, checkpoints, and re-raises — so a
-plug-in bug costs at most one generation regardless of backend.
+* :class:`ProcessPoolBackend` — fans the generation out over N forked
+  worker processes, one contiguous slice each, evaluated there by a
+  worker-local :class:`BatchedBackend`.  Each worker inherits a
+  *replica* of the whole pipeline — its own
+  :class:`~repro.cpu.machine.SimulatedMachine`, measurement, fitness
+  and screen — so per-board state never races.  Requires the ``fork``
+  start method (the pipeline deliberately replicates by inheritance so
+  even unpicklable user plug-ins parallelise); results and the per-job
+  individuals are pickled across the process boundary.
+
+* :class:`AutoSelectBackend` — what the engine runs: routes each
+  generation to one of the three above.
+
+An :class:`EmptyMeasurementError` raised while evaluating a job is
+returned *in band* as the result item for its job; the engine applies
+every result before the failure point, checkpoints, and re-raises — so
+a plug-in bug costs at most one generation regardless of backend.
 """
 
 from __future__ import annotations
@@ -51,8 +60,12 @@ ResultOrError = Union[EvaluationResult, EmptyMeasurementError]
 
 
 class ExecutorBackend(ABC):
-    """Strategy interface for evaluating a batch of pipeline jobs."""
+    """Strategy interface for evaluating one generation's jobs."""
 
+    #: Stats label of the engine that evaluated the last generation.
+    name = ""
+    #: Why that engine was picked (filled in by auto-selection).
+    reason = ""
     #: True when the backend evaluates against the driver's live
     #: plug-in objects (their in-process state — screen counters, test
     #: doubles — observes the evaluations).  Replicating backends set
@@ -63,39 +76,32 @@ class ExecutorBackend(ABC):
     @abstractmethod
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        """Evaluate ``jobs``; results in submission order.
+        """Evaluate one generation's ``jobs``; results in submission
+        order.
 
-        Stops dispatching after the first
-        :class:`EmptyMeasurementError`, which is appended in band as
-        the final item.
+        Stops at the first :class:`EmptyMeasurementError`, which is
+        appended in band as the final item.
         """
 
     def close(self) -> None:
         """Release any execution resources (idempotent)."""
 
 
-def _serial_loop(pipeline: EvaluationPipeline,
-                 jobs: Sequence[Job]) -> List[ResultOrError]:
-    """Per-job pipeline evaluation, stopping at the first in-band error."""
-    results: List[ResultOrError] = []
-    for individual, source in jobs:
-        try:
-            results.append(pipeline.evaluate(individual, source=source))
-        except EmptyMeasurementError as exc:
-            results.append(exc)
-            break
-    return results
-
-
 class SerialBackend(ExecutorBackend):
-    """Evaluate in the driver process — bit-identical to the engine's
-    historical single loop, and the default."""
+    """Evaluate job by job in the engine's process."""
 
-    shares_state = True
+    name = "serial"
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return _serial_loop(pipeline, jobs)
+        results: List[ResultOrError] = []
+        for individual, source in jobs:
+            try:
+                results.append(pipeline.evaluate(individual, source=source))
+            except EmptyMeasurementError as exc:
+                results.append(exc)
+                break
+        return results
 
 
 def supports_batching(pipeline: EvaluationPipeline) -> bool:
@@ -128,7 +134,7 @@ def supports_batching(pipeline: EvaluationPipeline) -> bool:
 
 
 class BatchedBackend(ExecutorBackend):
-    """Evaluate a whole generation as one vectorized pass.
+    """Evaluate a whole generation as one batch.
 
     The render→measure→score path is re-staged population-wide:
     screening stays per-individual (in job order, against the live
@@ -138,19 +144,22 @@ class BatchedBackend(ExecutorBackend):
     execute as a single :class:`~repro.cpu.machine.BatchedMachine` pass
     — lockstep pipeline scheduling, then per-program energy, power and
     PDN through the serial code.  Per-individual noise substreams are
-    replayed afterwards in job order, so every observable is
-    bit-identical to :class:`SerialBackend`.
+    replayed afterwards in job order.  The screen-failure,
+    compile-failure and score results come from the pipeline's own
+    stage methods, so every observable is bit-identical to
+    :class:`SerialBackend`.
 
     Pipelines that cannot batch (custom measurements without
-    ``measure_from_result``, non-simulated targets) silently take the
-    serial per-job loop — correctness never depends on batching.
+    ``measure_from_result`` or overriding ``measure``, non-simulated
+    targets) silently take the serial per-job loop — correctness never
+    depends on batching.
 
     Stage-time accounting: screen and score remain per-individual;
     the batch's compile+execute wall time is apportioned equally
     across the batched jobs' ``measure_s``.
     """
 
-    shares_state = True
+    name = "batched"
 
     def __init__(self) -> None:
         self._pipeline: Optional[EvaluationPipeline] = None
@@ -159,14 +168,10 @@ class BatchedBackend(ExecutorBackend):
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return self.evaluate_generation(pipeline, jobs)
-
-    def evaluate_generation(self, pipeline: EvaluationPipeline,
-                            jobs: Sequence[Job]) -> List[ResultOrError]:
         if not jobs:
             return []
         if not supports_batching(pipeline):
-            return _serial_loop(pipeline, jobs)
+            return SerialBackend().evaluate(pipeline, jobs)
         measurement = pipeline.measurement
         machine: SimulatedMachine = measurement.target.machine
         if self._pipeline is not pipeline:
@@ -175,50 +180,33 @@ class BatchedBackend(ExecutorBackend):
                                             machine.assembler)
             self._batched = BatchedMachine(machine)
 
-        n = len(jobs)
-        slots: List[Optional[ResultOrError]] = [None] * n
-        timings = [StageTimings() for _ in range(n)]
+        slots: List[Optional[ResultOrError]] = [None] * len(jobs)
+        timings = [StageTimings() for _ in jobs]
         runnable: List[int] = []
         for index, (individual, source) in enumerate(jobs):
-            if pipeline.screen is not None:
-                began = perf_counter()  # staticcheck: disable=SC404
-                report = pipeline.screen.screen(source, individual)
-                timings[index].screen_s += perf_counter() - began  # staticcheck: disable=SC404
-                if not report.passed:
-                    slots[index] = EvaluationResult(
-                        uid=individual.uid, source=source,
-                        measurements=[0.0], fitness=0.0,
-                        compile_failed=report.assembly_failed,
-                        screen_failed=True, timings=timings[index])
-                    continue
-            runnable.append(index)
+            slots[index] = pipeline.screen_failure(individual, source,
+                                                   timings[index])
+            if slots[index] is None:
+                runnable.append(index)
 
         # Compile (spliced) and execute the whole batch.
         began_measure = perf_counter()  # staticcheck: disable=SC404
         translator = getattr(measurement.target, "translator", None)
         programs = {}
-        deltas = {}
+        compile_cache = {}
         for index in runnable:
             individual, source = jobs[index]
-            hits_before = machine.compile_cache_hits
-            misses_before = machine.compile_cache_misses
+            tally = pipeline.compile_tally()
             text = translator(source) if translator is not None else source
             try:
                 programs[index] = machine.compile(
                     text, name=measurement.source_name,
                     builder=self._splicer.compile)
             except AssemblyError:
-                slots[index] = EvaluationResult(
-                    uid=individual.uid, source=source,
-                    measurements=[0.0], fitness=0.0,
-                    compile_failed=True, timings=timings[index],
-                    compile_cache_hits=machine.compile_cache_hits
-                    - hits_before,
-                    compile_cache_misses=machine.compile_cache_misses
-                    - misses_before)
+                slots[index] = pipeline.compile_failure(
+                    individual, source, timings[index], tally())
                 continue
-            deltas[index] = (machine.compile_cache_hits - hits_before,
-                             machine.compile_cache_misses - misses_before)
+            compile_cache[index] = tally()
         batch_rows = [index for index in runnable if index in programs]
         rounds_by_row: List[List] = []
         if batch_rows:
@@ -236,39 +224,22 @@ class BatchedBackend(ExecutorBackend):
             timings[index].measure_s += measure_share
 
         # Interpret, aggregate and score per individual, in job order.
-        error_at: Optional[int] = None
-        error: Optional[EmptyMeasurementError] = None
         for row, index in enumerate(batch_rows):
             individual, source = jobs[index]
             rounds = [measurement.measure_from_result(result, individual)
                       for result in rounds_by_row[row]]
-            measurements = measurement.aggregate_rounds(rounds, individual)
-            if not measurements:
-                error_at = index
-                error = EmptyMeasurementError(
-                    f"measurement {type(measurement).__name__!r} returned "
-                    f"an empty result list for individual "
-                    f"uid={individual.uid} in generation "
-                    f"{individual.generation}")
-                break
-            began = perf_counter()  # staticcheck: disable=SC404
-            value = pipeline.score(measurements, individual)
-            timings[index].score_s += perf_counter() - began  # staticcheck: disable=SC404
-            hits, misses = deltas[index]
-            slots[index] = EvaluationResult(
-                uid=individual.uid, source=source,
-                measurements=list(measurements), fitness=value,
-                timings=timings[index],
-                compile_cache_hits=hits, compile_cache_misses=misses)
-
-        if error is not None:
-            # Mirror the serial stop point: everything before the
-            # failing job stands, the error goes in band, later results
-            # (already computed, as with any parallel dispatch) drop.
-            results: List[ResultOrError] = [
-                item for item in slots[:error_at] if item is not None]
-            results.append(error)
-            return results
+            try:
+                slots[index] = pipeline.scored(
+                    individual, source,
+                    measurement.aggregate_rounds(rounds, individual),
+                    timings[index], compile_cache[index])
+            except EmptyMeasurementError as exc:
+                # Mirror the serial stop point: everything before the
+                # failing job stands, the error goes in band, later
+                # results (already computed, as with any parallel
+                # dispatch) drop.
+                return [item for item in slots[:index]
+                        if item is not None] + [exc]
         return [item for item in slots if item is not None]
 
 
@@ -282,57 +253,34 @@ def _init_worker(pipeline: EvaluationPipeline) -> None:
     _WORKER_PIPELINE = pipeline
 
 
-def _run_job(job: Job) -> ResultOrError:
-    individual, source = job
-    try:
-        return _WORKER_PIPELINE.evaluate(individual, source=source)
-    except EmptyMeasurementError as exc:
-        return exc
-
-
 _WORKER_BATCHED: Optional[BatchedBackend] = None
 
 
 def _run_subbatch(chunk: Sequence[Job]) -> List[ResultOrError]:
     """Evaluate a contiguous slice of the generation as one batch.
 
-    The worker-global :class:`BatchedBackend` runs the slice through
-    the vectorized path against the worker's forked pipeline replica —
-    the pool's parallelism composes with the batch speedup instead of
-    competing with it.
+    The worker-global :class:`BatchedBackend` runs the slice against
+    the worker's forked pipeline replica — the pool's parallelism
+    composes with the batch speedup instead of competing with it.
     """
     global _WORKER_BATCHED
     if _WORKER_BATCHED is None:
         _WORKER_BATCHED = BatchedBackend()
-    return _WORKER_BATCHED.evaluate_generation(_WORKER_PIPELINE, chunk)
-
-
-def _run_chunk(chunk: Sequence[Job]) -> List[ResultOrError]:
-    """Evaluate a contiguous slice of the generation in one worker.
-
-    One pickled round trip carries the whole slice's jobs out and its
-    results back — per-individual dispatch costs one IPC exchange per
-    *individual*, which at simulator evaluation rates dominates the
-    work itself and made the pool slower than serial.  Stops at the
-    first in-band failure, mirroring SerialBackend within the slice.
-    """
-    results: List[ResultOrError] = []
-    for job in chunk:
-        item = _run_job(job)
-        results.append(item)
-        if isinstance(item, EmptyMeasurementError):
-            break
-    return results
+    return _WORKER_BATCHED.evaluate(_WORKER_PIPELINE, chunk)
 
 
 class ProcessPoolBackend(ExecutorBackend):
     """Fan a generation's unevaluated individuals over worker processes.
 
-    The pool is created lazily on the first batch (so the fork
+    Each worker gets one contiguous slice of the generation and
+    evaluates it through a worker-local :class:`BatchedBackend` —
+    batched inside every worker, process-parallel across them.  The
+    pool is created lazily on the first generation (so the fork
     snapshots the fully-constructed pipeline) and persists across
     generations; the engine closes it when the run finishes.
     """
 
+    name = "pool"
     shares_state = False
 
     def __init__(self, workers: int) -> None:
@@ -342,24 +290,13 @@ class ProcessPoolBackend(ExecutorBackend):
             raise ConfigError(
                 "ProcessPoolBackend needs the 'fork' start method (worker "
                 "replicas inherit the pipeline by forking); this platform "
-                "offers none — use SerialBackend")
+                "offers none — run with workers=1")
         self.workers = workers
         self._pool = None
         self._pipeline: Optional[EvaluationPipeline] = None
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return self._fan_out(pipeline, jobs, _run_chunk)
-
-    def evaluate_generation(self, pipeline: EvaluationPipeline,
-                            jobs: Sequence[Job]) -> List[ResultOrError]:
-        """Fan out as contiguous sub-batches, each evaluated through a
-        worker-local :class:`BatchedBackend` — vectorized execution
-        inside every worker, process parallelism across them."""
-        return self._fan_out(pipeline, jobs, _run_subbatch)
-
-    def _fan_out(self, pipeline: EvaluationPipeline,
-                 jobs: Sequence[Job], runner) -> List[ResultOrError]:
         if not jobs:
             return []
         pool = self._ensure_pool(pipeline)
@@ -379,15 +316,11 @@ class ProcessPoolBackend(ExecutorBackend):
             chunks.append(list(jobs[start:start + size]))
             start += size
         results: List[ResultOrError] = []
-        for chunk_results in pool.map(runner, chunks, chunksize=1):
-            stop = False
+        for chunk_results in pool.map(_run_subbatch, chunks, chunksize=1):
             for item in chunk_results:
                 results.append(item)
                 if isinstance(item, EmptyMeasurementError):
-                    stop = True
-                    break
-            if stop:
-                break
+                    return results
         return results
 
     def _ensure_pool(self, pipeline: EvaluationPipeline):
@@ -410,26 +343,30 @@ class ProcessPoolBackend(ExecutorBackend):
             self._pipeline = None
 
 
-#: Measured crossover points (dev container, cortex_a15 preset,
-#: sim_cycles=600, bare_metal).  Below ``_BATCH_MIN_JOBS`` misses the
-#: lockstep batch's setup overhead loses to the plain serial loop;
-#: forking/IPC only amortises once a generation carries at least
-#: ``_POOL_MIN_CYCLE_WORK`` job·cycles of simulation *and* every worker
-#: still receives a batch-worthy slice.
+#: Forking and IPC amortise once a generation carries
+#: ``_POOL_MIN_CYCLE_WORK`` job·cycles of simulation and every worker
+#: still receives at least ``_POOL_MIN_SLICE`` jobs.  Below that, the
+#: in-process batch takes only repeated measurements of at least
+#: ``_BATCH_MIN_JOBS`` jobs, where it beat the serial loop on every
+#: measured platform but in-order cortex_a7 below about 12 jobs.  At
+#: one repeat it lost up to 20 jobs and won at 64 only on some
+#: platforms (stock ``sim_cycles=1600``, 2-core host;
+#: docs/PERFORMANCE.md).
 _BATCH_MIN_JOBS = 8
+_POOL_MIN_SLICE = 8
 _POOL_MIN_CYCLE_WORK = 64 * 600
 
 
 class AutoSelectBackend(ExecutorBackend):
     """Pick serial / batched / pooled execution per generation.
 
-    The historical default silently used a process pool whenever
-    ``workers > 1`` — on small populations or short simulations the
-    fork+pickle overhead made that a net loss.  This backend sizes each
-    generation (jobs × ``sim_cycles``) against measured crossover
-    points and routes it to the cheapest delegate, recording the
-    decision in :attr:`last_choice` / :attr:`last_reason` so each
-    generation's stats row shows which engine ran it and why.
+    Every engine evaluates through this backend.  It sizes each
+    generation (jobs, measurement repeats, jobs × ``sim_cycles``)
+    against measured crossover points and routes it to the cheapest
+    delegate; ``pool_workers`` only caps the process pool (1 = never
+    pool).  :attr:`name` and :attr:`reason` record which delegate ran
+    the last generation and why, so each generation's stats row shows
+    it.
     """
 
     def __init__(self, pool_workers: int = 1) -> None:
@@ -438,8 +375,12 @@ class AutoSelectBackend(ExecutorBackend):
         self._batched = BatchedBackend()
         self._pool: Optional[ProcessPoolBackend] = None
         self._last: ExecutorBackend = self._serial
-        self.last_choice = "serial"
-        self.last_reason = "no generation evaluated yet"
+        self.reason = "no generation evaluated yet"
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        """The delegate that ran the last generation."""
+        return self._last.name
 
     @property
     def shares_state(self) -> bool:  # type: ignore[override]
@@ -448,54 +389,37 @@ class AutoSelectBackend(ExecutorBackend):
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return self.evaluate_generation(pipeline, jobs)
-
-    def evaluate_generation(self, pipeline: EvaluationPipeline,
-                            jobs: Sequence[Job]) -> List[ResultOrError]:
-        delegate = self._choose(pipeline, jobs)
-        self._last = delegate
-        if isinstance(delegate, ProcessPoolBackend):
-            return delegate.evaluate_generation(pipeline, jobs)
-        return delegate.evaluate(pipeline, jobs)
+        self._last, self.reason = self._choose(pipeline, len(jobs))
+        return self._last.evaluate(pipeline, jobs)
 
     def _choose(self, pipeline: EvaluationPipeline,
-                jobs: Sequence[Job]) -> ExecutorBackend:
-        n = len(jobs)
+                n: int) -> Tuple[ExecutorBackend, str]:
+        workers = self.pool_workers
         if not supports_batching(pipeline):
             # Non-batchable pipelines: the only lever left is the pool.
-            if self.pool_workers > 1 and n >= 2 * self.pool_workers:
-                self.last_choice = "pool"
-                self.last_reason = (
+            if workers > 1 and n >= 2 * workers:
+                return self._ensure_pool(), (
                     f"pipeline not batchable; {n} jobs across "
-                    f"{self.pool_workers} workers")
-                return self._ensure_pool()
-            self.last_choice = "serial"
-            self.last_reason = (
+                    f"{workers} workers")
+            return self._serial, (
                 f"pipeline not batchable; {n} jobs too few for "
-                f"{self.pool_workers} workers")
-            return self._serial
-        if n < _BATCH_MIN_JOBS:
-            self.last_choice = "serial"
-            self.last_reason = (
-                f"{n} jobs < batch crossover {_BATCH_MIN_JOBS}")
-            return self._serial
-        cycles = getattr(pipeline.measurement.target.machine,
-                         "sim_cycles", 0)
+                f"{workers} workers")
+        cycles = pipeline.measurement.target.machine.sim_cycles
         work = n * cycles
-        if (self.pool_workers > 1
-                and work >= _POOL_MIN_CYCLE_WORK
-                and n // self.pool_workers >= _BATCH_MIN_JOBS):
-            self.last_choice = "pool"
-            self.last_reason = (
+        if (workers > 1 and work >= _POOL_MIN_CYCLE_WORK
+                and n // workers >= _POOL_MIN_SLICE):
+            return self._ensure_pool(), (
                 f"{n} jobs x {cycles} cycles >= pool crossover "
                 f"{_POOL_MIN_CYCLE_WORK}; batched sub-batches on "
-                f"{self.pool_workers} workers")
-            return self._ensure_pool()
-        self.last_choice = "batched"
-        self.last_reason = (
-            f"{n} jobs >= {_BATCH_MIN_JOBS}, single vectorized pass "
-            f"beats {self.pool_workers} worker(s) at {cycles} cycles")
-        return self._batched
+                f"{workers} workers")
+        repeats = pipeline.measurement.repeats
+        if repeats > 1 and n >= _BATCH_MIN_JOBS:
+            return self._batched, (
+                f"{n} jobs at repeats={repeats}: one batched pass "
+                f"replays the noise instead of re-running each repeat")
+        return self._serial, (
+            f"{n} jobs at repeats={repeats}: below the batch and pool "
+            f"crossovers for {workers} worker(s) at {cycles} cycles")
 
     def _ensure_pool(self) -> ProcessPoolBackend:
         if self._pool is None:

@@ -28,10 +28,21 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..core.errors import ConfigError
 
-__all__ = ["CachedEvaluation", "EvaluationCache"]
+__all__ = ["CachedEvaluation", "EvaluationCache", "cache_fingerprint"]
 
 _FORMAT = "gest-repro-evaluation-cache"
 _VERSION = 1
+
+
+def cache_fingerprint(measurement, noise_seed: int) -> str:
+    """A run's cache fingerprint: the measurement's own
+    ``fingerprint()`` (its class path when it has none) and the noise
+    seed.  Saved cache files and shared-cache rows are addressed by
+    this exact string."""
+    fingerprint = getattr(measurement, "fingerprint", None)
+    base = fingerprint() if callable(fingerprint) else \
+        f"{type(measurement).__module__}.{type(measurement).__qualname__}"
+    return f"{base}|noise_seed={noise_seed}"
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@
 population, renders every unevaluated individual (render stays in the
 driver so cache addressing never crosses a process boundary), satisfies
 what it can from the :class:`~repro.evaluation.cache.EvaluationCache`,
-fans the misses out through the configured
-:class:`~repro.evaluation.backends.ExecutorBackend`, and hands back a
-:class:`GenerationOutcome` whose results are sorted in uid order — the
-canonical merge order that makes every backend/cache combination
-produce identical populations, checkpoints and run histories.
+passes the misses to its
+:class:`~repro.evaluation.backends.ExecutorBackend` as one generation,
+and hands back a :class:`GenerationOutcome` whose results are sorted
+in uid order — the canonical merge order that makes every
+backend/cache combination produce identical populations, checkpoints
+and run histories.
 """
 
 from __future__ import annotations
@@ -17,24 +18,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, Optional
 
-from .backends import ExecutorBackend, Job, SerialBackend
+from .backends import AutoSelectBackend, ExecutorBackend, Job
 from .cache import CachedEvaluation, EvaluationCache
 from .pipeline import EmptyMeasurementError, EvaluationPipeline, \
     EvaluationResult, StageTimings
 
 __all__ = ["GenerationOutcome", "StagedEvaluator"]
-
-#: Stable stats labels for the stock backends (fallback: class name).
-_BACKEND_LABELS = {
-    "SerialBackend": "serial",
-    "BatchedBackend": "batched",
-    "ProcessPoolBackend": "pool",
-}
-
-
-def _backend_label(backend) -> str:
-    name = type(backend).__name__
-    return _BACKEND_LABELS.get(name, name)
 
 
 @dataclass
@@ -58,7 +47,7 @@ class GenerationOutcome:
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     #: Which execution engine ran the generation's misses ("serial",
-    #: "batched", "pool", ...) and, for auto-selecting backends, why.
+    #: "batched", "pool") and why the backend picked it.
     backend: str = ""
     backend_reason: str = ""
 
@@ -70,7 +59,8 @@ class StagedEvaluator:
                  backend: Optional[ExecutorBackend] = None,
                  cache: Optional[EvaluationCache] = None) -> None:
         self.pipeline = pipeline
-        self.backend = backend if backend is not None else SerialBackend()
+        self.backend = backend if backend is not None \
+            else AutoSelectBackend()
         self.cache = cache
 
     def evaluate_population(self, population) -> GenerationOutcome:
@@ -92,15 +82,7 @@ class StagedEvaluator:
             else:
                 jobs.append((individual, source))
 
-        # Generation-aware backends get the whole batch at once (the
-        # vectorized path needs to see every miss together); classic
-        # backends keep their per-job evaluate contract.
-        runner = getattr(self.backend, "evaluate_generation", None)
-        if callable(runner):
-            items = runner(self.pipeline, jobs)
-        else:
-            items = self.backend.evaluate(self.pipeline, jobs)
-        for item in items:
+        for item in self.backend.evaluate(self.pipeline, jobs):
             if isinstance(item, EmptyMeasurementError):
                 outcome.error = item
                 break
@@ -115,9 +97,8 @@ class StagedEvaluator:
                     screen_failed=item.screen_failed))
 
         self._sync_counters(outcome)
-        outcome.backend = getattr(self.backend, "last_choice", "") \
-            or _backend_label(self.backend)
-        outcome.backend_reason = getattr(self.backend, "last_reason", "")
+        outcome.backend = self.backend.name
+        outcome.backend_reason = self.backend.reason
         outcome.results.sort(key=lambda result: result.uid)
         return outcome
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
@@ -246,6 +246,77 @@ class EvaluationPipeline:
         """Stage 4, standalone — used for cache-hit replay."""
         return float(self.fitness.get_fitness(measurements, individual))
 
+    def screen_failure(self, individual: Individual, source: str,
+                       timings: StageTimings) -> Optional[EvaluationResult]:
+        """Stage 2: the zero-fitness result when the screen rejects
+        ``source``; None when it passes or there is no screen.
+
+        Same zero-fitness path as a compile failure, but the
+        individual never enters the pipeline model.
+        """
+        if self.screen is None:
+            return None
+        began = perf_counter()  # staticcheck: disable=SC404
+        report = self.screen.screen(source, individual)
+        timings.screen_s += perf_counter() - began  # staticcheck: disable=SC404
+        if report.passed:
+            return None
+        return EvaluationResult(
+            uid=individual.uid, source=source,
+            measurements=[0.0], fitness=0.0,
+            compile_failed=report.assembly_failed,
+            screen_failed=True, timings=timings)
+
+    def compile_tally(self) -> Callable[[], Tuple[int, int]]:
+        """Start counting the target's compile-cache traffic.
+
+        The returned callable gives the (hits, misses) since this call;
+        (0, 0) for measurements without a simulated machine.
+        """
+        machine = self._machine
+        if machine is None:
+            return lambda: (0, 0)
+        hits, misses = machine.compile_cache_hits, \
+            machine.compile_cache_misses
+        return lambda: (machine.compile_cache_hits - hits,
+                        machine.compile_cache_misses - misses)
+
+    def compile_failure(self, individual: Individual, source: str,
+                        timings: StageTimings,
+                        compile_cache: Tuple[int, int]) -> EvaluationResult:
+        """Stage 3's zero-fitness result for a source that does not
+        assemble; ``compile_cache`` is its (hits, misses) tally."""
+        hits, misses = compile_cache
+        return EvaluationResult(
+            uid=individual.uid, source=source,
+            measurements=[0.0], fitness=0.0,
+            compile_failed=True, timings=timings,
+            compile_cache_hits=hits, compile_cache_misses=misses)
+
+    def scored(self, individual: Individual, source: str,
+               measurements: Sequence[float], timings: StageTimings,
+               compile_cache: Tuple[int, int]) -> EvaluationResult:
+        """Stage 4: score ``measurements`` into the individual's result.
+
+        Raises :class:`EmptyMeasurementError` when the measurement
+        returned no values.
+        """
+        if not measurements:
+            raise EmptyMeasurementError(
+                f"measurement {type(self.measurement).__name__!r} returned "
+                f"an empty result list for individual "
+                f"uid={individual.uid} in generation "
+                f"{individual.generation}")
+        began = perf_counter()  # staticcheck: disable=SC404
+        value = self.score(measurements, individual)
+        timings.score_s += perf_counter() - began  # staticcheck: disable=SC404
+        hits, misses = compile_cache
+        return EvaluationResult(
+            uid=individual.uid, source=source,
+            measurements=list(measurements), fitness=value,
+            timings=timings,
+            compile_cache_hits=hits, compile_cache_misses=misses)
+
     def evaluate(self, individual: Individual,
                  source: Optional[str] = None) -> EvaluationResult:
         """Run the full pipeline for one individual.
@@ -265,30 +336,12 @@ class EvaluationPipeline:
             source = self.render(individual)
             timings.render_s += perf_counter() - began  # staticcheck: disable=SC404
 
-        if self.screen is not None:
-            began = perf_counter()  # staticcheck: disable=SC404
-            report = self.screen.screen(source, individual)
-            timings.screen_s += perf_counter() - began  # staticcheck: disable=SC404
-            if not report.passed:
-                # Same zero-fitness path as a compile failure, but the
-                # individual never enters the pipeline model.
-                return EvaluationResult(
-                    uid=individual.uid, source=source,
-                    measurements=[0.0], fitness=0.0,
-                    compile_failed=report.assembly_failed,
-                    screen_failed=True, timings=timings)
+        rejected = self.screen_failure(individual, source, timings)
+        if rejected is not None:
+            return rejected
 
         began = perf_counter()  # staticcheck: disable=SC404
-        machine = self._machine
-        hits_before = machine.compile_cache_hits if machine else 0
-        misses_before = machine.compile_cache_misses if machine else 0
-
-        def compile_deltas():
-            if machine is None:
-                return 0, 0
-            return (machine.compile_cache_hits - hits_before,
-                    machine.compile_cache_misses - misses_before)
-
+        tally = self.compile_tally()
         if self._reseed is not None:
             self._reseed(noise_key(self.noise_seed, source))
         try:
@@ -296,27 +349,8 @@ class EvaluationPipeline:
                                                              individual)
         except AssemblyError:
             timings.measure_s += perf_counter() - began  # staticcheck: disable=SC404
-            hits, misses = compile_deltas()
-            return EvaluationResult(
-                uid=individual.uid, source=source,
-                measurements=[0.0], fitness=0.0,
-                compile_failed=True, timings=timings,
-                compile_cache_hits=hits, compile_cache_misses=misses)
+            return self.compile_failure(individual, source, timings,
+                                        tally())
         timings.measure_s += perf_counter() - began  # staticcheck: disable=SC404
-
-        if not measurements:
-            raise EmptyMeasurementError(
-                f"measurement {type(self.measurement).__name__!r} returned "
-                f"an empty result list for individual "
-                f"uid={individual.uid} in generation "
-                f"{individual.generation}")
-
-        began = perf_counter()  # staticcheck: disable=SC404
-        value = self.score(measurements, individual)
-        timings.score_s += perf_counter() - began  # staticcheck: disable=SC404
-        hits, misses = compile_deltas()
-        return EvaluationResult(
-            uid=individual.uid, source=source,
-            measurements=list(measurements), fitness=value,
-            timings=timings,
-            compile_cache_hits=hits, compile_cache_misses=misses)
+        return self.scored(individual, source, measurements, timings,
+                           tally())

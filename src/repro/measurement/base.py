@@ -164,9 +164,18 @@ class Measurement(ABC):
     def supports_batching(self) -> bool:
         """True when :meth:`measure_from_result` is implemented, i.e.
         one target execution per measurement fully determines the
-        values."""
-        return type(self).measure_from_result \
-            is not Measurement.measure_from_result
+        values, and no subclass below it overrides :meth:`measure` or
+        :meth:`measure_repeated` (batched execution bypasses both)."""
+        cls = type(self)
+        if cls.measure_from_result is Measurement.measure_from_result:
+            return False
+        mro = cls.__mro__
+
+        def owner(name: str) -> int:
+            return next(index for index, klass in enumerate(mro)
+                        if name in vars(klass))
+        return owner("measure_from_result") <= min(
+            owner("measure"), owner("measure_repeated"))
 
     def measure_repeated(self, source_text: str,
                          individual: Individual) -> List[float]:

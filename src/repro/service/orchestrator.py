@@ -37,7 +37,7 @@ from ..core.loader import instantiate, load_class
 from ..core.output import FileRecorder
 from ..cpu.machine import SimulatedMachine
 from ..cpu.target import SimulatedTarget
-from ..fitness.default_fitness import DefaultFitness
+from ..evaluation import cache_fingerprint
 from ..measurement.base import Measurement
 from ..staticcheck import StaticScreen
 from ..store import RunStore, SharedEvaluationCache, StoreRecorder
@@ -72,14 +72,11 @@ def execute_run(store_path: Union[str, Path], run_id: str,
         target.connect()
         measurement = instantiate(config.measurement_class, Measurement,
                                   target, config.measurement_params)
-        fitness_cls = load_class(config.fitness_class)
-        fitness = fitness_cls() if fitness_cls is not DefaultFitness \
-            else DefaultFitness()
+        fitness = load_class(config.fitness_class)()
         screen = StaticScreen.for_machine(machine)
-        fingerprint = (f"{measurement.fingerprint()}"
-                       f"|noise_seed={config.ga.seed or 0}")
-        cache = SharedEvaluationCache(store_path, fingerprint,
-                                      run_id=run_id)
+        cache = SharedEvaluationCache(
+            store_path, cache_fingerprint(measurement, config.ga.seed or 0),
+            run_id=run_id)
 
         recorders: List[RunRecorder] = [StoreRecorder(RunStore(store_path))]
         if workdir is not None:

@@ -19,11 +19,12 @@ from repro.core.engine import WORKERS_ENV_VAR
 def _serial_evaluation_marker(request, monkeypatch):
     """Honour the ``serial_evaluation`` marker.
 
-    CI runs the whole suite under ``GEST_EVAL_WORKERS=2`` to prove the
-    process-pool backend is behaviour-identical.  Tests that assert
+    CI runs the whole suite under ``GEST_EVAL_WORKERS=2``, a 2-worker
+    budget the auto-selecting executor may spend on a process pool, to
+    prove pooled evaluation is behaviour-identical.  Tests that assert
     *in-process* plug-in state (call counters on test doubles, live
-    screen stats) genuinely require the shared-state serial backend, so
-    the marker pins them there by clearing the environment override.
+    screen stats) must never be pooled, so the marker clears the
+    environment override and leaves the executor a budget of one.
     """
     if request.node.get_closest_marker("serial_evaluation"):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)

@@ -277,36 +277,59 @@ class TestBatchedBackendGoldens:
         results = BatchedBackend().evaluate(pipeline, jobs)
         assert [r.measurements for r in results] == [[1.0]] * 4
 
+    def test_overridden_measure_is_never_batched(self, config):
+        """Batching bypasses measure(); a subclass overriding it keeps
+        the serial path even where the auto-selector would batch."""
+        class Scripted(PowerMeasurement):
+            def measure(self, source_text, individual):
+                return [1.0]
+        pipeline = _build_pipeline(
+            config, measurement_cls=Scripted,
+            params={"duration": "1", "samples": "3", "repeats": "3"})
+        assert not supports_batching(pipeline)
+        backend = AutoSelectBackend()
+        results = backend.evaluate(pipeline, _jobs(pipeline, config, 4))
+        assert backend.name == "serial"
+        assert [r.measurements for r in results] == [[1.0]] * 4
+
     def test_auto_select_records_choice(self, config):
         backend = AutoSelectBackend(pool_workers=1)
         pipeline = _build_pipeline(config)
-        small = _jobs(pipeline, config, 3)
-        backend.evaluate_generation(pipeline, small)
-        assert backend.last_choice == "serial"
-        assert "3 jobs" in backend.last_reason
-        jobs = _jobs(pipeline, config, 12)
+        backend.evaluate(pipeline, _jobs(pipeline, config, 64))
+        assert backend.name == "serial"
+        assert "64 jobs at repeats=1" in backend.reason
+        repeated = _build_pipeline(
+            config, params={"duration": "1", "samples": "3", "repeats": "3"})
+        backend.evaluate(repeated, _jobs(repeated, config, 7))
+        assert backend.name == "serial"
+        assert "7 jobs at repeats=3" in backend.reason
+        jobs = _jobs(repeated, config, 8)
         for individual, _ in jobs:
             individual.uid += 100
-        backend.evaluate_generation(pipeline, jobs)
-        assert backend.last_choice == "batched"
+        backend.evaluate(repeated, jobs)
+        assert backend.name == "batched"
         assert backend.shares_state
 
 
 class TestEngineBackendStats:
-    def test_stats_record_backend_choice(self, config, tmp_path):
+    def test_stats_record_backend_choice(self, config):
         import copy
         run_config = copy.deepcopy(config)
         run_config.ga.population_size = 10
         run_config.ga.generations = 2
-        machine = SimulatedMachine("cortex_a15",
-                                   seed=run_config.ga.seed or 0,
-                                   sim_cycles=400)
-        target = SimulatedTarget(machine)
-        target.connect()
-        measurement = PowerMeasurement(target,
-                                       {"duration": "1", "samples": "3"})
-        engine = GeneticEngine(run_config, measurement, DefaultFitness(),
-                               backend=AutoSelectBackend(pool_workers=1))
-        history = engine.run(2)
-        assert all(g.backend == "batched" for g in history.generations)
-        assert all(g.backend_reason for g in history.generations)
+        # Ten jobs a generation: serial at one repeat, batched at three.
+        for repeats, expected in (("1", "serial"), ("3", "batched")):
+            machine = SimulatedMachine("cortex_a15",
+                                       seed=run_config.ga.seed or 0,
+                                       sim_cycles=400)
+            target = SimulatedTarget(machine)
+            target.connect()
+            measurement = PowerMeasurement(
+                target,
+                {"duration": "1", "samples": "3", "repeats": repeats})
+            engine = GeneticEngine(
+                run_config, measurement, DefaultFitness(),
+                backend=AutoSelectBackend(pool_workers=1))
+            history = engine.run(2)
+            assert all(g.backend == expected for g in history.generations)
+            assert all(g.backend_reason for g in history.generations)

@@ -13,20 +13,28 @@ import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import EvaluationParameters, config_to_xml, \
-    parse_config_text
+    parse_config_file, parse_config_text
 from repro.core.engine import GenerationStats, GeneticEngine, \
     WORKERS_ENV_VAR
 from repro.core.errors import ConfigError
+from repro.core.individual import random_individual
+from repro.core.loader import instantiate
 from repro.core.output import OutputRecorder
 from repro.core.population import load_population
+from repro.core.rng import make_rng
+from repro.core.template import Template
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.evaluation import (CachedEvaluation, EvaluationCache,
                               EvaluationPipeline, ProcessPoolBackend,
                               SerialBackend, StageTimings, noise_key)
-from repro.evaluation.backends import AutoSelectBackend, BatchedBackend
+from repro.evaluation.backends import AutoSelectBackend
 from repro.fitness.default_fitness import DefaultFitness
 from repro.measurement import PowerMeasurement
+from repro.measurement.base import Measurement
+
+SHIPPED_CONFIG = "configs/arm_power/config.xml"
 
 
 class _LdrCounter:
@@ -112,18 +120,12 @@ class TestBackendEquivalence:
         engine.evaluator.close()
 
     def test_explicit_backend_names(self, tiny_config):
-        for name, expected in (("serial", SerialBackend),
-                               ("batched", BatchedBackend),
-                               ("pool", ProcessPoolBackend),
-                               ("auto", SerialBackend)):
-            engine = GeneticEngine(tiny_config, _LdrCounter(),
-                                   DefaultFitness(), backend=name,
-                                   workers=1)
-            assert isinstance(engine.evaluator.backend, expected), name
-            engine.evaluator.close()
-        with pytest.raises(ConfigError, match="backend"):
-            GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
-                          backend="boards")
+        # The program picks the executor; backend= takes only an
+        # ExecutorBackend instance.
+        for name in ("serial", "batched", "pool", "auto"):
+            with pytest.raises(TypeError, match="ExecutorBackend"):
+                GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
+                              backend=name, workers=1)
 
     @pytest.mark.serial_evaluation
     def test_environment_override(self, tiny_config, monkeypatch):
@@ -135,7 +137,8 @@ class TestBackendEquivalence:
         # An explicit workers argument wins over the environment.
         engine = GeneticEngine(tiny_config, _LdrCounter(),
                                DefaultFitness(), workers=1)
-        assert isinstance(engine.evaluator.backend, SerialBackend)
+        assert isinstance(engine.evaluator.backend, AutoSelectBackend)
+        assert engine.evaluator.backend.pool_workers == 1
 
     @pytest.mark.serial_evaluation
     def test_workers_zero_means_auto(self, tiny_config, monkeypatch):
@@ -181,6 +184,87 @@ class TestBackendEquivalence:
             backend=ProcessPoolBackend(2))
         with pytest.raises(ConfigError, match="empty result list"):
             engine.run()
+
+
+class TestExecutorChoice:
+    """The engine always evaluates through AutoSelectBackend, which
+    picks the executor from what it can observe."""
+
+    @staticmethod
+    def _shipped_generation(platform, repeats, jobs=None):
+        config = parse_config_file(SHIPPED_CONFIG)
+        if jobs is not None:
+            config.ga.population_size = jobs
+        machine = SimulatedMachine(platform, seed=config.ga.seed)
+        target = SimulatedTarget(machine)
+        target.connect()
+        params = dict(config.measurement_params, repeats=str(repeats))
+        measurement = instantiate(config.measurement_class, Measurement,
+                                  target, params)
+        pipeline = EvaluationPipeline(
+            template=Template(config.template_text),
+            measurement=measurement, fitness=DefaultFitness(),
+            noise_seed=config.ga.seed)
+        rng = make_rng(config.ga.seed)
+        individuals = [random_individual(config.library,
+                                         config.ga.individual_size, rng,
+                                         uid=uid)
+                       for uid in range(config.ga.population_size)]
+        return pipeline, [(individual, pipeline.render(individual))
+                          for individual in individuals]
+
+    @pytest.mark.parametrize("platform", ["cortex_a15", "cortex_a7"])
+    def test_shipped_generation_routing(self, platform):
+        backend = AutoSelectBackend(pool_workers=2)
+        for repeats, expected in ((1, "serial"), (3, "batched")):
+            pipeline, jobs = self._shipped_generation(platform, repeats)
+            assert len(jobs) == 20
+            results = backend.evaluate(pipeline, jobs)
+            assert len(results) == 20
+            assert backend.name == expected, backend.reason
+        backend.close()
+
+    def test_pool_is_tried_before_the_serial_route(self):
+        # 48 single-repeat jobs x 1600 cycles give each of two workers
+        # 24 jobs: the pool takes the generation, although one repeat
+        # alone would keep it off the in-process batch.
+        backend = AutoSelectBackend(pool_workers=2)
+        pipeline, jobs = self._shipped_generation("cortex_a15", 1, jobs=48)
+        results = backend.evaluate(pipeline, jobs)
+        assert backend.name == "pool", backend.reason
+        assert len(results) == 48
+        backend.close()
+
+    def test_workers_one_matches_serial_history(self, tiny_config):
+        engine = GeneticEngine(tiny_config,
+                               _power_measurement(tiny_config.ga.seed),
+                               DefaultFitness(), workers=1)
+        assert isinstance(engine.evaluator.backend, AutoSelectBackend)
+        assert engine.evaluator.backend.pool_workers == 1
+        auto = engine.run()
+        serial, _ = _run(tiny_config, backend=SerialBackend())
+        assert auto.generations == serial.generations
+        assert [g.backend for g in auto.generations] == \
+            ["serial"] * tiny_config.ga.generations
+        assert all(g.backend_reason for g in auto.generations)
+
+    def test_legacy_backend_attribute_still_parses(self, tiny_config,
+                                                   tmp_path):
+        # Every RunStore row written before the executor choice went
+        # away carries backend="auto" in its <evaluation> element.
+        (tmp_path / "t.s").write_text(tiny_config.template_text)
+        text = config_to_xml(tiny_config, template_filename="t.s").replace(
+            '<evaluation ', '<evaluation backend="auto" ')
+        assert 'backend="auto"' in text
+        config = parse_config_text(text, base_dir=tmp_path)
+        assert config.evaluation == EvaluationParameters()
+        assert "backend" not in config_to_xml(config)
+
+    def test_cli_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", SHIPPED_CONFIG, "--backend", "serial"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestCacheEquivalence:

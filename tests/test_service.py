@@ -8,6 +8,7 @@ run at a generation boundary; a run interrupted mid-flight resumes
 from the store checkpoint and still matches the uninterrupted result.
 """
 
+import json
 import sqlite3
 
 import pytest
@@ -15,7 +16,12 @@ import pytest
 from repro.analysis.postprocess import run_statistics
 from repro.cli import main
 from repro.core.config import parse_config_file
+from repro.core.engine import GeneticEngine
+from repro.core.loader import instantiate
+from repro.cpu import SimulatedMachine, SimulatedTarget
+from repro.fitness.default_fitness import DefaultFitness
 from repro.isa.catalogs import write_stock_config
+from repro.measurement.base import Measurement
 from repro.service import Orchestrator, execute_run
 from repro.store import RunStore
 
@@ -246,3 +252,35 @@ class TestServiceCLI:
     def test_runs_missing_store_errors(self, tmp_path, capsys):
         assert main(["runs", "--db", str(tmp_path / "nope.sqlite")]) == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+def test_cache_fingerprint_agrees_across_entry_points(bundle, tmp_path):
+    """The engine, ``gest run --cache`` and the service address cache
+    entries by one fingerprint string, unchanged in format (saved
+    cache files and store cache rows are keyed by it)."""
+    results = tmp_path / "results"
+    assert main(["run", str(bundle), "--platform", PLATFORM,
+                 "--results", str(results), "--generations", "1",
+                 "--cache", "--quiet"]) == 0
+    cli = json.loads(
+        (results / "evaluation_cache.json").read_text())["fingerprint"]
+
+    store_path = tmp_path / "gest.sqlite"
+    run_id = _submit(store_path, bundle, generations=1)
+    assert execute_run(store_path, run_id) == "finished"
+    with sqlite3.connect(store_path) as db:
+        service = {row[0] for row in db.execute(
+            "SELECT DISTINCT fingerprint FROM cache_entries")}
+
+    config = parse_config_file(bundle)
+    config.evaluation.cache = True
+    machine = SimulatedMachine(PLATFORM, seed=config.ga.seed)
+    target = SimulatedTarget(machine)
+    target.connect()
+    measurement = instantiate(config.measurement_class, Measurement,
+                              target, config.measurement_params)
+    engine = GeneticEngine(config, measurement, DefaultFitness())
+
+    assert cli == f"{measurement.fingerprint()}|noise_seed={config.ga.seed}"
+    assert service == {cli}
+    assert engine.evaluator.cache.fingerprint == cli
