@@ -4,7 +4,8 @@ Public surface re-exported here:
 
 * configuration — :class:`GAParameters`, :class:`RunConfig`, XML parsing
 * genome model — operands, instruction specs, individuals, populations
-* GA machinery — operators, :class:`GeneticEngine`, run history
+* GA machinery — :class:`GeneticEngine` and its run history (the
+  operators live in :mod:`repro.search.operators`)
 * plumbing — templates, output recording, dynamic class loading
 """
 
@@ -23,8 +24,6 @@ from .individual import Individual, random_individual, selection_key
 from .instruction import ConcreteInstruction, InstructionLibrary, InstructionSpec
 from .loader import instantiate, load_class
 from .operand import ImmediateOperand, LabelOperand, Operand, RegisterOperand
-from .operators import (mutate, one_point_crossover, tournament_select,
-                        uniform_crossover)
 from .output import (FileRecorder, OutputRecorder, individual_filename,
                      read_stats)
 from .population import Population, load_population
@@ -45,8 +44,6 @@ __all__ = [
     "ConcreteInstruction", "InstructionLibrary", "InstructionSpec",
     "instantiate", "load_class",
     "ImmediateOperand", "LabelOperand", "Operand", "RegisterOperand",
-    "mutate", "one_point_crossover",
-    "tournament_select", "uniform_crossover",
     "FileRecorder", "OutputRecorder", "individual_filename", "read_stats",
     "Population", "load_population",
     "make_rng", "spawn",

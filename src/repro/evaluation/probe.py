@@ -3,8 +3,8 @@
 Static features (:mod:`repro.staticcheck.costmodel`) bound what a
 candidate *could* do; a short simulated run shows what it actually
 does.  :class:`ShortProbe` runs a whole offspring pool for a small
-cycle budget (the StaticScreen ``period_probe`` regime, ~1.6k cycles —
-a fraction of a full measurement's budget) through
+cycle budget (~1.6k cycles by default — a fraction of a full
+measurement's budget) through
 :meth:`~repro.cpu.machine.BatchedMachine.run_batch`, so the entire
 generation is scheduled in one lockstep pass.
 
@@ -38,8 +38,7 @@ class ShortProbe:
         Microarchitecture preset name (``cortex_a15``, ...).
     cycles:
         Simulated cycle budget per probe run (floored to the machine's
-        100-cycle minimum).  The default matches the StaticScreen
-        ``period_probe`` regime.
+        100-cycle minimum).
     seed:
         Seed of the private probe machine.  Fixed per strategy so probe
         features never depend on how many probes ran before.

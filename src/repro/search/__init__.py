@@ -8,8 +8,9 @@ MicroGrad centralises tuning mechanisms over a fixed evaluation core:
 
 * :mod:`repro.search.registry` — named registries with
   list-the-choices / nearest-match error messages;
-* :mod:`repro.search.operators` — selection, crossover, mutation and
-  replacement operator registries (the GA's moving parts);
+* :mod:`repro.search.operators` — the GA operators (selection,
+  crossover, mutation) and the selection and crossover registries the
+  ``<ga>`` block's names resolve against;
 * :mod:`repro.search.base` — the :class:`SearchStrategy` contract and
   the strategy registry;
 * strategies: ``genetic`` (the paper's GA, bit-identical to the
@@ -34,14 +35,12 @@ from .hill_climb import HillClimbStrategy  # isort:skip
 from .annealing import SimulatedAnnealingStrategy  # isort:skip
 from .static_rank import StaticRankStrategy  # isort:skip
 from .surrogate import SurrogateStrategy  # isort:skip
-from .operators import (CROSSOVER_OPERATORS, MUTATION_OPERATORS,
-                        REPLACEMENT_POLICIES, SELECTION_OPERATORS)
+from .operators import CROSSOVER_OPERATORS, SELECTION_OPERATORS
 from .registry import Registry, suggest
 
 __all__ = [
     "Registry", "suggest",
-    "SELECTION_OPERATORS", "CROSSOVER_OPERATORS", "MUTATION_OPERATORS",
-    "REPLACEMENT_POLICIES", "STRATEGIES",
+    "SELECTION_OPERATORS", "CROSSOVER_OPERATORS", "STRATEGIES",
     "SearchStrategy", "GeneticStrategy", "RandomStrategy",
     "HillClimbStrategy", "SimulatedAnnealingStrategy",
     "StaticRankStrategy", "SurrogateStrategy",

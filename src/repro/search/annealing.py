@@ -1,12 +1,12 @@
 """Simulated annealing over the instruction-sequence space.
 
-Like the hill climber, one incumbent proposes ``population_size``
-mutated neighbours per generation (a batched random walk — the
-evaluation layer measures them all in one pass).  Unlike the climber,
-acceptance is the Metropolis criterion: a worse candidate is accepted
-with probability ``exp(Δfitness / T)``, and the temperature ``T``
-decays geometrically each generation.  Early generations explore across
-fitness valleys; late generations behave like hill climbing.
+Like the hill climber it extends, one incumbent proposes
+``population_size`` mutated neighbours per generation (a batched random
+walk — the evaluation layer measures them all in one pass).  Unlike the
+climber, acceptance is the Metropolis criterion: a worse candidate is
+accepted with probability ``exp(Δfitness / T)``, and the temperature
+``T`` decays geometrically each generation.  Early generations explore
+across fitness valleys; late generations behave like hill climbing.
 
 The temperature is genuine strategy state — it cannot be recovered from
 the population or the RNG stream — so it rides in every checkpoint via
@@ -19,10 +19,9 @@ import math
 from typing import Any, Dict, Optional
 
 from ..core.errors import ConfigError
-from ..core.individual import Individual
 from ..core.population import Population
-from .base import STRATEGIES, SearchStrategy
-from .operators import MUTATION_OPERATORS
+from .base import STRATEGIES
+from .hill_climb import HillClimbStrategy
 
 __all__ = ["SimulatedAnnealingStrategy"]
 
@@ -42,10 +41,11 @@ def _cooling_factor(value) -> float:
 
 
 @STRATEGIES.register("simulated_annealing")
-class SimulatedAnnealingStrategy(SearchStrategy):
+class SimulatedAnnealingStrategy(HillClimbStrategy):
     """Metropolis walk with geometric cooling.
 
-    Parameters:
+    Neighbours are proposed exactly as by :class:`HillClimbStrategy`
+    (the ``<ga>`` block's mutation and elitism settings).  Parameters:
 
     * ``initial_temperature`` (default 1.0) — the starting ``T``; set
       it near the typical fitness delta between neighbours so early
@@ -55,8 +55,6 @@ class SimulatedAnnealingStrategy(SearchStrategy):
     * ``min_temperature`` (default 1e-3) — cooling floor; keeps the
       acceptance probability well-defined and leaves a trickle of
       exploration even in long runs.
-    * ``mutation`` (default ``default``) — the neighbour move, any
-      registered mutation operator.
     """
 
     name = "simulated_annealing"
@@ -64,16 +62,11 @@ class SimulatedAnnealingStrategy(SearchStrategy):
         "initial_temperature": (_positive_float, 1.0),
         "cooling": (_cooling_factor, 0.95),
         "min_temperature": (_positive_float, 1e-3),
-        "mutation": (str, "default"),
     }
 
     def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
         super().__init__(params)
-        self._current: Optional[Individual] = None
         self._temperature: float = self.params["initial_temperature"]
-
-    def _bound(self) -> None:
-        self._mutate = MUTATION_OPERATORS.get(self.params["mutation"])
 
     def observe(self, population: Population) -> None:
         """Metropolis-walk the evaluated candidates in population order,
@@ -92,37 +85,13 @@ class SimulatedAnnealingStrategy(SearchStrategy):
         self._temperature = max(self.params["min_temperature"],
                                 self._temperature * self.params["cooling"])
 
-    def next_population(self, population: Population,
-                        next_number: int) -> Population:
-        if self._current is None:
-            return self.random_population(next_number)
-        ga = self.config.ga
-        current = self._current
-        children = []
-        if ga.elitism:
-            children.append(current.clone(uid=self.take_uid(),
-                                          parent_ids=(current.uid,)))
-        while len(children) < ga.population_size:
-            mutated = self._mutate(list(current.instructions),
-                                   self.config.library, self.rng, ga)
-            children.append(Individual(mutated, uid=self.take_uid(),
-                                       parent_ids=(current.uid,)))
-        return Population(children, number=next_number)
-
     # -- checkpoint support -------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        return {"current": self._current,
-                "temperature": self._temperature}
+        return {**super().state_dict(), "temperature": self._temperature}
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        unexpected = set(state) - {"current", "temperature"}
-        if unexpected:
-            raise ConfigError(
-                f"simulated_annealing checkpoint state has unexpected "
-                f"key(s) {', '.join(sorted(unexpected))}; the "
-                "checkpoint was written by a different strategy or "
-                "version")
+        super().load_state(state)
         if "temperature" in state:
             try:
                 self._temperature = _positive_float(state["temperature"])
@@ -131,9 +100,3 @@ class SimulatedAnnealingStrategy(SearchStrategy):
                     "simulated_annealing checkpoint state has a "
                     f"non-positive temperature "
                     f"{state.get('temperature')!r}") from None
-        current = state.get("current")
-        if current is not None and not isinstance(current, Individual):
-            raise ConfigError(
-                "simulated_annealing checkpoint state 'current' is not "
-                "an Individual")
-        self._current = current

@@ -3,75 +3,49 @@
 This is the same breeding loop ``GeneticEngine`` always ran (paper
 Figure 3: elitism, tournament selection, one-point crossover,
 mutation) — extracted behind the :class:`SearchStrategy` contract with
-each operator resolved by name from the registries.  Under the default
-operator set the RNG draw order and uid allocation order are identical
-to the pre-refactor engine, so existing configs, checkpoints and
-recorded populations reproduce bit-for-bit.
+selection and crossover resolved by name from the registries.  Under
+the default operator set the RNG draw order and uid allocation order
+are identical to the pre-refactor engine, so existing configs,
+checkpoints and recorded populations reproduce bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core.individual import Individual
 from ..core.population import Population
 from .base import STRATEGIES, SearchStrategy
-from .operators import (CROSSOVER_OPERATORS, MUTATION_OPERATORS,
-                        REPLACEMENT_POLICIES, SELECTION_OPERATORS)
+from .operators import CROSSOVER_OPERATORS, SELECTION_OPERATORS, mutate
 
 __all__ = ["GeneticStrategy"]
-
-
-def _optional_name(value) -> Optional[str]:
-    """``None``/empty → inherit from the GA parameters; else the name."""
-    if value is None:
-        return None
-    text = str(value).strip()
-    return text or None
 
 
 @STRATEGIES.register("genetic")
 class GeneticStrategy(SearchStrategy):
     """Generational GA: elitism + selection + crossover + mutation.
 
-    Parameters (all optional; defaults derive from the ``<ga>``
-    block so a bare ``<search strategy="genetic"/>`` changes nothing):
-
-    * ``selection`` — parent selection operator; defaults to
-      ``parent_selection_method``.
-    * ``crossover`` — crossover operator; defaults to
-      ``crossover_operator``.
-    * ``mutation`` — mutation operator; defaults to ``default``.
-    * ``replacement`` — replacement policy; defaults to ``elitist``
-      when ``elitism`` is set, ``generational`` otherwise.
+    Takes no parameters: every setting comes from the ``<ga>`` block
+    (``parent_selection_method``, ``crossover_operator``,
+    ``mutation_rate``, ``operand_mutation_share``, ``elitism``).
     """
 
     name = "genetic"
-    PARAMS = {
-        "selection": (_optional_name, None),
-        "crossover": (_optional_name, None),
-        "mutation": (_optional_name, None),
-        "replacement": (_optional_name, None),
-    }
 
     def _bound(self) -> None:
         ga = self.config.ga
-        selection = self.params["selection"] or ga.parent_selection_method
-        crossover = self.params["crossover"] or ga.crossover_operator
-        mutation = self.params["mutation"] or "default"
-        replacement = self.params["replacement"] or \
-            ("elitist" if ga.elitism else "generational")
-        self._select = SELECTION_OPERATORS.get(selection)
-        self._crossover = CROSSOVER_OPERATORS.get(crossover)
-        self._mutate = MUTATION_OPERATORS.get(mutation)
-        self._replace = REPLACEMENT_POLICIES.get(replacement)
+        self._select = SELECTION_OPERATORS.get(ga.parent_selection_method)
+        self._crossover = CROSSOVER_OPERATORS.get(ga.crossover_operator)
 
     def next_population(self, population: Population,
                         next_number: int) -> Population:
         """Create the next generation (paper Figure 3)."""
         ga = self.config.ga
-        children: List[Individual] = list(
-            self._replace(population, self.take_uid))
+        children: List[Individual] = []
+        if ga.elitism:
+            elite = population.fittest()
+            children.append(elite.clone(uid=self.take_uid(),
+                                        parent_ids=(elite.uid,)))
 
         while len(children) < ga.population_size:
             parent1 = self._select(population.individuals, self.rng, ga)
@@ -80,8 +54,9 @@ class GeneticStrategy(SearchStrategy):
             for genome in (genome1, genome2):
                 if len(children) >= ga.population_size:
                     break
-                mutated = self._mutate(genome, self.config.library,
-                                       self.rng, ga)
+                mutated = mutate(genome, self.config.library, self.rng,
+                                 ga.mutation_rate,
+                                 ga.operand_mutation_share)
                 children.append(Individual(
                     mutated, uid=self.take_uid(),
                     parent_ids=(parent1.uid, parent2.uid)))

@@ -19,7 +19,7 @@ from ..core.errors import ConfigError
 from ..core.individual import Individual
 from ..core.population import Population
 from .base import STRATEGIES, SearchStrategy
-from .operators import MUTATION_OPERATORS
+from .operators import mutate
 
 __all__ = ["HillClimbStrategy"]
 
@@ -28,12 +28,10 @@ __all__ = ["HillClimbStrategy"]
 class HillClimbStrategy(SearchStrategy):
     """Steepest-ascent hill climbing with a batched neighbourhood.
 
-    Parameters:
-
-    * ``mutation`` — the neighbour move, any registered mutation
-      operator (default ``default``: the paper's mixed instruction/
-      operand mutation, giving small steps at the configured
-      ``mutation_rate``).
+    Takes no parameters.  The neighbour move is the paper's mutation
+    at the ``<ga>`` block's ``mutation_rate`` and
+    ``operand_mutation_share``, and with ``elitism`` set every
+    neighbourhood also re-measures an unchanged copy of the incumbent.
 
     The incumbent is strategy state: it survives checkpoints via
     ``state_dict`` so a resumed climb continues from the same point in
@@ -41,16 +39,10 @@ class HillClimbStrategy(SearchStrategy):
     """
 
     name = "hill_climb"
-    PARAMS = {
-        "mutation": (str, "default"),
-    }
 
     def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
         super().__init__(params)
         self._current: Optional[Individual] = None
-
-    def _bound(self) -> None:
-        self._mutate = MUTATION_OPERATORS.get(self.params["mutation"])
 
     def observe(self, population: Population) -> None:
         fittest = population.fittest()
@@ -73,8 +65,9 @@ class HillClimbStrategy(SearchStrategy):
             children.append(current.clone(uid=self.take_uid(),
                                           parent_ids=(current.uid,)))
         while len(children) < ga.population_size:
-            mutated = self._mutate(list(current.instructions),
-                                   self.config.library, self.rng, ga)
+            mutated = mutate(list(current.instructions),
+                             self.config.library, self.rng,
+                             ga.mutation_rate, ga.operand_mutation_share)
             children.append(Individual(mutated, uid=self.take_uid(),
                                        parent_ids=(current.uid,)))
         return Population(children, number=next_number)
@@ -85,15 +78,16 @@ class HillClimbStrategy(SearchStrategy):
         return {"current": self._current}
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        unexpected = set(state) - {"current"}
+        # The keys this strategy writes are the keys it accepts.
+        unexpected = set(state) - set(self.state_dict())
         if unexpected:
             raise ConfigError(
-                f"hill_climb checkpoint state has unexpected key(s) "
+                f"{self.name} checkpoint state has unexpected key(s) "
                 f"{', '.join(sorted(unexpected))}; the checkpoint was "
                 "written by a different strategy or version")
         current = state.get("current")
         if current is not None and not isinstance(current, Individual):
             raise ConfigError(
-                "hill_climb checkpoint state 'current' is not an "
+                f"{self.name} checkpoint state 'current' is not an "
                 "Individual")
         self._current = current

@@ -1,65 +1,98 @@
-"""Operator registries: selection, crossover, mutation, replacement.
+"""Genetic operators (paper Section III.A, Figure 3) and their registries.
 
-The paper fixes one operator set (tournament selection, one-point
-crossover, whole-instruction/operand mutation, elitism — Table I) but
-motivates each choice by comparison, so the reproduction makes every
-slot pluggable and name-addressable:
+The paper's defaults (Table I) are: tournament selection with
+tournament size 5, one-point crossover, whole-instruction or
+single-operand mutation at a 2–8% per-instruction rate, and elitism
+(best individual copied unchanged into the next generation).  The
+``<ga>`` block names every one of these settings, and it is the only
+place they are named:
 
-* **selection** — how breeding parents are picked from an evaluated
-  population.  ``tournament`` is the paper's default; ``roulette``
-  (fitness-proportional) and ``rank`` (linear ranking) are the classic
-  alternatives the GA literature ablates against.
-* **crossover** — ``one_point`` (paper default) and ``uniform``,
-  re-exported from :mod:`repro.core.operators` where the primitive
-  implementations live.
-* **mutation** — the paper's mixed whole-instruction/operand mutation
-  (``default``) plus single-kind variants for ablations.
-* **replacement** — how the next generation starts before children are
-  bred into it: ``elitist`` copies the fittest individual unchanged
-  (paper default), ``generational`` starts empty.
+* **selection** — ``parent_selection_method`` resolves against
+  :data:`SELECTION_OPERATORS`: ``tournament`` (paper default),
+  ``roulette`` (fitness-proportional) and ``rank`` (linear ranking),
+  the classic alternatives the GA literature ablates against.
+* **crossover** — ``crossover_operator`` resolves against
+  :data:`CROSSOVER_OPERATORS`: ``one_point`` (paper default) and
+  ``uniform``.  Uniform crossover is kept because the paper explicitly
+  compares against it ("one-point crossover ... does a better job in
+  preserving the instruction-order of strong individuals compared to
+  uniform-crossover").
+* **mutation** — :func:`mutate` at ``mutation_rate``, with
+  ``operand_mutation_share`` splitting operand from whole-instruction
+  moves (1.0 is operand-only, 0.0 instruction-only).
+* **elitism** — ``elitism`` keeps an unchanged copy of the fittest
+  individual; the strategies apply it directly.
 
 Uniform call signatures keep strategies operator-agnostic:
 
 * selection: ``op(individuals, rng, ga) -> Individual``
 * crossover: ``op(parent1, parent2, rng) -> (genome, genome)``
-* mutation:  ``op(genome, library, rng, ga) -> genome``
-* replacement: ``op(population, take_uid) -> List[Individual]``
 
 where ``ga`` is the run's :class:`~repro.core.config.GAParameters`.
-The registered ``tournament``/``one_point``/``default``/``elitist``
-entries delegate to the exact pre-refactor code paths with the exact
-pre-refactor RNG draw order — the default-strategy equivalence gate
-depends on it.
 """
 
 from __future__ import annotations
 
+import warnings
 from random import Random
-from typing import Callable, List, Sequence
+from typing import List, Sequence, Set, Tuple
 
 from ..core.errors import ConfigError
 from ..core.individual import Individual, selection_key
-from ..core.operators import (mutate, one_point_crossover,
-                              tournament_select, uniform_crossover)
+from ..core.instruction import InstructionLibrary
 from .registry import Registry
 
 __all__ = [
-    "SELECTION_OPERATORS", "CROSSOVER_OPERATORS", "MUTATION_OPERATORS",
-    "REPLACEMENT_POLICIES",
-    "roulette_select", "rank_select",
+    "SELECTION_OPERATORS", "CROSSOVER_OPERATORS",
+    "tournament_select", "roulette_select", "rank_select",
+    "one_point_crossover", "uniform_crossover", "mutate",
 ]
 
 SELECTION_OPERATORS = Registry("parent_selection_method",
                                diagnostic_code="SC209")
 CROSSOVER_OPERATORS = Registry("crossover_operator",
                                diagnostic_code="SC209")
-MUTATION_OPERATORS = Registry("mutation_operator",
-                              diagnostic_code="SC209")
-REPLACEMENT_POLICIES = Registry("replacement_policy",
-                                diagnostic_code="SC209")
 
 
 # -- selection --------------------------------------------------------------
+
+#: (tournament_size, population_size) pairs already warned about, so a
+#: misconfigured run logs the clamp once, not once per selection.
+_CLAMP_WARNED: Set[Tuple[int, int]] = set()
+
+
+def tournament_select(population: Sequence[Individual], rng: Random,
+                      tournament_size: int = 5) -> Individual:
+    """Pick ``tournament_size`` individuals at random (with replacement,
+    matching the paper's "randomly pick five individuals") and return
+    the fittest of them under :func:`selection_key`.
+
+    A tournament larger than the population adds no selection pressure
+    — the extra draws just re-sample the same individuals — so it is
+    clamped to the population size, with a one-time warning naming both
+    values (the clamp also keeps the RNG draw count meaningful).
+    """
+    if not population:
+        raise ConfigError("cannot select from an empty population")
+    if tournament_size < 1:
+        raise ConfigError("tournament size must be >= 1")
+    if tournament_size > len(population):
+        key = (tournament_size, len(population))
+        if key not in _CLAMP_WARNED:
+            _CLAMP_WARNED.add(key)
+            warnings.warn(
+                f"tournament_size {tournament_size} exceeds the "
+                f"population size {len(population)}; clamping the "
+                f"tournament to {len(population)} draws",
+                RuntimeWarning, stacklevel=2)
+        tournament_size = len(population)
+    best = population[rng.randrange(len(population))]
+    for _ in range(tournament_size - 1):
+        contender = population[rng.randrange(len(population))]
+        if selection_key(contender) > selection_key(best):
+            best = contender
+    return best
+
 
 @SELECTION_OPERATORS.register("tournament")
 def _tournament(individuals: Sequence[Individual], rng: Random,
@@ -131,46 +164,84 @@ def rank_select(individuals: Sequence[Individual], rng: Random,
 
 # -- crossover --------------------------------------------------------------
 
-CROSSOVER_OPERATORS.register("one_point", one_point_crossover)
-CROSSOVER_OPERATORS.register("uniform", uniform_crossover)
+@CROSSOVER_OPERATORS.register("one_point")
+def one_point_crossover(parent1: Individual, parent2: Individual,
+                        rng: Random) -> Tuple[List, List]:
+    """Single cut point; children swap halves (paper Figure 3).
+
+    The cut index is drawn from ``1..len-1`` so both children always
+    inherit from both parents.  Parents must be the same length — the
+    GA uses a fixed individual size (Table I).
+    """
+    _check_lengths(parent1, parent2)
+    n = len(parent1)
+    if n < 2:
+        return list(parent1.instructions), list(parent2.instructions)
+    cut = rng.randrange(1, n)
+    child1 = list(parent1.instructions[:cut]) + list(parent2.instructions[cut:])
+    child2 = list(parent2.instructions[:cut]) + list(parent1.instructions[cut:])
+    return child1, child2
+
+
+@CROSSOVER_OPERATORS.register("uniform")
+def uniform_crossover(parent1: Individual, parent2: Individual,
+                      rng: Random) -> Tuple[List, List]:
+    """Each instruction slot independently swaps between the parents
+    with probability 0.5 — destroys instruction order, kept for the
+    crossover ablation."""
+    _check_lengths(parent1, parent2)
+    child1, child2 = [], []
+    for a, b in zip(parent1.instructions, parent2.instructions):
+        if rng.random() < 0.5:
+            a, b = b, a
+        child1.append(a)
+        child2.append(b)
+    return child1, child2
+
+
+def _check_lengths(parent1: Individual, parent2: Individual) -> None:
+    if len(parent1) != len(parent2):
+        raise ConfigError(
+            f"crossover requires equal-length parents "
+            f"({len(parent1)} vs {len(parent2)})")
 
 
 # -- mutation ---------------------------------------------------------------
 
-@MUTATION_OPERATORS.register("default")
-def _mutate_default(genome: List, library, rng: Random, ga) -> List:
-    """The paper's mixed mutation: whole-instruction or single-operand
-    per ``operand_mutation_share``."""
-    return mutate(genome, library, rng, ga.mutation_rate,
-                  ga.operand_mutation_share)
+def mutate(instructions: List, library: InstructionLibrary, rng: Random,
+           mutation_rate: float,
+           operand_mutation_share: float = 0.5) -> List:
+    """Apply per-instruction mutation and return a new list.
 
+    Each instruction independently mutates with probability
+    ``mutation_rate``.  A mutation is either (paper Figure 3):
 
-@MUTATION_OPERATORS.register("operand_only")
-def _mutate_operand_only(genome: List, library, rng: Random, ga) -> List:
-    """Only operand resampling (operand-less instructions still replace
-    wholesale — they have no operand to resample)."""
-    return mutate(genome, library, rng, ga.mutation_rate, 1.0)
+    * a **whole-instruction** mutation — the slot is replaced by a
+      uniformly random new concrete instruction (like the STR→LSL
+      example, with freshly random operands); or
+    * an **operand** mutation — one operand slot is resampled from its
+      pool (like the SUB's r2→r5 example).
 
+    ``operand_mutation_share`` is the probability that a triggered
+    mutation is of the operand kind; operand-less instructions (NOP,
+    implicit-target branches) always take the whole-instruction path.
+    """
+    if not 0.0 <= mutation_rate <= 1.0:
+        raise ConfigError(f"mutation rate {mutation_rate} outside [0, 1]")
+    if not 0.0 <= operand_mutation_share <= 1.0:
+        raise ConfigError(
+            f"operand mutation share {operand_mutation_share} outside [0, 1]")
 
-@MUTATION_OPERATORS.register("instruction_only")
-def _mutate_instruction_only(genome: List, library, rng: Random,
-                             ga) -> List:
-    """Only whole-instruction replacement."""
-    return mutate(genome, library, rng, ga.mutation_rate, 0.0)
-
-
-# -- replacement ------------------------------------------------------------
-
-@REPLACEMENT_POLICIES.register("elitist")
-def _elitist(population, take_uid: Callable[[], int]) -> List[Individual]:
-    """Seed the next generation with an unchanged copy of the fittest
-    individual (paper Figure 3's elitism arrow)."""
-    elite = population.fittest()
-    return [elite.clone(uid=take_uid(), parent_ids=(elite.uid,))]
-
-
-@REPLACEMENT_POLICIES.register("generational")
-def _generational(population, take_uid: Callable[[], int]
-                  ) -> List[Individual]:
-    """Full generational replacement: nothing survives unmutated."""
-    return []
+    mutated = []
+    for instr in instructions:
+        if rng.random() >= mutation_rate:
+            mutated.append(instr)
+            continue
+        num_ops = instr.spec.num_operands
+        if num_ops > 0 and rng.random() < operand_mutation_share:
+            slot = rng.randrange(num_ops)
+            value = library.random_operand_value(instr, slot, rng)
+            mutated.append(instr.with_value(slot, value))
+        else:
+            mutated.append(library.random_instruction(rng))
+    return mutated

@@ -1,12 +1,11 @@
 """Named registries for search components.
 
 The search layer resolves every pluggable piece — strategies, selection
-operators, crossover operators, mutation operators, replacement
-policies — *by name* from the run configuration.  A :class:`Registry`
-is the single source of truth for what names exist: configuration
-validation, the static config lint and the CLI ``--strategy`` choices
-all read the same tables, so a name can never be "valid" in one layer
-and unknown in another.
+operators, crossover operators — *by name* from the run configuration.
+A :class:`Registry` is the single source of truth for what names exist:
+configuration validation, the static config lint and the CLI
+``--strategy`` choices all read the same tables, so a name can never be
+"valid" in one layer and unknown in another.
 
 Unknown names fail loudly with the full list of valid choices plus a
 nearest-match suggestion (``did you mean 'tournament'?``) — the
@@ -79,20 +78,19 @@ class Registry:
     def __iter__(self):
         return iter(self._entries)
 
-    def get(self, name: str, label: Optional[str] = None):
+    def get(self, name: str):
         """Resolve ``name`` or raise :class:`ConfigError` with the valid
         choices and a nearest-match suggestion."""
         try:
             return self._entries[name]
         except KeyError:
-            raise ConfigError(self.unknown_message(name, label),
+            raise ConfigError(self.unknown_message(name),
                               diagnostic_code=self.diagnostic_code) from None
 
-    def unknown_message(self, name: str,
-                        label: Optional[str] = None) -> str:
+    def unknown_message(self, name: str) -> str:
         """The diagnostic text for an unknown name (shared by
         :class:`ConfigError` raises and the ``SC209``/``SC210`` lint)."""
-        message = (f"unknown {label or self.kind} {name!r}; valid "
+        message = (f"unknown {self.kind} {name!r}; valid "
                    f"choices: {', '.join(self.names())}")
         near = suggest(str(name), self.names())
         if near is not None:

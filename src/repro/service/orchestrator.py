@@ -58,9 +58,12 @@ def execute_run(store_path: Union[str, Path], run_id: str,
     checkpoint (crash or cancellation leftover) is resumed, not
     restarted.  Failures are recorded as status ``failed`` with the
     error message; the exception is not re-raised, so one bad run
-    never takes the service down.
+    never takes the service down.  Whatever the outcome, the cache
+    flushes its hit/miss activity and the recorders close.
     """
     store = RunStore(store_path)
+    cache: Optional[SharedEvaluationCache] = None
+    recorders: List[RunRecorder] = []
     try:
         row = store.get_run(run_id)
         config = store.load_config(run_id)
@@ -78,7 +81,7 @@ def execute_run(store_path: Union[str, Path], run_id: str,
             store_path, cache_fingerprint(measurement, config.ga.seed or 0),
             run_id=run_id)
 
-        recorders: List[RunRecorder] = [StoreRecorder(RunStore(store_path))]
+        recorders.append(StoreRecorder(RunStore(store_path)))
         if workdir is not None:
             run_dir = Path(workdir) / run_id
             recorders.append(FileRecorder(run_dir))
@@ -126,9 +129,6 @@ def execute_run(store_path: Union[str, Path], run_id: str,
                          best.uid if best is not None else None,
                          best.fitness if best is not None else None,
                          cancelled=history.cancelled)
-        cache.close()
-        for recorder in recorders:
-            recorder.close()
         return "cancelled" if history.cancelled else "finished"
     except Exception as exc:  # noqa: BLE001 - failures land in the ledger
         store.fail_run(run_id,
@@ -136,6 +136,10 @@ def execute_run(store_path: Union[str, Path], run_id: str,
                        f"{traceback.format_exc(limit=5)}")
         return "failed"
     finally:
+        if cache is not None:
+            cache.close()
+        for recorder in recorders:
+            recorder.close()
         store.close()
 
 

@@ -246,15 +246,15 @@ def lint_search(config: RunConfig,
     The registries are the single source of truth — the same tables
     ``GAParameters.validate`` and the CLI ``--strategy`` choices read —
     and every diagnostic carries the registry's full choice list plus a
-    nearest-match suggestion (``did you mean 'tournament'?``).
+    nearest-match suggestion (``did you mean 'tournament'?``).  GA
+    operators are named only in the ``<ga>`` block (``SC209``); a
+    strategy parameter it does not declare, or cannot parse, is
+    ``SC210``.
     """
     # Lazy imports: repro.search imports core submodules, and this
     # module is reachable from repro.core.config's validators.
-    from ..search import STRATEGIES, make_strategy
-    from ..search.operators import (CROSSOVER_OPERATORS,
-                                    MUTATION_OPERATORS,
-                                    REPLACEMENT_POLICIES,
-                                    SELECTION_OPERATORS)
+    from ..search import (CROSSOVER_OPERATORS, SELECTION_OPERATORS,
+                          STRATEGIES, make_strategy)
 
     diagnostics: List[Diagnostic] = []
     ga = config.ga
@@ -275,25 +275,6 @@ def lint_search(config: RunConfig,
             "SC210", STRATEGIES.unknown_message(search.strategy),
             file=file))
         return diagnostics
-
-    # Strategy parameters that name an operator resolve against the
-    # operator registries; everything else (unknown parameter names,
-    # unparsable values) is caught by instantiating the strategy.
-    operator_params = {
-        "selection": SELECTION_OPERATORS,
-        "crossover": CROSSOVER_OPERATORS,
-        "mutation": MUTATION_OPERATORS,
-        "replacement": REPLACEMENT_POLICIES,
-    }
-    for key, value in search.params.items():
-        registry = operator_params.get(key)
-        if registry is not None and value is not None and \
-                str(value).strip() and str(value).strip() not in registry:
-            diagnostics.append(make_diagnostic(
-                "SC209",
-                registry.unknown_message(str(value).strip(),
-                                         label=f"{key} operator"),
-                file=file))
     try:
         make_strategy(search.strategy, search.params)
     except ConfigError as exc:

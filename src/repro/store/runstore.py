@@ -464,16 +464,6 @@ class RunStore:
 
     # -- cache activity (see sharedcache.py) --------------------------------
 
-    def add_cache_activity(self, run_id: str, hits: int,
-                           misses: int) -> None:
-        with self.connection() as conn:
-            conn.execute(
-                "INSERT INTO cache_activity (run_id, hits, misses) "
-                "VALUES (?, ?, ?) ON CONFLICT (run_id) DO UPDATE SET "
-                "hits = hits + excluded.hits, "
-                "misses = misses + excluded.misses",
-                (run_id, hits, misses))
-
     def cache_activity(self, run_id: str) -> Tuple[int, int]:
         raw = self.connection().execute(
             "SELECT hits, misses FROM cache_activity WHERE run_id = ?",

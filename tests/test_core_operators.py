@@ -1,13 +1,13 @@
-"""Unit tests for GA operators (repro.core.operators)."""
+"""Unit tests for GA operators (repro.search.operators)."""
 
 import pytest
 
 from repro.core.errors import ConfigError
 from repro.core.individual import Individual, random_individual
-from repro.core.operators import (mutate, one_point_crossover,
-                                  tournament_select, uniform_crossover)
 from repro.core.rng import make_rng
 from repro.search import CROSSOVER_OPERATORS
+from repro.search.operators import (mutate, one_point_crossover,
+                                    tournament_select, uniform_crossover)
 
 
 def _evaluated(library, rng, fitness, size=10):
@@ -27,7 +27,7 @@ class TestTournamentSelect:
                                                        rng):
         import warnings
 
-        from repro.core import operators as ops
+        from repro.search import operators as ops
 
         population = [_evaluated(tiny_library, rng, float(i))
                       for i in range(6)]

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core.individual import Individual, random_individual
 from repro.core.operand import ImmediateOperand, RegisterOperand
-from repro.core.operators import (mutate, one_point_crossover,
-                                  tournament_select, uniform_crossover)
 from repro.core.rng import make_rng, spawn
 from repro.cpu.microarch import PDNParams, ThermalParams, microarch_for
 from repro.cpu.pdn import PDNModel
@@ -19,6 +17,8 @@ from repro.cpu.pipeline import PipelineSimulator
 from repro.cpu.power import value_toggle_activity
 from repro.cpu.thermal import ThermalModel
 from repro.isa import ArmAssembler, arm_library
+from repro.search.operators import (mutate, one_point_crossover,
+                                    tournament_select, uniform_crossover)
 
 LIB = arm_library()
 ASM = ArmAssembler()

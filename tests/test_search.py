@@ -30,8 +30,7 @@ from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.evaluation import ProcessPoolBackend, SerialBackend
 from repro.fitness import DefaultFitness
 from repro.measurement import PowerMeasurement
-from repro.search import (CROSSOVER_OPERATORS, MUTATION_OPERATORS,
-                          REPLACEMENT_POLICIES, SELECTION_OPERATORS,
+from repro.search import (CROSSOVER_OPERATORS, SELECTION_OPERATORS,
                           STRATEGIES, SearchStrategy, make_strategy)
 from repro.search.operators import rank_select, roulette_select
 from repro.search.registry import Registry, suggest
@@ -139,9 +138,6 @@ class TestRegistry:
         assert SELECTION_OPERATORS.names() == ("tournament", "roulette",
                                                "rank")
         assert CROSSOVER_OPERATORS.names() == ("one_point", "uniform")
-        assert MUTATION_OPERATORS.names() == ("default", "operand_only",
-                                              "instruction_only")
-        assert REPLACEMENT_POLICIES.names() == ("elitist", "generational")
         assert STRATEGIES.names() == ALL_STRATEGIES
 
 
@@ -247,8 +243,9 @@ class TestStrategyParams:
 
     def test_unknown_parameter_lists_valid_names(self):
         with pytest.raises(ConfigError, match="valid parameters: "
-                                              "mutation"):
-            make_strategy("hill_climb", {"bogus": "1"})
+                                              "initial_temperature, "
+                                              "cooling, min_temperature"):
+            make_strategy("simulated_annealing", {"bogus": "1"})
 
     def test_parameterless_strategy_says_none(self):
         with pytest.raises(ConfigError, match=r"valid parameters: "
@@ -270,18 +267,12 @@ class TestStrategyParams:
         strategy = make_strategy("simulated_annealing")
         assert strategy.params["initial_temperature"] == 1.0
         assert strategy.params["cooling"] == pytest.approx(0.95)
-        assert strategy.params["mutation"] == "default"
+        assert strategy.params["min_temperature"] == pytest.approx(1e-3)
 
     def test_string_params_are_parsed(self):
         strategy = make_strategy("simulated_annealing",
                                  {"initial_temperature": "2.5"})
         assert strategy.params["initial_temperature"] == 2.5
-
-    def test_genetic_operator_params_resolved_at_bind(self, tiny_config):
-        strategy = make_strategy("genetic", {"selection": "bogus"})
-        with pytest.raises(ConfigError, match="tournament, roulette, "
-                                              "rank"):
-            strategy.bind(tiny_config, make_rng(1), lambda: 0)
 
     def test_unbound_strategy_cannot_allocate_uids(self):
         with pytest.raises(ConfigError, match="not bound"):
@@ -795,14 +786,14 @@ class TestSearchConfigBlock:
     def test_round_trip_through_xml(self, tmp_path, tiny_library,
                                     tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="hill_climb",
-                         params={"mutation": "operand_only"})
+                         strategy="simulated_annealing",
+                         params={"cooling": "0.9"})
         xml = config_to_xml(config, template_filename="template.s",
                             results_dir="results")
         (tmp_path / "template.s").write_text(config.template_text)
         reparsed = parse_config_text(xml, base_dir=tmp_path)
-        assert reparsed.search.strategy == "hill_climb"
-        assert reparsed.search.params == {"mutation": "operand_only"}
+        assert reparsed.search.strategy == "simulated_annealing"
+        assert reparsed.search.params == {"cooling": "0.9"}
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +858,36 @@ class TestLintSearch:
         assert "did you mean 'simulated_annealing'?" in \
             diagnostics[0].message
 
-    def test_unknown_param_operator_is_sc209(self, tiny_library,
-                                             tiny_template):
-        config = _config(tiny_library, tiny_template)
-        config.search = SearchParameters(
-            strategy="hill_climb", params={"mutation": "operand_onl"})
-        codes = [d.code for d in lint_search(config)]
-        assert "SC209" in codes
+    # GA operators are named only in the <ga> block: a <search>
+    # parameter that re-spells one is refused like any other unknown
+    # strategy parameter.
+    @pytest.mark.parametrize("strategy,param,value,valid", [
+        ("genetic", "selection", "rank", "(none)"),
+        ("genetic", "crossover", "uniform", "(none)"),
+        ("genetic", "mutation", "operand_only", "(none)"),
+        ("genetic", "replacement", "generational", "(none)"),
+        ("hill_climb", "mutation", "operand_only", "(none)"),
+        ("simulated_annealing", "mutation", "instruction_only",
+         "initial_temperature, cooling, min_temperature"),
+    ], ids=["genetic-selection", "genetic-crossover", "genetic-mutation",
+            "genetic-replacement", "hill_climb-mutation",
+            "simulated_annealing-mutation"])
+    def test_operator_param_on_search_is_sc210(
+            self, tmp_path, tiny_library, tiny_template, strategy, param,
+            value, valid):
+        xml = _minimal_xml(
+            tmp_path,
+            extra=f'<search strategy="{strategy}" {param}="{value}"/>')
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(xml, base_dir=tmp_path)
+        assert excinfo.value.diagnostic_code == "SC210"
+
+        config = _config(tiny_library, tiny_template, strategy=strategy,
+                         params={param: value})
+        diagnostics = lint_config(config)
+        assert [d.code for d in diagnostics] == ["SC210"]
+        assert f"parameter(s) {param}; valid parameters: {valid}" in \
+            diagnostics[0].message
 
     def test_invalid_param_value_is_sc210(self, tiny_library,
                                           tiny_template):

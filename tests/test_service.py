@@ -113,6 +113,33 @@ class TestOrchestrator:
             assert row.status == "failed"
             assert "no_such_chip" in row.error
 
+    def test_failed_run_keeps_cache_activity(self, bundle, tmp_path,
+                                             monkeypatch):
+        """A run that fails mid-search still flushes the hit/miss
+        counts of the cache lookups it made."""
+        from repro.measurement.ipc import IPCMeasurement
+        measure = IPCMeasurement.measure
+        calls = []
+
+        def fail_after_eight(self, source_text, individual):
+            calls.append(individual.uid)
+            if len(calls) > 8:
+                return []
+            return measure(self, source_text, individual)
+
+        monkeypatch.setattr(IPCMeasurement, "measure", fail_after_eight)
+        store_path = tmp_path / "gest.sqlite"
+        run_id = _submit(store_path, bundle)
+        with RunStore(store_path) as store:
+            store.claim_next()
+        assert execute_run(store_path, run_id) == "failed"
+        with RunStore(store_path) as store:
+            entries = store.connection().execute(
+                "SELECT COUNT(*) FROM cache_entries").fetchone()[0]
+            hits, misses = store.cache_activity(run_id)
+        assert entries == 8
+        assert (hits, misses) == (1, 11)
+
     def test_failure_does_not_block_other_runs(self, bundle, direct_best,
                                                tmp_path):
         store_path = tmp_path / "gest.sqlite"
