@@ -6,8 +6,11 @@ wall-clock for the serial loop, :class:`BatchedBackend`, and a
 across three regimes of one 64-individual generation:
 
 * steady-state detection on, single measurement (the cheapest serial
-  case — batched wins only on assembly splicing and array execution);
-* detection off (full cycle-by-cycle simulation), single measurement;
+  case — with detection on the batched path schedules each row through
+  the serial pipeline too, so it wins there only on assembly
+  splicing);
+* detection off (full cycle-by-cycle simulation, which the batched
+  path schedules in lockstep), single measurement;
 * detection off with ``repeats=3`` noise-averaged measurements — the
   paper's repeated-measurement methodology, and the regime the batched
   path is built for: the serial loop re-runs the whole deterministic

@@ -8,10 +8,10 @@ stacked along a population axis and executed as a handful of NumPy
 operations per cycle instead of a Python loop per individual per cycle.
 
 This module implements that lockstep scheduler.  The contract is
-**bit-identical observables**: every per-individual quantity the serial
-path exposes (expanded issue counts, occupancy, totals, and everything
-the power/PDN stages derive from them) is reproduced exactly, enforced
-by the golden suite in ``tests/test_batched_golden.py``.
+**bit-identical traces**: each row's trace equals the serial full
+simulation's (issue lists, occupancy, totals, and everything the
+power/PDN stages derive from them), enforced by the golden suite in
+``tests/test_batched_golden.py``.
 
 Why the lockstep step can be exact
 ----------------------------------
@@ -54,27 +54,13 @@ Why the lockstep step can be exact
   re-initialised to "not issued" at fetch.  The ring is grown (rarely)
   if a pathological stall makes the window span approach ``R``.
 
-Steady-state recurrence is detected per individual with the serial
-snapshot cadence (on fetch wrap, sampling interval doubling every 16
-snapshots).  The key is a different — but equally canonical —
-relativisation of the scheduler state: fetch phase, window contents
-relative to the fetch head, completion deltas for exactly the ids a
-future cycle can still observe (the window span plus one loop length
-behind the head — older ids are unreachable, and including them would
-both miss recurrences against stale ring slots and over-strictly
-compare completions nothing can read), port busy counts and the rolled
-release ring.  Equal keys therefore guarantee a true recurrence of the
-lockstep state machine.  Any true recurrence yields bit-identical
-*expanded* observables (``ExecutionTrace.expand`` copies values and
-totals are derived analytically), so the detected (prefix, period) pair
-need not match the serial one — the goldens compare expanded forms,
-which do match bitwise.
-
-Individuals leave the lockstep set as soon as they recur (or reach
-``max_cycles``); the state arrays are compacted so stragglers do not
-pay for finished rows.  Memory hierarchies are *not* supported here —
-address-dependent latencies break the static-offset argument — and
-callers fall back to the serial simulator in that case.
+The lockstep scheduler always simulates all ``max_cycles`` cycles: it
+serves only machines with steady-state detection off and no memory
+hierarchy, the full-simulation validation setting.  With detection on,
+:meth:`~repro.cpu.machine.BatchedMachine.run_batch` schedules each row
+with :meth:`PipelineSimulator.execute`, so one detector decides every
+tiled kernel.  Memory hierarchies are *not* supported here either —
+address-dependent latencies break the static-offset argument.
 """
 
 from __future__ import annotations
@@ -96,11 +82,6 @@ _NOT_ISSUED = np.int32(2 ** 30)
 #: Padding offset for absent sources: ``dyn - _PAD_OFF`` is always
 #: negative, which is exactly the "no dependence" condition.
 _PAD_OFF = 2 ** 29
-#: Stragglers are handed to the serial simulator once fewer than
-#: ``population / _EJECT_DIVISOR`` rows remain active (tuned on the
-#: evaluation benchmark; the re-run restarts from cycle zero, so a low
-#: threshold quickly loses what the lockstep pass already paid for).
-_EJECT_DIVISOR = 32
 
 
 class _ProgramTables:
@@ -168,15 +149,14 @@ def _pow2_at_least(value: int) -> int:
 
 
 def simulate_population(programs: Sequence[Program], arch: MicroArch,
-                        max_cycles: int,
-                        detect_steady_state: bool = True
-                        ) -> List[ExecutionTrace]:
+                        max_cycles: int) -> List[ExecutionTrace]:
     """Execute every program's loop for ``max_cycles`` cycles, lockstep.
 
     Returns one :class:`ExecutionTrace` per program, in input order,
-    with observables bit-identical to
-    ``PipelineSimulator(arch).execute(program, max_cycles)`` (no memory
-    hierarchy; see the module docstring).
+    equal to the full simulation
+    ``PipelineSimulator(arch, detect_steady_state=False).execute(
+    program, max_cycles)`` (no memory hierarchy; see the module
+    docstring).
     """
     arch.validate()
     if max_cycles < 1:
@@ -252,165 +232,80 @@ def simulate_population(programs: Sequence[Program], arch: MicroArch,
     ring_size = max(ring_size, 64)
     release_depth = max(_pow2_at_least(intv_max + 2), 32)
 
-    # Per-individual (global-row) output buffers.  Rows are removed
-    # from the lockstep set the moment they finish, so buffer lengths
-    # never exceed the recorded simulated-cycle counts.
+    # Per-individual output buffers.
     issue_buf = np.zeros((population, window + max_cycles * width),
                          np.int16)
     issue_len = np.zeros(population, np.int64)
     count_buf = np.zeros((population, max_cycles), np.int16)
-    res_prefix = np.zeros(population, np.int64)
-    res_period = np.zeros(population, np.int64)
-    res_cycles = np.full(population, max_cycles, np.int64)
 
-    # Recurrence bookkeeping.  Wrap counting and snapshot-cadence
-    # filtering are vectorised; only rows actually due for a snapshot
-    # pay Python-level key construction.
-    seen_states: List[dict] = [dict() for _ in range(population)]
-    wrap_count = np.zeros(population, np.int64)
-    snapshot_interval = np.ones(population, np.int64)
-    snapshots_at_interval = np.zeros(population, np.int64)
-
-    # Lockstep state over the active rows (always the leading slice of
-    # each array; ``act`` maps active row → global row).  The window is
-    # one int32 matrix of dynamic ids in fetch order — slots, ports and
-    # sources are recomputed from it each cycle via the static tables.
-    act = np.arange(population)
+    # Lockstep state.  The window is one matrix of dynamic ids in fetch
+    # order — slots, ports and sources are recomputed from it each
+    # cycle via the static tables.
     w_dyn = np.zeros((population, window), id_dtype)
     ring = np.full((population, ring_size), not_issued, id_dtype)
     busy = np.zeros((population, n_ports), np.int32)
     release = np.zeros((population, n_ports, release_depth), np.int16)
     next_dyn = np.zeros(population, np.int32)
-    phase = np.zeros(population, np.int32)
     survivors = np.zeros(population, np.int32)
-    wrapped = np.zeros(population, bool)
 
-    ring_ages = np.arange(ring_size, dtype=np.int32)[None, :]
-    detect = bool(detect_steady_state)
-    loop_act = loop_lens.copy()
     #: Sentinel above every live dynamic id: issued entries are bumped
     #: to it so an in-place sort compacts survivors (ids are strictly
     #: increasing in fetch order, so sorting IS the stable compaction).
     dyn_max = id_dtype(2 ** 14 + 2 ** 13 if small_ids else 2 ** 30 + 1)
-    #: Once the active set is this small, vectorised per-cycle overhead
-    #: exceeds the cost of simply re-running the stragglers through the
-    #: serial simulator (whose traces are bit-identical by the same
-    #: arguments this module rests on).  The serial re-run starts from
-    #: cycle zero, so the threshold is deliberately conservative.
-    eject_below = max(2, population // _EJECT_DIVISOR)
 
     take = np.take
-    rows01 = gbase = rbase = pbase = ring_flat = None
-    n_cached = -1
+    rows = np.arange(population)
+    gbase = (rows * loop_max)[:, None]
+    rbase = (rows * ring_size)[:, None]
+    pbase = (rows * n_ports)[:, None]
+    ring_flat = ring.reshape(-1)
 
-    cycle = 0
-    ejected: Dict[int, ExecutionTrace] = {}
-    while cycle < max_cycles and len(act):
-        n_active = len(act)
-
-        # ---- straggler ejection: once only a handful of rows remain,
-        # the fixed cost of vector dispatch per cycle exceeds the serial
-        # simulator's per-row cost; hand the rest over (bit-identical by
-        # the equivalence arguments in the module docstring) ------------
-        if n_active <= eject_below and n_active < population:
-            break
-
+    for cycle in range(max_cycles):
         # ---- free units whose initiation interval elapsed ------------
         due = cycle & (release_depth - 1)
-        busy[:n_active] -= release[:n_active, :, due]
-        release[:n_active, :, due] = 0
-
-        # ---- steady-state check (before this cycle's fetch) ----------
-        if detect:
-            wrapped_rows = np.nonzero(wrapped[:n_active])[0]
-            finished = None
-            if len(wrapped_rows):
-                wrapped[:n_active] = False
-                wg = act[wrapped_rows]
-                wrap_count[wg] += 1
-                due_rows = wrapped_rows[
-                    wrap_count[wg] % snapshot_interval[wg] == 0]
-                if len(due_rows):
-                    finished = _check_recurrence(
-                        due_rows, act, w_dyn, ring, busy, release,
-                        next_dyn, phase, survivors, loop_act, cycle,
-                        ring_size, release_depth, not_issued,
-                        seen_states, snapshot_interval,
-                        snapshots_at_interval, res_prefix,
-                        res_period, res_cycles)
-            if finished:
-                keep = np.ones(n_active, bool)
-                keep[finished] = False
-                kept = int(keep.sum())
-                for state in (w_dyn, ring, busy, next_dyn, phase,
-                              survivors, loop_act, act):
-                    state[:kept] = state[:n_active][keep]
-                release[:kept] = release[:n_active][keep]
-                act = act[:kept]
-                if not kept:
-                    break
-                n_active = kept
-
-        a_dyn = w_dyn[:n_active]
-        a_busy = busy[:n_active]
-        a_next = next_dyn[:n_active]
-        a_phase = phase[:n_active]
-        a_surv = survivors[:n_active]
-        a_loop = loop_act[:n_active]
+        busy -= release[:, :, due]
+        release[:, :, due] = 0
 
         # ---- guard: grow the completion ring if the window span plus
         # the dependency horizon approaches its capacity --------------
-        span = int((a_next - a_dyn[:, 0]).max()) if cycle else 0
+        span = int((next_dyn - w_dyn[:, 0]).max()) if cycle else 0
         if span + loop_max + lat_max + window >= ring_size:
             new_size = ring_size * 2
             grown = np.full((population, new_size), not_issued, id_dtype)
-            r01 = np.arange(n_active)[:, None]
-            old_ids = (a_next[:, None] - ring_size) + ring_ages
-            grown[r01, old_ids & (new_size - 1)] = \
-                ring[:n_active][r01, old_ids & (ring_size - 1)]
+            old_ids = (next_dyn[:, None] - ring_size) \
+                + np.arange(ring_size, dtype=np.int32)[None, :]
+            grown[rows[:, None], old_ids & (new_size - 1)] = \
+                ring[rows[:, None], old_ids & (ring_size - 1)]
             ring = grown
             ring_size = new_size
-            ring_ages = np.arange(ring_size, dtype=np.int32)[None, :]
-            n_cached = -1
-
-        # ---- hoisted flat-index bases, recomputed only when the
-        # active set or the ring geometry changes ----------------------
-        if n_active != n_cached:
-            rows01 = np.arange(n_active)
-            gbase = (act * loop_max)[:, None]
-            rbase = (rows01 * ring_size)[:, None]
-            pbase = (rows01 * n_ports)[:, None]
-            ring_flat = ring[:n_active].reshape(-1)
-            n_cached = n_active
+            rbase = (rows * ring_size)[:, None]
+            ring_flat = ring.reshape(-1)
         mask = ring_size - 1
 
         # ---- fetch: refill every window to exactly W entries ---------
-        n_new = window - a_surv
+        n_new = window - survivors
         total = int(n_new.sum())
         if total:
-            rows_rep = np.repeat(rows01, n_new)
+            rows_rep = np.repeat(rows, n_new)
             starts = np.cumsum(n_new) - n_new
             offs = np.arange(total, dtype=np.int32) - starts[rows_rep]
-            new_dyn = a_next[rows_rep] + offs
-            a_dyn[rows_rep, a_surv[rows_rep] + offs] = new_dyn
+            new_dyn = next_dyn[rows_rep] + offs
+            w_dyn[rows_rep, survivors[rows_rep] + offs] = new_dyn
             ring_flat[rows_rep * ring_size + (new_dyn & mask)] = \
                 not_issued
-            advanced = a_phase + n_new
-            wrapped[:n_active] = advanced >= a_loop
-            a_phase[:] = advanced % a_loop
-            a_next += n_new
+            next_dyn += n_new
 
         # ---- rebuild window facts from the dynamic ids ---------------
-        slot = a_dyn % a_loop[:, None]
+        slot = w_dyn % loop_lens[:, None]
         base2 = gbase + slot
         port = take(port_flat, base2)
 
         # ---- readiness: all sources complete by this cycle -----------
-        src = a_dyn - take(back_flats[0], base2)
+        src = w_dyn - take(back_flats[0], base2)
         done = take(ring_flat, rbase + (src & mask))
         blocked = (src >= 0) & (done > cycle)
         for k in range(1, n_src):
-            src = a_dyn - take(back_flats[k], base2)
+            src = w_dyn - take(back_flats[k], base2)
             done = take(ring_flat, rbase + (src & mask))
             blocked |= (src >= 0) & (done > cycle)
         ready = ~blocked
@@ -418,7 +313,7 @@ def simulate_population(programs: Sequence[Program], arch: MicroArch,
         # ---- issue selection (see module docstring for the proof) ----
         rank_packed = np.cumsum(take(pow_flat, base2) * ready, axis=1)
         port_rank = (rank_packed >> take(shift_flat, base2)) & 0xFF
-        avail = units[None, :] - a_busy
+        avail = units[None, :] - busy
         avail_here = take(avail.reshape(-1), pbase + port)
         selected = ready & (port_rank <= avail_here)
         sel_rank = np.cumsum(selected, axis=1, dtype=np.int32)
@@ -428,9 +323,8 @@ def simulate_population(programs: Sequence[Program], arch: MicroArch,
 
         # ---- apply issues --------------------------------------------
         rows_i, cols_i = np.nonzero(issued)
-        glob_i = act[rows_i]
         base_i = base2[rows_i, cols_i]
-        dyn_i = a_dyn[rows_i, cols_i]
+        dyn_i = w_dyn[rows_i, cols_i]
         lat_i = lat_flat[base_i]
         intv_i = intv_flat[base_i]
         ring_flat[rows_i * ring_size + (dyn_i & mask)] = cycle + lat_i
@@ -442,109 +336,35 @@ def simulate_population(programs: Sequence[Program], arch: MicroArch,
         if len(long_ix):
             rows_l = rows_i[long_ix]
             ports_l = port[rows_l, cols_i[long_ix]]
-            a_busy += np.bincount(rows_l * n_ports + ports_l,
-                                  minlength=n_active * n_ports) \
-                .reshape(n_active, n_ports).astype(np.int32)
+            busy += np.bincount(rows_l * n_ports + ports_l,
+                                minlength=population * n_ports) \
+                .reshape(population, n_ports).astype(np.int32)
             np.add.at(
-                release[:n_active],
+                release,
                 (rows_l, ports_l,
                  (cycle + intv_i[long_ix]) & (release_depth - 1)),
                 1)
-        issue_buf[glob_i, issue_len[glob_i]
+        issue_buf[rows_i, issue_len[rows_i]
                   + (sel_rank[rows_i, cols_i] - 1)] = \
             slot[rows_i, cols_i].astype(np.int64)
         per_row = issued.sum(axis=1, dtype=np.int32)
-        count_buf[act, cycle] = per_row
-        issue_len[act] += per_row
+        count_buf[:, cycle] = per_row
+        issue_len += per_row
 
         # ---- compact: bump issued ids past every live id, then an
         # in-place sort IS the stable compaction (ids are strictly
         # increasing along each row in fetch order) --------------------
-        np.copyto(a_dyn, dyn_max, where=issued)
-        a_dyn.sort(axis=1)
-        a_surv[:] = window - per_row
-        cycle += 1
-
-    # ---- straggler rows: re-run serially from scratch ----------------
-    if len(act) and cycle < max_cycles:
-        serial = PipelineSimulator(arch)
-        for g in act:
-            ejected[int(g)] = serial.execute(
-                programs[int(g)], max_cycles, detect_steady_state=detect)
+        np.copyto(w_dyn, dyn_max, where=issued)
+        w_dyn.sort(axis=1)
+        survivors[:] = window - per_row
 
     # ---- materialise one trace per individual ------------------------
     traces: List[ExecutionTrace] = []
-    for g, t in enumerate(tables):
-        done_trace = ejected.get(g)
-        if done_trace is not None:
-            traces.append(done_trace)
-            continue
-        sim = int(res_cycles[g])
-        counts = count_buf[g, :sim].astype(np.int64)
-        offsets = np.zeros(sim + 1, np.int64)
-        np.cumsum(counts, out=offsets[1:])
+    for row, t in enumerate(tables):
+        offsets = np.zeros(max_cycles + 1, np.int64)
+        np.cumsum(count_buf[row].astype(np.int64), out=offsets[1:])
         traces.append(PipelineSimulator._build_trace(
-            t.groups, t.loop_len, max_cycles,
-            int(res_prefix[g]), int(res_period[g]),
-            issue_buf[g, :int(issue_len[g])].astype(np.int32),
-            offsets, np.full(sim, window, np.int32), None, None))
+            t.groups, t.loop_len, max_cycles, 0, 0,
+            issue_buf[row, :int(issue_len[row])].astype(np.int32),
+            offsets, np.full(max_cycles, window, np.int32), None, None))
     return traces
-
-
-def _check_recurrence(due_rows, act, w_dyn, ring, busy, release,
-                      next_dyn, phase, survivors, loop_act, cycle,
-                      ring_size, release_depth, not_issued, seen_states,
-                      snapshot_interval, snapshots_at_interval,
-                      res_prefix, res_period, res_cycles):
-    """Snapshot the scheduler state of ``due_rows`` and record any
-    recurrence.  Returns the active-row indices that just finished.
-
-    The canonical key is built vectorised for all due rows at once;
-    only the final ``tobytes`` + dict probe run per row.  Completion
-    deltas cover exactly the reachable horizon (window span plus one
-    loop length behind the fetch head): older ids can never be read by
-    a future cycle, and early in a run their ring slots still hold
-    initialisation values — including them would both miss genuine
-    recurrences and over-strictly compare dead completions.
-    """
-    rows = np.asarray(due_rows)
-    heads = next_dyn[rows]
-    # Ring statuses in oldest→newest id order: entry j is id
-    # ``head - ring_size + j``.
-    ages = np.arange(ring_size, dtype=np.int32)[None, :]
-    rolled = ring[rows[:, None], (heads[:, None] + ages) & (ring_size - 1)]
-    deltas = np.where(rolled == not_issued, np.int32(-1),
-                      np.maximum(rolled - np.int32(cycle), np.int32(0)))
-    spin = (np.int32(cycle) + np.arange(release_depth, dtype=np.int32)) \
-        & (release_depth - 1)
-    pending = release[rows][:, :, spin]
-    keep_counts = survivors[rows]
-    cols = np.arange(w_dyn.shape[1], dtype=np.int32)[None, :]
-    live = cols < keep_counts[:, None]
-    rel_ids = np.where(live, w_dyn[rows] - heads[:, None], np.int32(0))
-    rel_slot = np.where(live, w_dyn[rows] % loop_act[rows][:, None],
-                        np.int32(0))
-    finished: List[int] = []
-    for i, row in enumerate(due_rows):
-        g = int(act[row])
-        keep = int(keep_counts[i])
-        oldest = int(w_dyn[row, 0]) if keep else int(heads[i])
-        horizon = min(int(heads[i]) - oldest + int(loop_act[row]),
-                      ring_size)
-        key = (int(phase[row]), keep,
-               rel_ids[i].tobytes(), rel_slot[i].tobytes(),
-               deltas[i, ring_size - horizon:].tobytes(),
-               busy[row].tobytes(), pending[i].tobytes())
-        earlier = seen_states[g].get(key)
-        if earlier is not None:
-            res_prefix[g] = earlier
-            res_period[g] = cycle - earlier
-            res_cycles[g] = cycle
-            finished.append(row)
-            continue
-        seen_states[g][key] = cycle
-        snapshots_at_interval[g] += 1
-        if snapshots_at_interval[g] >= 16:
-            snapshots_at_interval[g] = 0
-            snapshot_interval[g] *= 2
-    return finished

@@ -445,8 +445,12 @@ class BatchedMachine:
     """Population-batched execution path over a :class:`SimulatedMachine`.
 
     :meth:`run_batch` evaluates a whole generation's programs in one
-    call.  Only the scheduling is batched: the pipeline model runs as a
-    lockstep array simulation
+    call.  With steady-state detection on, each program is scheduled by
+    the machine's own :class:`~repro.cpu.pipeline.PipelineSimulator`,
+    so its trace — tiled kernel included — is exactly the one
+    :meth:`SimulatedMachine.run` sees.  With detection off (the
+    full-simulation validation setting) and no memory hierarchy, the
+    whole population is scheduled as one lockstep array simulation
     (:func:`repro.cpu.batch.simulate_population`).  Energy, power, the
     PDN solve and the noise draws then run per program through the
     same code as :meth:`SimulatedMachine.run`, so every observable is
@@ -462,10 +466,9 @@ class BatchedMachine:
     of re-running the simulator.
 
     Machines with a :class:`~repro.cpu.cache.MemoryHierarchy` attached
-    schedule each program with the serial pipeline instead (the
-    lockstep scheduler models core-private execution only); the call
-    still returns the same results and still replays only the noise
-    per repeat.
+    always schedule each program with the serial pipeline (the
+    lockstep scheduler models core-private execution only) and still
+    replay only the noise per repeat.
     """
 
     def __init__(self, machine: SimulatedMachine) -> None:
@@ -490,10 +493,9 @@ class BatchedMachine:
         if not programs:
             return []
 
-        if machine.hierarchy is None:
+        if machine.hierarchy is None and not machine.steady_state_detection:
             traces = simulate_population(
-                programs, machine.arch, max_cycles=machine.sim_cycles,
-                detect_steady_state=machine.steady_state_detection)
+                programs, machine.arch, max_cycles=machine.sim_cycles)
         else:
             traces = [machine.pipeline.execute(
                 program, max_cycles=machine.sim_cycles,

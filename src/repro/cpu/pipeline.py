@@ -251,8 +251,7 @@ class PipelineSimulator:
     MEMORY_REGION_BYTES = 16 * 1024 * 1024
 
     def execute(self, program: Program, max_cycles: int = 1600,
-                hierarchy: Optional[MemoryHierarchy] = None,
-                detect_steady_state: Optional[bool] = None
+                hierarchy: Optional[MemoryHierarchy] = None
                 ) -> ExecutionTrace:
         """Run the program's loop for exactly ``max_cycles`` cycles.
 
@@ -263,9 +262,9 @@ class PipelineSimulator:
         addresses (tracked base-register values plus offsets, wrapped
         over a large working-set region) and see hit/miss latencies and
         miss energies; without one, every access is the flat L1 hit the
-        stock experiments assume.  ``detect_steady_state`` overrides
-        the simulator-level default; hierarchies always force a full
-        simulation (see the module docstring).
+        stock experiments assume.  Steady-state detection follows the
+        simulator's ``detect_steady_state`` setting; hierarchies always
+        force a full simulation (see the module docstring).
         """
         if not program.loop:
             raise SimulationError(
@@ -273,12 +272,10 @@ class PipelineSimulator:
         if max_cycles < 1:
             raise SimulationError("max_cycles must be >= 1")
 
-        detect = self.detect_steady_state if detect_steady_state is None \
-            else detect_steady_state
-        if hierarchy is not None:
-            # Absolute striding addresses + cache array contents are part
-            # of the machine state; scheduler recurrence proves nothing.
-            detect = False
+        # With a hierarchy, absolute striding addresses + cache array
+        # contents are part of the machine state; scheduler recurrence
+        # proves nothing.
+        detect = self.detect_steady_state and hierarchy is None
 
         arch = self.arch
         slots = [_StaticSlot(i, instr, arch)
@@ -550,23 +547,6 @@ class PipelineSimulator:
                 reg_values.pop(reg, None)
 
     # -- convenience -------------------------------------------------------
-
-    def detect_period(self, program: Program,
-                      max_cycles: int = 1600
-                      ) -> Optional[Tuple[int, int]]:
-        """Probe the steady-state kernel of ``program``.
-
-        Returns ``(prefix_cycles, period_cycles)`` when the scheduler
-        state recurs within ``max_cycles`` cycles, else None.  Cheap by
-        construction — simulation stops at the first recurrence — so
-        screening and analysis code can reuse the detected period
-        without paying for a full run.
-        """
-        trace = self.execute(program, max_cycles=max_cycles,
-                             detect_steady_state=True)
-        if not trace.period_cycles:
-            return None
-        return (trace.prefix_cycles, trace.period_cycles)
 
     def steady_state_ipc(self, program: Program,
                          max_cycles: int = 1600,

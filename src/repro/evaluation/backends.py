@@ -13,9 +13,8 @@ bit-identical checkpoints, populations and run histories.
   process against the live plug-in objects, sharing their state (screen
   counters, call counters in test doubles).
 
-* :class:`BatchedBackend` — evaluates the generation as one lockstep
-  batch through the pipeline's own screen, compile-failure and score
-  stages.
+* :class:`BatchedBackend` — evaluates the generation as one batch
+  through the pipeline's own screen, compile-failure and score stages.
 
 * :class:`ProcessPoolBackend` — fans the generation out over N forked
   worker processes, one contiguous slice each, evaluated there by a
@@ -142,9 +141,10 @@ class BatchedBackend(ExecutorBackend):
     :class:`~repro.isa.splice.TemplateSplicer` (template scaffolding
     assembled once, only loop bodies re-decoded), and all programs then
     execute as a single :class:`~repro.cpu.machine.BatchedMachine` pass
-    — lockstep pipeline scheduling, then per-program energy, power and
-    PDN through the serial code.  Per-individual noise substreams are
-    replayed afterwards in job order.  The screen-failure,
+    — scheduling (per program with steady-state detection on, lockstep
+    with it off), then per-program energy, power and PDN through the
+    serial code.  Per-individual noise substreams are replayed
+    afterwards in job order.  The screen-failure,
     compile-failure and score results come from the pipeline's own
     stage methods, so every observable is bit-identical to
     :class:`SerialBackend`.
@@ -347,11 +347,11 @@ class ProcessPoolBackend(ExecutorBackend):
 #: ``_POOL_MIN_CYCLE_WORK`` job·cycles of simulation and every worker
 #: still receives at least ``_POOL_MIN_SLICE`` jobs.  Below that, the
 #: in-process batch takes only repeated measurements of at least
-#: ``_BATCH_MIN_JOBS`` jobs, where it beat the serial loop on every
-#: measured platform but in-order cortex_a7 below about 12 jobs.  At
-#: one repeat it lost up to 20 jobs and won at 64 only on some
-#: platforms (stock ``sim_cycles=1600``, 2-core host;
-#: docs/PERFORMANCE.md).
+#: ``_BATCH_MIN_JOBS`` jobs; at 3 repeats it beat the serial loop on
+#: every measured platform from 4 jobs.  At one repeat its medians ran
+#: 0.79-1.10x serial from 8 to 64 jobs but it won only some seeds, so
+#: single-repeat generations stay serial (stock ``sim_cycles=1600``,
+#: 2-core host; docs/PERFORMANCE.md).
 _BATCH_MIN_JOBS = 8
 _POOL_MIN_SLICE = 8
 _POOL_MIN_CYCLE_WORK = 64 * 600

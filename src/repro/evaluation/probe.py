@@ -4,9 +4,10 @@ Static features (:mod:`repro.staticcheck.costmodel`) bound what a
 candidate *could* do; a short simulated run shows what it actually
 does.  :class:`ShortProbe` runs a whole offspring pool for a small
 cycle budget (~1.6k cycles by default — a fraction of a full
-measurement's budget) through
-:meth:`~repro.cpu.machine.BatchedMachine.run_batch`, so the entire
-generation is scheduled in one lockstep pass.
+measurement's budget) through one
+:meth:`~repro.cpu.machine.BatchedMachine.run_batch` call.  The probe
+machine keeps steady-state detection on, so that call schedules each
+program with the machine's own pipeline, stopping at its tiled kernel.
 
 Determinism: the probe machine is private (fixed seed, bare-metal
 environment) and every program's noise stream is keyed by its rendered

@@ -3,12 +3,15 @@
 The batched pipeline (:class:`repro.cpu.machine.BatchedMachine`,
 :class:`repro.evaluation.backends.BatchedBackend`) promises *bitwise*
 identical per-individual observables to the serial path — not merely
-statistically equivalent.  These tests enforce that promise across
-microarchitecture presets (in-order and out-of-order), steady-state
-detection on and off, cache-modelled machines (which the batched path
-schedules serially), repeated measurements, noisy environments,
-and ragged generations where screen failures and evaluation-cache hits
-interleave with the batch.
+statistically equivalent — and the very same trace, tiled kernel
+included: with steady-state detection on it schedules each row through
+the machine's own pipeline, and only with detection off does it run
+the lockstep scheduler.  These tests enforce that promise and that
+routing across microarchitecture presets (in-order and out-of-order),
+steady-state detection on and off, cache-modelled machines (which the
+batched path schedules serially), repeated measurements, noisy
+environments, and ragged generations where screen failures and
+evaluation-cache hits interleave with the batch.
 """
 
 import random
@@ -68,6 +71,9 @@ def _assert_run_results_equal(serial, batched):
     assert serial.voltage.warmup_samples == batched.voltage.warmup_samples
     assert serial.crashed == batched.crashed
     assert serial.noc_power_w == batched.noc_power_w
+    assert serial.trace.prefix_cycles == batched.trace.prefix_cycles
+    assert serial.trace.period_cycles == batched.trace.period_cycles
+    assert serial.trace.simulated_cycles == batched.trace.simulated_cycles
 
 
 class TestBatchedMachineGoldens:
@@ -92,6 +98,32 @@ class TestBatchedMachineGoldens:
         for reference, rounds in zip(serial, batched):
             assert len(rounds) == 1
             _assert_run_results_equal(reference, rounds[0])
+
+    @pytest.mark.parametrize("detection", [True, False],
+                             ids=["detect", "full-sim"])
+    def test_lockstep_serves_only_detection_off(self, config, monkeypatch,
+                                                detection):
+        """One steady-state detector: with detection on every row is
+        scheduled by ``machine.pipeline``; the lockstep scheduler runs
+        once over the whole batch only when detection is off."""
+        import repro.cpu.machine as machine_module
+        calls = []
+        lockstep = machine_module.simulate_population
+
+        def recorder(programs, *args, **kwargs):
+            calls.append(list(programs))
+            return lockstep(programs, *args, **kwargs)
+        monkeypatch.setattr(machine_module, "simulate_population", recorder)
+        machine = SimulatedMachine("cortex_a15", sim_cycles=400,
+                                   steady_state_detection=detection)
+        programs = _programs(machine, config, 6)
+        BatchedMachine(machine).run_batch(programs, duration_s=1.0,
+                                          power_sample_count=3)
+        if detection:
+            assert calls == []
+        else:
+            assert len(calls) == 1
+            assert calls[0] == programs
 
     def test_noisy_environment_and_repeats(self, config):
         machine = SimulatedMachine("cortex_a15", sim_cycles=400,

@@ -238,18 +238,6 @@ class TestMachineEquivalence:
         assert shifted.pipeline.detect_steady_state is False
 
 
-class TestDetectPeriodHelper:
-    def test_detect_period_returns_kernel(self):
-        machine = SimulatedMachine("cortex_a15", seed=0)
-        program = machine.compile(ARM_LOOP)
-        kernel = machine.pipeline.detect_period(program)
-        assert kernel is not None
-        prefix, period = kernel
-        trace = machine.pipeline.execute(program, 1600)
-        assert (prefix, period) == (trace.prefix_cycles,
-                                    trace.period_cycles)
-
-
 class TestCompileCache:
     def test_identical_sources_hit(self):
         machine = SimulatedMachine("cortex_a15", seed=0)
