@@ -58,7 +58,7 @@ def _run(strategy):
 def test_bench_surrogate(benchmark):
     genetic = _run("genetic")
     surrogate = run_once(benchmark, lambda: _run(make_strategy(
-        "surrogate", {"base": "genetic", "platform": PLATFORM})))
+        "surrogate", {"base": "genetic"})))
 
     rhos = [g.surrogate["spearman"]
             for g in surrogate["history"].generations

@@ -2,17 +2,21 @@
 """Cross-check the evaluation layer's determinism contract end-to-end.
 
 Runs the shipped arm_power configuration (at a reduced scale) several
-times — SerialBackend, ProcessPoolBackend(2), SerialBackend with the
-evaluation cache, and SerialBackend with steady-state kernel detection
-disabled (full cycle-by-cycle simulation) — and verifies they all
-produce identical run histories and bit-identical population binaries.
+times — SerialBackend, ProcessPoolBackend(2), SerialBackend with a
+fresh evaluation cache, the same search again over that now-filled
+cache, and SerialBackend with steady-state kernel detection disabled
+(full cycle-by-cycle simulation) — and verifies they all produce
+identical run histories and bit-identical population binaries.
 ``--backend batched`` (or ``auto``) swaps the non-reference variants'
 executor for the population-vectorized path, checking the batched
 render→measure→score pass against the serial loop end-to-end.
-The last variant is the tiling contract end-to-end: stopping at a
-recurring scheduler state and analytically tiling the detected period
-must be observationally invisible to the whole GA.  Exits non-zero on
-any mismatch; CI runs this after the parallel test leg.
+The replayed variant checks that a cache only replays measurements:
+a search over a filled cache must measure exactly what it would
+without one, under every strategy.  The last variant is the tiling
+contract end-to-end: stopping at a recurring scheduler state and
+analytically tiling the detected period must be observationally
+invisible to the whole GA.  Exits non-zero on any mismatch; CI runs
+this after the parallel test leg.
 
 ``--strategy`` runs the cross-check under any registered search
 strategy (default ``genetic``) — the determinism contract is
@@ -86,6 +90,8 @@ def main() -> int:
         "auto": AutoSelectBackend,
     }[args.backend]
     failures = 0
+    # One cache object: "cached" fills it, "replayed" runs over it.
+    filled = EvaluationCache("cross-check")
     with tempfile.TemporaryDirectory() as raw:
         workdir = Path(raw)
         variants = [
@@ -94,8 +100,8 @@ def main() -> int:
              lambda: ((challenger(), None)
                       if args.backend != "serial"
                       else (ProcessPoolBackend(2), None)), True),
-            ("cached", lambda: (challenger(),
-                                EvaluationCache("cross-check")), True),
+            ("cached", lambda: (challenger(), filled), True),
+            ("replayed", lambda: (challenger(), filled), True),
             # Full cycle-by-cycle simulation: the steady-state tiling
             # contract says this must be bit-identical to the default.
             ("untiled", lambda: (challenger(), None), False),
@@ -145,6 +151,15 @@ def main() -> int:
             else:
                 print(f"ok: {name} population binaries bit-identical "
                       f"({len(serial_files)} files)")
+
+        remeasured = sum(g.measured
+                         for g in histories["replayed"].generations)
+        if remeasured:
+            print(f"FAIL: replayed variant measured {remeasured} "
+                  "individuals the filled cache holds")
+            failures += 1
+        else:
+            print("ok: replayed variant measured nothing")
 
     if failures:
         print(f"\n{failures} determinism check(s) failed")

@@ -94,9 +94,9 @@ class GenerationStats:
     #: ``surrogate`` wrappers report their simulated/pruned/replayed
     #: counts and the Spearman rank correlation between the ranker's
     #: predictions and the measured fitnesses here, plus ranker fields
-    #: (``metric``; ``warm_hits``/``explored``/``training_size``/
-    #: ``probe``).  It lands in stats.jsonl; excluded from equality
-    #: like the other observability fields.
+    #: (``metric``; ``explored``/``training_size``/``probe``).  It
+    #: lands in stats.jsonl; excluded from equality like the other
+    #: observability fields.
     surrogate: Optional[dict] = field(default=None, compare=False)
     #: Individuals satisfied from the evaluation cache this pass.
     cache_hits: int = field(default=0, compare=False)
@@ -229,7 +229,8 @@ class GeneticEngine:
         can observe (job count, measurement repeats, simulated cycles).
     cache:
         Optional explicit :class:`EvaluationCache`; defaults to a fresh
-        cache when ``config.evaluation.cache`` is set.
+        cache when ``config.evaluation.cache`` is set.  It replays
+        measurements only; no strategy reads it.
     workers:
         Process-pool size available to :class:`AutoSelectBackend` (1 =
         never pool; unused when ``backend`` is given); wins over the
@@ -243,7 +244,8 @@ class GeneticEngine:
         ``None`` for the config's ``<search>`` block (default
         ``genetic`` — the paper's GA).  A name matching the config's
         strategy picks up the config's strategy parameters; a different
-        name runs with that strategy's defaults.
+        name runs with that strategy's defaults.  The strategy is bound
+        to the microarchitecture of the measurement's simulated machine.
     run_id:
         Explicit run identity stamped into every stats record and
         event; defaults to the content-derived :func:`derive_run_id`.
@@ -287,12 +289,16 @@ class GeneticEngine:
             params = config.search.params \
                 if strategy == config.search.strategy else None
             self.strategy = make_strategy(strategy, params)
-        self.strategy.bind(config, self.rng, self._take_uid)
 
         pipeline = EvaluationPipeline(
             template=self.template, measurement=measurement,
             fitness=fitness, screen=screen,
             noise_seed=config.ga.seed if config.ga.seed is not None else 0)
+        # Strategies that price offspring (the pruning wrappers) do so
+        # on the machine this run measures.
+        self.strategy.bind(config, self.rng, self._take_uid,
+                           pipeline.machine.arch
+                           if pipeline.machine is not None else None)
         if backend is None:
             backend = AutoSelectBackend(_pool_workers(workers, config))
         elif not isinstance(backend, ExecutorBackend):
@@ -304,12 +310,6 @@ class GeneticEngine:
                 cache_fingerprint(measurement, pipeline.noise_seed))
         self.evaluator = StagedEvaluator(pipeline, backend=backend,
                                          cache=cache)
-        # Strategies that learn from past evaluations (the surrogate
-        # wrapper) may hook the evaluator once it exists — e.g. to
-        # snapshot the cache into a training warm-start.
-        warm_start = getattr(self.strategy, "warm_start", None)
-        if callable(warm_start):
-            warm_start(self.evaluator)
         self.run_id = run_id if run_id is not None \
             else derive_run_id(config, self.strategy.name)
 

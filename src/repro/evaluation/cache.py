@@ -7,7 +7,8 @@ under a content address: ``sha256(target fingerprint ‖ rendered
 source)``.  Hits skip the screen *and* the pipeline model entirely —
 re-measured elitism clones cost nothing, and a resumed or re-seeded run
 replays previously measured genomes from the cache file instead of the
-simulator.
+simulator.  A cache only replays measurements: no search strategy reads
+it, so it never changes which individuals get measured.
 
 Only the measurements and failure flags are cached.  Fitness is always
 re-scored against the hitting individual, because fitness plug-ins may
@@ -24,7 +25,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..core.errors import ConfigError
 
@@ -99,22 +100,6 @@ class EvaluationCache:
 
     def put(self, source_text: str, entry: CachedEvaluation) -> None:
         self._entries[self.key(source_text)] = entry
-
-    def iter_entries(self) -> Iterator[Tuple[str, CachedEvaluation]]:
-        """Yield every ``(key, entry)`` pair, in sorted key order.
-
-        The bulk-read protocol for consumers that want the whole store
-        at once (the surrogate strategy's warm start); subclasses with
-        remote storage override it with one bulk query instead of a
-        per-key lookup.  Does not touch the hit/miss counters.
-        """
-        for key in sorted(self._entries):
-            yield key, self._entries[key]
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     # -- persistence (resumed runs skip the pipeline model) -----------------
 

@@ -228,12 +228,14 @@ class EvaluationPipeline:
         self._reseed = getattr(measurement, "reseed_noise", None)
         if self._reseed is not None and not callable(self._reseed):
             self._reseed = None
-        # Duck-typed handle to the simulated machine, for compile-cache
-        # accounting; None for measurements without a simulated target.
-        self._machine = getattr(
+        #: Duck-typed handle to the simulated machine the measurement
+        #: drives (compile-cache accounting; the engine binds its arch
+        #: into the search strategy); None for measurements without a
+        #: simulated target.
+        self.machine = getattr(
             getattr(measurement, "target", None), "machine", None)
-        if not hasattr(self._machine, "compile_cache_hits"):
-            self._machine = None
+        if not hasattr(self.machine, "compile_cache_hits"):
+            self.machine = None
 
     # -- stages -------------------------------------------------------------
 
@@ -273,7 +275,7 @@ class EvaluationPipeline:
         The returned callable gives the (hits, misses) since this call;
         (0, 0) for measurements without a simulated machine.
         """
-        machine = self._machine
+        machine = self.machine
         if machine is None:
             return lambda: (0, 0)
         hits, misses = machine.compile_cache_hits, \

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..cpu.machine import BatchedMachine, SimulatedMachine
+from ..cpu.microarch import MicroArch
 from .pipeline import noise_key
 
 __all__ = ["ShortProbe", "PROBE_FEATURE_NAMES"]
@@ -35,8 +36,9 @@ class ShortProbe:
 
     Parameters
     ----------
-    platform:
-        Microarchitecture preset name (``cortex_a15``, ...).
+    arch:
+        The microarchitecture the probe machine simulates (normally
+        the measured machine's).
     cycles:
         Simulated cycle budget per probe run (floored to the machine's
         100-cycle minimum).
@@ -45,12 +47,11 @@ class ShortProbe:
         features never depend on how many probes ran before.
     """
 
-    def __init__(self, platform: str, cycles: int = 1600,
+    def __init__(self, arch: MicroArch, cycles: int = 1600,
                  seed: int = 0) -> None:
-        self.platform = platform
         self.cycles = max(100, int(cycles))
         self.seed = int(seed)
-        machine = SimulatedMachine(platform, environment="bare_metal",
+        machine = SimulatedMachine(arch, environment="bare_metal",
                                    seed=self.seed,
                                    sim_cycles=self.cycles)
         self._batch = BatchedMachine(machine)

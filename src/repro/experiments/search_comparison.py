@@ -27,8 +27,8 @@ __all__ = ["SearchComparisonResult", "search_comparison",
            "COMPARISON_SEED"]
 
 #: ``static_rank(<base>)`` / ``surrogate(<base>)`` pseudo-names select
-#: a pruning wrapper around a base strategy, priced against the
-#: experiment's own platform (and, for static_rank, metric).
+#: a pruning wrapper around a base strategy, priced on the experiment's
+#: measured machine (and, for static_rank, against its metric).
 _WRAPPER_PATTERN = re.compile(r"(static_rank|surrogate)\((\w+)\)")
 
 #: One fixed seed for the whole comparison: every strategy starts from
@@ -74,21 +74,19 @@ class SearchComparisonResult:
         return "\n".join(lines)
 
 
-def _resolve_strategy(name: str, platform: str,
-                      metric: str) -> Union[str, SearchStrategy]:
+def _resolve_strategy(name: str, metric: str) -> Union[str, SearchStrategy]:
     """Map a strategy label to what the engine accepts.
 
     Plain registered names pass through; a ``static_rank(<base>)`` or
     ``surrogate(<base>)`` pseudo-name builds the wrapper over
-    ``<base>``, pricing candidates against the experiment's platform
-    (the learned surrogate predicts the configured fitness directly,
-    so only static_rank needs the metric name).
+    ``<base>`` (the learned surrogate predicts the configured fitness
+    directly, so only static_rank needs the metric name).
     """
     match = _WRAPPER_PATTERN.fullmatch(name)
     if match is None:
         return name
     wrapper, base = match.group(1), match.group(2)
-    params = {"base": base, "platform": platform}
+    params = {"base": base}
     if wrapper == "static_rank":
         params["metric"] = metric
     return make_strategy(wrapper, params)
@@ -121,7 +119,6 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
     for name in strategies:
         machine = make_machine(platform, seed=seed)
         engine = make_engine(machine, metric, seed, scale,
-                             strategy=_resolve_strategy(name, platform,
-                                                        metric))
+                             strategy=_resolve_strategy(name, metric))
         result.histories[name] = engine.run()
     return result

@@ -19,10 +19,12 @@ evaluation pipeline:
 A strategy is a *pure proposal mechanism*: it owns no evaluation code
 and performs no I/O.  Everything it needs beyond the evaluated
 populations arrives through :meth:`bind` — the run configuration, the
-run's single RNG stream, and the engine's uid allocator.  All
-randomness must come from that bound RNG; this is what makes runs
-reproducible and checkpoints exact (the engine snapshots the RNG state,
-so a resumed strategy replays the identical draw sequence).
+run's single RNG stream, the engine's uid allocator, and the
+:class:`~repro.cpu.microarch.MicroArch` of the machine the run
+measures on.  All randomness must come from that bound RNG; this is
+what makes runs reproducible and checkpoints exact (the engine
+snapshots the RNG state, so a resumed strategy replays the identical
+draw sequence).
 
 Strategy-specific state that is *not* recoverable from the population
 (the annealer's temperature, the hill-climber's incumbent) is carried
@@ -38,6 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.errors import ConfigError
 from ..core.individual import Individual, random_individual
 from ..core.population import Population, load_population
+from ..cpu.microarch import MicroArch
 from .registry import Registry
 
 __all__ = ["STRATEGIES", "SearchStrategy"]
@@ -90,17 +93,24 @@ class SearchStrategy:
         self.config = None
         self.rng: Optional[Random] = None
         self._take_uid: Optional[Callable[[], int]] = None
+        self.arch: Optional[MicroArch] = None
 
     # -- engine wiring ------------------------------------------------------
 
-    def bind(self, config, rng: Random,
-             take_uid: Callable[[], int]) -> None:
+    def bind(self, config, rng: Random, take_uid: Callable[[], int],
+             arch: Optional[MicroArch] = None) -> None:
         """Attach the run context.  Called once by the engine before
-        any population is proposed."""
+        any population is proposed.
+
+        ``arch`` is the microarchitecture of the simulated machine the
+        run's measurement drives, or None when the measurement has no
+        simulated machine.
+        """
         config.validate()
         self.config = config
         self.rng = rng
         self._take_uid = take_uid
+        self.arch = arch
         self._bound()
 
     def _bound(self) -> None:

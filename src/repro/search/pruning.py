@@ -3,7 +3,10 @@
 GeST pays one board measurement per individual per generation.  A
 pruning wrapper composes with any registered base strategy (default:
 the paper's GA) and spends that budget where a ranker expects it to
-matter.  Per generation:
+matter.  The ranker prices offspring on the machine the run measures:
+the engine binds that machine's
+:class:`~repro.cpu.microarch.MicroArch` into the strategy.  Per
+generation:
 
 1. the base strategy proposes offspring as usual (same RNG stream,
    same uid allocation);
@@ -20,7 +23,10 @@ matter.  Per generation:
    individual with a fitness, so they can still breed but never win,
    and no mean counts them.
 
-Generation 0 is never pruned: it anchors the search.  Every generation
+Generation 0 is never pruned: it anchors the search.  The decision
+reads only the run itself (its offspring, its measurements so far and
+the measured machine), never an evaluation cache, so a cache replays
+measurements without changing what gets measured.  Every generation
 the wrapper records how well the ranker's predictions ordered the
 measured fitnesses (Spearman rank correlation); the engine attaches the
 record to :class:`~repro.core.engine.GenerationStats` and it lands in
@@ -40,19 +46,10 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core.errors import ConfigError
 from ..core.individual import Individual
 from ..core.population import Population
-from ..cpu.microarch import microarch_for
-from ..staticcheck.configlint import detect_syntax
 from ..staticcheck.costmodel import spearman
 from .base import STRATEGIES, SearchStrategy
 
 __all__ = ["PruningStrategy"]
-
-#: Default microarchitecture per SimISA syntax when the ``platform``
-#: parameter is omitted: the stock CLI platform for ARM templates, the
-#: only x86 preset otherwise.  Ranking survives a latency-table
-#: mismatch (only the ordering matters), but configs searching a
-#: specific platform should name it.
-_DEFAULT_PLATFORM = {"arm": "cortex_a15", "x86": "athlon_x4"}
 
 
 def _fraction(value) -> float:
@@ -62,21 +59,16 @@ def _fraction(value) -> float:
     return fraction
 
 
-def _optional_text(value) -> Optional[str]:
-    if value is None:
-        return None
-    text = str(value).strip()
-    return text or None
-
-
 class PruningStrategy(SearchStrategy):
     """A base strategy whose fresh offspring a ranker prunes.
 
-    Subclasses declare ``base``, ``platform`` and ``top_fraction``
-    among their :attr:`PARAMS`, implement :meth:`_predict`, and may
-    override :meth:`_admit` and :meth:`_explore`; ranker state rides
-    along by extending ``_bound``, ``observe``, ``state_dict`` and
-    ``load_state``.
+    The ranker prices and probes on the bound :attr:`arch`, the
+    microarchitecture of the machine the run measures; a measurement
+    without a simulated machine is refused (SC210).  Subclasses declare
+    ``base`` and ``top_fraction`` among their :attr:`PARAMS`, implement
+    :meth:`_predict`, and may override :meth:`_explore`; ranker state
+    rides along by extending ``_bound``, ``observe``, ``state_dict``
+    and ``load_state``.
     """
 
     def _bound(self) -> None:
@@ -86,20 +78,14 @@ class PruningStrategy(SearchStrategy):
                 f"search strategy {self.name!r} cannot wrap itself; "
                 "pick a concrete base strategy (e.g. base=\"genetic\")",
                 diagnostic_code="SC210")
+        if self.arch is None:
+            raise ConfigError(
+                f"search strategy {self.name!r} prices offspring on the "
+                "measured machine, but the measurement has no simulated "
+                "machine; use a measurement on a SimulatedTarget or a "
+                "strategy that does not prune", diagnostic_code="SC210")
         self._base: SearchStrategy = STRATEGIES.get(base_name)(None)
-        self._base.bind(self.config, self.rng, self._take_uid)
-
-        platform = self.params["platform"]
-        if platform is None:
-            syntax = detect_syntax(self.config.template_text)
-            if syntax is None:
-                raise ConfigError(
-                    f"search strategy {self.name!r} cannot infer the "
-                    "target platform: the template assembles under "
-                    "neither SimISA syntax; set the 'platform' "
-                    "parameter explicitly", diagnostic_code="SC210")
-            platform = _DEFAULT_PLATFORM[syntax]
-        self._arch = microarch_for(platform)
+        self._base.bind(self.config, self.rng, self._take_uid, self.arch)
 
         # Checkpointed via state_dict:
         #: genome key -> (measurements, fitness, compile_failed,
@@ -122,13 +108,9 @@ class PruningStrategy(SearchStrategy):
                  ) -> Optional[Dict[int, float]]:
         """uid -> predicted fitness, or None while the ranker cannot
         rank yet (nothing is pruned then).  Individuals left out rank
-        last and stay out of the Spearman sample."""
+        last and stay out of the Spearman sample.  Called for every
+        generation, 0 included."""
         raise NotImplementedError
-
-    def _admit(self, fresh: List[Individual]) -> List[Individual]:
-        """The fresh offspring the ranker may prune; the others are
-        measured unranked.  Called for every generation, 0 included."""
-        return fresh
 
     def _explore(self, below_cut: List[Individual],
                  number: int) -> List[Individual]:
@@ -166,11 +148,10 @@ class PruningStrategy(SearchStrategy):
                                     screen_failed=screen_failed)
             replayed.append(child)
 
-        candidates = self._admit(fresh)
         predictions = self._predict(fresh + replayed)
-        ranked, cut = candidates, len(candidates)
+        ranked, cut = fresh, len(fresh)
         if predictions is not None and population.number > 0:
-            ranked = sorted(candidates, key=lambda c: (
+            ranked = sorted(fresh, key=lambda c: (
                 -predictions.get(c.uid, float("-inf")), c.uid))
             cut = math.ceil(self.params["top_fraction"] * len(ranked))
         promoted = self._explore(ranked[cut:], population.number)
@@ -181,7 +162,7 @@ class PruningStrategy(SearchStrategy):
                 pruned += 1
 
         self._predictions = predictions or {}
-        self._simulated = len(candidates) - pruned
+        self._simulated = len(fresh) - pruned
         self._pruned = pruned
         self._replayed = len(replayed)
 
@@ -213,7 +194,7 @@ class PruningStrategy(SearchStrategy):
                 pairs.append((prediction, individual.fitness))
         self._last_metrics = {
             "base": self._base.name,
-            "platform": self._arch.name,
+            "platform": self.arch.name,
             "simulated": self._simulated,
             "pruned": self._pruned,
             "replayed": self._replayed,

@@ -3,8 +3,9 @@
 The static cost model prices a candidate for far less than one
 simulated measurement, so a whole generation can be ranked before any
 of it is measured.  This wrapper ranks any base strategy's fresh
-offspring by :func:`repro.staticcheck.costmodel.static_score` and
-measures only the top ``top_fraction``; the shared machinery (replay
+offspring by :func:`repro.staticcheck.costmodel.static_score` on the
+measured machine's microarchitecture and measures only the top
+``top_fraction``; the shared machinery (replay
 memo, cut, pruned status, Spearman record, checkpoint state) lives in
 :mod:`repro.search.pruning`.  The wrapper draws no randomness.
 """
@@ -20,7 +21,7 @@ from ..core.template import Template
 from ..isa import assembler_for
 from ..staticcheck.costmodel import static_score
 from .base import STRATEGIES
-from .pruning import PruningStrategy, _fraction, _optional_text
+from .pruning import PruningStrategy, _fraction
 
 __all__ = ["StaticRankStrategy"]
 
@@ -33,10 +34,6 @@ class StaticRankStrategy(PruningStrategy):
     ----------
     base:
         Registered name of the wrapped strategy (default ``genetic``).
-    platform:
-        Microarchitecture preset whose latency/port/energy tables price
-        the candidates; defaults per the template's syntax
-        (``cortex_a15`` for ARM, ``athlon_x4`` for x86).
     metric:
         What :func:`static_score` predicts — ``ipc`` or one of the
         power-family metrics (``power``/``energy``/``temperature``/
@@ -51,14 +48,13 @@ class StaticRankStrategy(PruningStrategy):
     name = "static_rank"
     PARAMS = {
         "base": (str, "genetic"),
-        "platform": (_optional_text, None),
         "metric": (str, "ipc"),
         "top_fraction": (_fraction, 0.5),
     }
 
     def _bound(self) -> None:
         super()._bound()
-        self._assembler = assembler_for(self._arch.isa)
+        self._assembler = assembler_for(self.arch.isa)
         self._template = Template(self.config.template_text)
         self._metric = self.params["metric"]
         #: genome key -> static score; elitism clones and replayed
@@ -81,7 +77,7 @@ class StaticRankStrategy(PruningStrategy):
         except AssemblyError:
             score = float("-inf")
         else:
-            score = static_score(program, self._arch, self._metric)
+            score = static_score(program, self.arch, self._metric)
         self._score_memo[key] = score
         return score
 

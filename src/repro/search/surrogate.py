@@ -13,20 +13,20 @@ feedback loop applied to the search's own evaluation budget.
 On top of the shared pruning machinery (:mod:`repro.search.pruning`),
 per generation:
 
-1. fresh offspring are featurized in one batch (one probe pass for the
-   whole pool; rows are memoised per genome);
-2. offspring whose rendered source sits in the evaluation cache pass
-   straight through unranked — the evaluator replays them for free and
-   the observed fitness becomes training data (the cache-to-training-
-   set export, snapshot once via ``iter_entries()`` at warm-start);
-3. once the model has seen ``min_train`` rows it ranks the rest by
+1. fresh offspring are featurized in one batch on the measured
+   machine's microarchitecture (static features priced on its tables,
+   one probe pass on a private copy of it for the whole pool; rows are
+   memoised per genome);
+2. once the model has seen ``min_train`` rows it ranks them by
    predicted fitness, and an ε-draw promotes a few candidates below
    the cut for unbiased training data;
-4. ``observe`` feeds the new (features, fitness) pairs back into the
+3. ``observe`` feeds the new (features, fitness) pairs back into the
    model.
 
 Until the model is trained every candidate is simulated — the warm-up
-generations anchor the search and the training set.
+generations anchor the search and the training set.  The model learns
+only from the run's own measurements, so an evaluation cache never
+changes what it prunes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..core.individual import Individual
 from ..core.population import Population
 from ..surrogate import RidgeModel, SurrogateFeaturizer
 from .base import STRATEGIES
-from .pruning import PruningStrategy, _fraction, _optional_text
+from .pruning import PruningStrategy, _fraction
 
 __all__ = ["SurrogateStrategy"]
 
@@ -83,10 +83,6 @@ class SurrogateStrategy(PruningStrategy):
     ----------
     base:
         Registered name of the wrapped strategy (default ``genetic``).
-    platform:
-        Microarchitecture preset whose tables price the static features
-        (and whose preset the probe runs); defaults per the template's
-        syntax, like ``static_rank``.
     top_fraction:
         Fraction of each generation's fresh offspring sent to full
         simulation once the model is trained (default 0.4).
@@ -104,8 +100,6 @@ class SurrogateStrategy(PruningStrategy):
         probe in one batched pass either way.
     l2:
         Ridge penalty of the model (default 1.0).
-    boost:
-        Bucketed-residual boost bucket count (0 = plain ridge).
     min_train:
         Observed rows required before the model starts pruning
         (default 8); until then every candidate is simulated.
@@ -114,26 +108,19 @@ class SurrogateStrategy(PruningStrategy):
     name = "surrogate"
     PARAMS = {
         "base": (str, "genetic"),
-        "platform": (_optional_text, None),
         "top_fraction": (_fraction, 0.4),
         "epsilon": (_probability, 0.1),
         "probe": (_non_negative_int, 400),
         "l2": (_positive_float, 1.0),
-        "boost": (_non_negative_int, 0),
         "min_train": (_positive_int, 8),
     }
 
     def _bound(self) -> None:
         super()._bound()
         self._featurizer = SurrogateFeaturizer(
-            self.config.template_text, self._arch,
+            self.config.template_text, self.arch,
             probe_cycles=self.params["probe"])
-        self._model = RidgeModel(l2=self.params["l2"],
-                                 boost_buckets=self.params["boost"])
-
-        # Evaluation-cache snapshot (populated by warm_start):
-        self._cache = None
-        self._warm_entries: Dict[str, Any] = {}
+        self._model = RidgeModel(l2=self.params["l2"])
 
         # Checkpointed via state_dict:
         #: genome key -> feature row, so replayed clones never
@@ -144,67 +131,25 @@ class SurrogateStrategy(PruningStrategy):
         self._train_targets: List[float] = []
         self._trained_keys: set = set()
         self._explored = 0
-        self._warm_hits = 0
-
-    # -- engine wiring ------------------------------------------------------
-
-    def warm_start(self, evaluator) -> None:
-        """Snapshot the evaluator's cache for the warm-start path.
-
-        Called by the engine once the evaluator exists.  The snapshot
-        is one bulk ``iter_entries()`` read — never a per-genome
-        lookup — so a sqlite-backed
-        :class:`~repro.store.sharedcache.SharedEvaluationCache` costs
-        one SELECT, not one per offspring.
-        """
-        cache = getattr(evaluator, "cache", None)
-        self._cache = cache
-        self._warm_entries = {}
-        if cache is None:
-            return
-        iterator = getattr(cache, "iter_entries", None)
-        if callable(iterator):
-            self._warm_entries = dict(iterator())
 
     # -- the ranker ---------------------------------------------------------
 
-    def _featurize(self, individuals: List[Individual]
-                   ) -> Dict[int, Optional[str]]:
-        """uid -> rendered source (None for a feature-memo hit),
-        memoising every new row and batching the rest (one probe pass
-        for the whole pool)."""
-        sources: Dict[int, Optional[str]] = {}
-        fresh: List[Individual] = []
-        for individual in individuals:
-            if individual.genome_key() in self._feature_memo:
-                sources[individual.uid] = None
-            else:
-                fresh.append(individual)
-        for individual, (source, row) in zip(
-                fresh, self._featurizer.featurize_batch(fresh)):
-            sources[individual.uid] = source
+    def _featurize(self, individuals: List[Individual]) -> None:
+        """Memoise a feature row for every genome not featurized yet,
+        batching them (one probe pass for the whole pool)."""
+        new = [individual for individual in individuals
+               if individual.genome_key() not in self._feature_memo]
+        for individual, (_, row) in zip(
+                new, self._featurizer.featurize_batch(new)):
             if row is not None:
                 self._feature_memo[individual.genome_key()] = row
-        return sources
-
-    def _admit(self, fresh: List[Individual]) -> List[Individual]:
-        """Featurize the fresh offspring; those the warm cache snapshot
-        already holds pass straight through unranked."""
-        sources = self._featurize(fresh)
-        admitted = fresh
-        if self._warm_entries:
-            admitted = [child for child in fresh
-                        if sources[child.uid] is None
-                        or self._cache.key(sources[child.uid])
-                        not in self._warm_entries]
-        self._warm_hits = len(fresh) - len(admitted)
-        return admitted
 
     def _predict(self, individuals: List[Individual]
                  ) -> Optional[Dict[int, float]]:
-        """Model predictions; unassemblable genomes have no feature row
-        and are left out (they compile-fail to fitness 0, so they rank
-        last and prune first)."""
+        """Featurize, then predict; unassemblable genomes have no
+        feature row and are left out (they compile-fail to fitness 0,
+        so they rank last and prune first)."""
+        self._featurize(individuals)
         if not self._model.fitted:
             return None
         predictions: Dict[int, float] = {}
@@ -242,7 +187,7 @@ class SurrogateStrategy(PruningStrategy):
         if len(self._train_rows) >= self.params["min_train"]:
             self._model.fit(self._train_rows, self._train_targets)
         self._last_metrics.update(
-            warm_hits=self._warm_hits, explored=self._explored,
+            explored=self._explored,
             training_size=len(self._train_rows),
             probe=self.params["probe"])
 
@@ -256,7 +201,6 @@ class SurrogateStrategy(PruningStrategy):
             "train_targets": list(self._train_targets),
             "trained_keys": sorted(self._trained_keys),
             "explored": self._explored,
-            "warm_hits": self._warm_hits,
             "model": self._model.state_dict(),
         }
 
@@ -269,5 +213,4 @@ class SurrogateStrategy(PruningStrategy):
             tuple(key) if isinstance(key, list) else key
             for key in state.get("trained_keys") or ())
         self._explored = state.get("explored", 0)
-        self._warm_hits = state.get("warm_hits", 0)
         self._model.load_state(state.get("model"))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..core.errors import ConfigError
 from ..evaluation.cache import CachedEvaluation, EvaluationCache
@@ -121,28 +121,6 @@ class SharedEvaluationCache(EvaluationCache):
                  json.dumps(list(entry.measurements)),
                  int(entry.compile_failed), int(entry.screen_failed),
                  self.run_id))
-
-    def iter_entries(self) -> Iterator[Tuple[str, CachedEvaluation]]:
-        """Bulk-read every entry under this fingerprint: one SELECT for
-        the whole namespace, in sorted key order.
-
-        The surrogate strategy's warm start snapshots the cache through
-        this — with the per-``get`` protocol it would issue one SELECT
-        (plus a hit-count UPDATE) per offspring.  Rows stream from a
-        dedicated cursor, so interleaved ``get``/``put`` calls on the
-        connection are safe; hit accounting is untouched (a snapshot is
-        not a lookup).
-        """
-        cursor = self._connection().execute(
-            "SELECT key, measurements, compile_failed, screen_failed "
-            "FROM cache_entries WHERE fingerprint = ? ORDER BY key",
-            (self.fingerprint,))
-        for key, measurements, compile_failed, screen_failed in cursor:
-            yield key, CachedEvaluation(
-                measurements=tuple(float(m)
-                                   for m in json.loads(measurements)),
-                compile_failed=bool(compile_failed),
-                screen_failed=bool(screen_failed))
 
     # -- accounting ---------------------------------------------------------
 

@@ -43,7 +43,8 @@ class SurrogateFeaturizer:
         features describe the *whole* measured loop, prologue included).
     arch:
         Microarchitecture whose latency/port/energy tables price the
-        static features (and whose preset the probe machine runs).
+        static features and which the probe machine simulates (the
+        ``surrogate`` strategy passes the measured machine's).
     probe_cycles:
         0 disables the dynamic probe; otherwise the per-candidate probe
         cycle budget (see :class:`~repro.evaluation.probe.ShortProbe`).
@@ -54,7 +55,7 @@ class SurrogateFeaturizer:
         self.arch = arch
         self._template = Template(template_text)
         self._assembler = assembler_for(arch.isa)
-        self._probe = ShortProbe(arch.name, cycles=probe_cycles) \
+        self._probe = ShortProbe(arch, cycles=probe_cycles) \
             if probe_cycles else None
 
     @property

@@ -9,12 +9,6 @@ standardized features fits all three: the normal equations
 feature count is a few dozen), and λ > 0 keeps the system positive
 definite no matter how degenerate the training set is.
 
-An optional GBM-flavoured *bucketed residual boost* corrects the linear
-model's systematic bias: training predictions are split into quantile
-buckets and each bucket's mean residual is added back at prediction
-time — a one-level regression stump per bucket, which is as much
-"gradient boosting" as a handful of generations of data can support.
-
 Rows are plain ``name → value`` dicts, not fixed-width vectors: the
 feature vocabulary may grow as new instruction groups appear in the
 population (``mix_*`` features exist only for groups actually used).
@@ -25,7 +19,6 @@ order never matters and a resumed run refits identically.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy
@@ -42,29 +35,17 @@ class RidgeModel:
         Ridge penalty λ (> 0); keeps the normal equations solvable even
         when features are collinear or the row count is below the
         feature count (always true in early generations).
-    boost_buckets:
-        When > 0, fit a bucketed residual correction on top of the
-        linear model: training predictions are cut into this many
-        quantile buckets and each bucket contributes its mean residual.
-        0 disables the boost.
     """
 
-    def __init__(self, l2: float = 1.0, boost_buckets: int = 0) -> None:
+    def __init__(self, l2: float = 1.0) -> None:
         if not l2 > 0.0:
             raise ValueError("l2 must be > 0")
-        if boost_buckets < 0:
-            raise ValueError("boost_buckets must be >= 0")
         self.l2 = float(l2)
-        self.boost_buckets = int(boost_buckets)
         self._names: List[str] = []
         self._means: List[float] = []
         self._stds: List[float] = []
         self._weights: List[float] = []
         self._intercept = 0.0
-        #: Quantile cut points over training predictions (len buckets-1)
-        #: and the per-bucket mean residuals (len buckets).
-        self._boost_cuts: List[float] = []
-        self._boost_means: List[float] = []
         self._trained_rows = 0
 
     # -- training -----------------------------------------------------------
@@ -109,28 +90,6 @@ class RidgeModel:
         self._weights = [float(v) for v in weights]
         self._intercept = y_mean
         self._trained_rows = count
-        self._fit_boost(z @ weights + y_mean, y)
-
-    def _fit_boost(self, predictions: "numpy.ndarray",
-                   y: "numpy.ndarray") -> None:
-        self._boost_cuts = []
-        self._boost_means = []
-        buckets = self.boost_buckets
-        # Each bucket needs at least a couple of rows to average over;
-        # with fewer rows the boost would memorise noise.
-        if buckets <= 1 or len(y) < 2 * buckets:
-            return
-        order = numpy.argsort(predictions, kind="stable")
-        sorted_pred = predictions[order]
-        residuals = (y - predictions)[order]
-        edges = [round(i * len(y) / buckets) for i in range(1, buckets)]
-        self._boost_cuts = [float(sorted_pred[e]) for e in edges]
-        start = 0
-        for edge in edges + [len(y)]:
-            chunk = residuals[start:edge]
-            self._boost_means.append(
-                float(chunk.mean()) if len(chunk) else 0.0)
-            start = edge
 
     # -- prediction ---------------------------------------------------------
 
@@ -144,9 +103,6 @@ class RidgeModel:
         for name, mean, std, weight in zip(self._names, self._means,
                                            self._stds, self._weights):
             value += weight * (row.get(name, 0.0) - mean) / std
-        if self._boost_means:
-            bucket = bisect_right(self._boost_cuts, value)
-            value += self._boost_means[bucket]
         return value if math.isfinite(value) else 0.0
 
     # -- checkpoint support -------------------------------------------------
@@ -154,28 +110,24 @@ class RidgeModel:
     def state_dict(self) -> Dict[str, Any]:
         return {
             "l2": self.l2,
-            "boost_buckets": self.boost_buckets,
             "names": list(self._names),
             "means": list(self._means),
             "stds": list(self._stds),
             "weights": list(self._weights),
             "intercept": self._intercept,
-            "boost_cuts": list(self._boost_cuts),
-            "boost_means": list(self._boost_means),
             "trained_rows": self._trained_rows,
         }
 
     def load_state(self, state: Optional[Dict[str, Any]]) -> None:
+        """Restore :meth:`state_dict` output.  Keys this model does not
+        read, such as the residual-correction entries of states from
+        older checkpoints, are ignored."""
         if not state:
             return
         self.l2 = float(state.get("l2", self.l2))
-        self.boost_buckets = int(state.get("boost_buckets",
-                                           self.boost_buckets))
         self._names = list(state.get("names") or [])
         self._means = list(state.get("means") or [])
         self._stds = list(state.get("stds") or [])
         self._weights = list(state.get("weights") or [])
         self._intercept = float(state.get("intercept", 0.0))
-        self._boost_cuts = list(state.get("boost_cuts") or [])
-        self._boost_means = list(state.get("boost_means") or [])
         self._trained_rows = int(state.get("trained_rows", 0))

@@ -381,8 +381,8 @@ def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
     return config
 
 
-def _measurement(seed=17):
-    machine = SimulatedMachine("cortex_a15", seed=seed, sim_cycles=600)
+def _measurement(seed=17, platform="cortex_a15"):
+    machine = SimulatedMachine(platform, seed=seed, sim_cycles=600)
     target = SimulatedTarget(machine)
     target.connect()
     return PowerMeasurement(target, {"samples": "2"})
@@ -403,16 +403,32 @@ class TestStaticRankStrategy:
         with pytest.raises(ConfigError, match="top_fraction"):
             make_strategy("static_rank", {"top_fraction": "1.5"})
 
-    def test_platform_inferred_from_template_syntax(self, tiny_config):
-        strategy = make_strategy("static_rank", None)
-        strategy.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
-        assert strategy._arch.name == "cortex_a15"
+    def test_prices_on_the_measured_machine(self, tiny_library,
+                                            tiny_template, monkeypatch):
+        import repro.search.static_rank as static_rank_module
+        archs = []
+        real = static_rank_module.static_score
+
+        def recording(program, arch, metric):
+            archs.append(arch)
+            return real(program, arch, metric)
+
+        monkeypatch.setattr(static_rank_module, "static_score", recording)
+        config = _strategy_config(tiny_library, tiny_template,
+                                  generations=2)
+        measurement = _measurement(platform="xgene2")
+        machine = measurement.target.machine
+        engine = GeneticEngine(config, measurement, DefaultFitness())
+        assert engine.strategy.arch is machine.arch
+        history = engine.run()
+        assert archs and all(arch is machine.arch for arch in archs)
+        assert [g.surrogate["platform"] for g in history.generations] == \
+            ["xgene2", "xgene2"]
 
     def test_prunes_and_records_surrogate(self, tiny_library,
                                           tiny_template):
         config = _strategy_config(tiny_library, tiny_template,
                                   params={"top_fraction": "0.5",
-                                          "platform": "cortex_a15",
                                           "metric": "power"})
         engine = GeneticEngine(config, _measurement(), DefaultFitness())
         history = engine.run()
@@ -502,14 +518,17 @@ class TestStaticRankStrategy:
         assert len(calls) == len(priced)
 
     def test_state_round_trip(self, tiny_config):
+        arch = microarch_for("cortex_a15")
         strategy = make_strategy("static_rank", None)
-        strategy.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
+        strategy.bind(tiny_config, make_rng(0),
+                      iter(range(10_000)).__next__, arch)
         key = (("ADD", ("x1", "x2", "x3")),)
         strategy._memo[key] = ((1.0,), 1.0, False, False)
         strategy._score_memo[key] = 0.25
         state = strategy.state_dict()
         fresh = make_strategy("static_rank", None)
-        fresh.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
+        fresh.bind(tiny_config, make_rng(0),
+                   iter(range(10_000)).__next__, arch)
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
         assert fresh._score_memo == {key: 0.25}

@@ -14,8 +14,8 @@ import pickle
 import pytest
 
 from repro.cli import main
-from repro.core.config import EvaluationParameters, config_to_xml, \
-    parse_config_file, parse_config_text
+from repro.core.config import EvaluationParameters, SearchParameters, \
+    config_to_xml, parse_config_file, parse_config_text
 from repro.core.engine import GenerationStats, GeneticEngine, \
     WORKERS_ENV_VAR
 from repro.core.errors import ConfigError
@@ -279,15 +279,29 @@ class TestCacheEquivalence:
         # cached run must hit at least once per later generation.
         assert cache.hits >= tiny_config.ga.generations - 1
 
-    def test_seeded_rerun_is_all_hits(self, tiny_config):
+    # A cache replays measurements and never changes what a strategy
+    # measures: the pruning wrappers search the same way over a filled
+    # cache as with none.
+    @pytest.mark.parametrize("strategy",
+                             ["genetic", "static_rank", "surrogate"])
+    def test_seeded_rerun_is_all_hits(self, tiny_config, strategy):
+        tiny_config.search = SearchParameters(strategy=strategy)
+        plain, _ = _run(tiny_config)
         cache = EvaluationCache("test")
         first, _ = _run(tiny_config, cache=cache)
         misses_after_first = cache.misses
         second, _ = _run(tiny_config, cache=cache)
+        assert first.generations == plain.generations
+        assert [g.surrogate for g in first.generations] == \
+            [g.surrogate for g in plain.generations]
         assert second.generations == first.generations
+        assert [g.surrogate for g in second.generations] == \
+            [g.surrogate for g in first.generations]
+        assert sum(g.measured for g in second.generations) == 0
         assert cache.misses == misses_after_first  # no new pipeline work
+        # every individual the first run evaluated replays
         assert sum(g.cache_hits for g in second.generations) == \
-            tiny_config.ga.population_size * tiny_config.ga.generations
+            sum(g.measured + g.cache_hits for g in first.generations)
 
     def test_cache_with_pool_backend(self, tiny_config):
         plain, _ = _run(tiny_config)

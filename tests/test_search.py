@@ -320,6 +320,23 @@ class TestEngineStrategySelection:
         assert engine.strategy is strategy
         engine.evaluator.close()
 
+    # The pruning wrappers price on the measured machine, so a
+    # measurement without a simulated one leaves them nothing to price.
+    @pytest.mark.parametrize("name", ["static_rank", "surrogate"])
+    def test_pruning_needs_a_simulated_machine(self, tiny_config, name):
+        class _Stub:
+            def measure(self, source_text, individual):
+                return [1.0]
+
+            def measure_repeated(self, source_text, individual):
+                return [1.0]
+
+        with pytest.raises(ConfigError,
+                           match="has no simulated machine") as excinfo:
+            GeneticEngine(tiny_config, _Stub(), DefaultFitness(),
+                          strategy=name)
+        assert excinfo.value.diagnostic_code == "SC210"
+
 
 # ---------------------------------------------------------------------------
 # strategy x backend smoke + equivalence
@@ -861,6 +878,8 @@ class TestLintSearch:
     # GA operators are named only in the <ga> block: a <search>
     # parameter that re-spells one is refused like any other unknown
     # strategy parameter.
+    # The pruning wrappers price on the measured machine and have no
+    # residual boost, so `platform` and `boost` are refused the same way.
     @pytest.mark.parametrize("strategy,param,value,valid", [
         ("genetic", "selection", "rank", "(none)"),
         ("genetic", "crossover", "uniform", "(none)"),
@@ -869,9 +888,16 @@ class TestLintSearch:
         ("hill_climb", "mutation", "operand_only", "(none)"),
         ("simulated_annealing", "mutation", "instruction_only",
          "initial_temperature, cooling, min_temperature"),
+        ("static_rank", "platform", "cortex_a15",
+         "base, metric, top_fraction"),
+        ("surrogate", "platform", "cortex_a15",
+         "base, top_fraction, epsilon, probe, l2, min_train"),
+        ("surrogate", "boost", "2",
+         "base, top_fraction, epsilon, probe, l2, min_train"),
     ], ids=["genetic-selection", "genetic-crossover", "genetic-mutation",
             "genetic-replacement", "hill_climb-mutation",
-            "simulated_annealing-mutation"])
+            "simulated_annealing-mutation", "static_rank-platform",
+            "surrogate-platform", "surrogate-boost"])
     def test_operator_param_on_search_is_sc210(
             self, tmp_path, tiny_library, tiny_template, strategy, param,
             value, valid):

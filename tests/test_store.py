@@ -282,31 +282,6 @@ class TestSharedEvaluationCache:
         a.close()
         b.close()
 
-    def test_iter_entries_bulk_read(self, tmp_path):
-        path = tmp_path / "s.sqlite"
-        cache = SharedEvaluationCache(path, "fp")
-        sources = ["src a", "src b", "src c"]
-        for index, source in enumerate(sources):
-            cache.put(source, CachedEvaluation(
-                (float(index),), compile_failed=index == 2))
-        other = SharedEvaluationCache(path, "fp-other")
-        other.put("src a", CachedEvaluation((99.0,)))
-
-        entries = dict(cache.iter_entries())
-        # every entry of this fingerprint, none of the other's
-        assert len(entries) == 3
-        for index, source in enumerate(sources):
-            got = entries[cache.key(source)]
-            assert got.measurements == (float(index),)
-            assert got.compile_failed is (index == 2)
-        # keys come back sorted (deterministic snapshot order)
-        assert [k for k, _ in cache.iter_entries()] == \
-            sorted(entries)
-        # a bulk read is not a lookup: hit/miss counters untouched
-        assert cache.hits == 0 and cache.misses == 0
-        cache.close()
-        other.close()
-
     def test_first_writer_wins(self, tmp_path):
         path = tmp_path / "s.sqlite"
         a = SharedEvaluationCache(path, "fp", run_id="run-a")

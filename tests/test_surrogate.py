@@ -1,11 +1,10 @@
 """Tests for the learned surrogate layer and the ``surrogate`` strategy.
 
-Bottom-up: the :class:`RidgeModel` regressor (closed-form fit, bucketed
-residual boost, checkpointable state); the :class:`ShortProbe` batched
-dynamic features and the :class:`SurrogateFeaturizer` rows; the
-``surrogate`` wrapper strategy (warm-up, learned pruning, ε
-exploration, memo replay, cache warm-start, stats plumbing, state
-round-trip); the cache ``iter_entries()`` bulk-read protocol; and the
+Bottom-up: the :class:`RidgeModel` regressor (closed-form fit,
+checkpointable state); the :class:`ShortProbe` batched dynamic features
+and the :class:`SurrogateFeaturizer` rows; the ``surrogate`` wrapper
+strategy (warm-up, learned pruning, ε exploration, memo replay, pricing
+on the measured machine, stats plumbing, state round-trip); and the
 acceptance experiment — equal-or-better best fitness than the plain GA
 on the comparison seed at ≤ 50% of its simulated evaluations with mean
 post-warm-up Spearman ≥ 0.5.
@@ -24,8 +23,6 @@ from repro.core.errors import ConfigError
 from repro.core.output import read_stats
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.microarch import microarch_for
-from repro.evaluation import EvaluationCache
-from repro.evaluation.cache import CachedEvaluation
 from repro.evaluation.probe import PROBE_FEATURE_NAMES, ShortProbe
 from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler
@@ -50,8 +47,11 @@ def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
     return config
 
 
-def _measurement(seed=17):
-    machine = SimulatedMachine("cortex_a15", seed=seed, sim_cycles=600)
+CORTEX_A15 = microarch_for("cortex_a15")
+
+
+def _measurement(seed=17, platform="cortex_a15"):
+    machine = SimulatedMachine(platform, seed=seed, sim_cycles=600)
     target = SimulatedTarget(machine)
     target.connect()
     return PowerMeasurement(target, {"samples": "2"})
@@ -96,23 +96,8 @@ class TestRidgeModel:
         # prediction time cannot move the output
         assert with_const == pytest.approx(without)
 
-    def test_boost_corrects_systematic_bias(self):
-        # A step function a linear model cannot represent: the bucketed
-        # residual boost must reduce in-sample error.
-        rows = [{"a": float(i)} for i in range(16)]
-        targets = [0.0 if i < 8 else 10.0 for i in range(16)]
-
-        def in_sample_error(model):
-            model.fit(rows, targets)
-            return sum((model.predict(r) - t) ** 2
-                       for r, t in zip(rows, targets))
-
-        plain = in_sample_error(RidgeModel(l2=1.0))
-        boosted = in_sample_error(RidgeModel(l2=1.0, boost_buckets=2))
-        assert boosted < plain
-
     def test_state_round_trip(self):
-        model = RidgeModel(l2=0.5, boost_buckets=2)
+        model = RidgeModel(l2=0.5)
         rows = [{"a": float(i), "b": float(i * i)} for i in range(10)]
         model.fit(rows, [3.0 * i for i in range(10)])
         clone = RidgeModel()
@@ -139,19 +124,19 @@ class TestRidgeModel:
 
 class TestShortProbe:
     def test_features_are_pure_functions_of_source(self):
-        probe = ShortProbe("cortex_a15", cycles=400)
+        probe = ShortProbe(CORTEX_A15, cycles=400)
         p1, s1 = _arm_program("add x1, x2, x3\n", name="one.s")
         p2, s2 = _arm_program("mul x1, x2, x3\nmul x4, x1, x2\n",
                               name="two.s")
         together = probe.probe_batch([p1, p2], [s1, s2])
-        alone = ShortProbe("cortex_a15", cycles=400).probe_batch([p1], [s1])
+        alone = ShortProbe(CORTEX_A15, cycles=400).probe_batch([p1], [s1])
         assert together[0] == alone[0]
         reversed_order = probe.probe_batch([p2, p1], [s2, s1])
         assert reversed_order[1] == together[0]
         assert set(together[0]) == set(PROBE_FEATURE_NAMES)
 
     def test_length_mismatch_rejected(self):
-        probe = ShortProbe("cortex_a15", cycles=400)
+        probe = ShortProbe(CORTEX_A15, cycles=400)
         program, source = _arm_program("add x1, x2, x3\n")
         with pytest.raises(ValueError, match="one source per program"):
             probe.probe_batch([program], [source, source])
@@ -186,23 +171,6 @@ class TestSurrogateFeaturizer:
 
 
 # ---------------------------------------------------------------------------
-# cache bulk reads (warm-start protocol)
-# ---------------------------------------------------------------------------
-
-class TestCacheIterEntries:
-    def test_iter_entries_bulk_reads_sorted(self):
-        cache = EvaluationCache("fp")
-        cache.put("source-b", CachedEvaluation((2.0,)))
-        cache.put("source-a", CachedEvaluation((1.0,), compile_failed=True))
-        entries = list(cache.iter_entries())
-        assert len(entries) == 2
-        assert [key for key, _ in entries] == sorted(k for k, _ in entries)
-        assert dict(entries)[cache.key("source-a")].compile_failed
-        # a snapshot is not a lookup: counters untouched
-        assert cache.hits == 0 and cache.misses == 0
-
-
-# ---------------------------------------------------------------------------
 # the surrogate wrapper strategy
 # ---------------------------------------------------------------------------
 
@@ -225,24 +193,35 @@ class TestSurrogateStrategy:
         with pytest.raises(ConfigError, match="min_train"):
             make_strategy("surrogate", {"min_train": "0"})
 
-    def test_platform_inferred_from_template_syntax(self, tiny_config):
-        strategy = make_strategy("surrogate", None)
-        strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__)
-        assert strategy._arch.name == "cortex_a15"
+    def test_prices_and_probes_on_the_measured_machine(
+            self, tiny_library, tiny_template, tmp_path):
+        config = _strategy_config(tiny_library, tiny_template,
+                                  generations=2)
+        measurement = _measurement(platform="cortex_a7")
+        machine = measurement.target.machine
+        engine = GeneticEngine(config, measurement, DefaultFitness(),
+                               recorder=OutputRecorder(tmp_path / "run"))
+        assert engine.strategy.arch is machine.arch
+        probe = engine.strategy._featurizer._probe
+        assert probe._batch.machine.arch is machine.arch
+        engine.run()
+        rows = list(read_stats(tmp_path / "run" / "stats.jsonl"))
+        assert [row["surrogate"]["platform"] for row in rows] == \
+            ["cortex_a7", "cortex_a7"]
 
     def test_can_wrap_static_rank(self, tiny_config):
         strategy = make_strategy("surrogate", {"base": "static_rank"})
         strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__)
+                      iter(range(10_000)).__next__, CORTEX_A15)
         assert strategy._base.name == "static_rank"
+        assert strategy._base.arch is CORTEX_A15
 
     def test_warmup_then_learned_pruning(self, tiny_library,
                                          tiny_template):
         config = _strategy_config(
             tiny_library, tiny_template, generations=5,
-            params={"platform": "cortex_a15", "probe": "0",
-                    "min_train": "8", "top_fraction": "0.5"})
+            params={"probe": "0", "min_train": "8",
+                    "top_fraction": "0.5"})
         engine = GeneticEngine(config, _measurement(), DefaultFitness())
         history = engine.run()
         gen0 = history.generations[0].surrogate
@@ -299,39 +278,10 @@ class TestSurrogateStrategy:
         first, second = explored_series(), explored_series()
         assert first == second
 
-    def test_warm_start_from_cache_trains_without_measuring(
-            self, tiny_library, tiny_template):
-        cache = EvaluationCache("shared")
-
-        def run():
-            # top_fraction=1.0 keeps both runs' proposals identical
-            # (nothing is ever pruned), isolating the warm-start path.
-            config = _strategy_config(tiny_library, tiny_template,
-                                      generations=4,
-                                      params={"top_fraction": "1.0"})
-            engine = GeneticEngine(config, _measurement(),
-                                   DefaultFitness(), cache=cache)
-            return engine.run()
-
-        first = run()
-        assert len(cache) > 0
-        second = run()
-        # Every evaluation of the repeat run replays from the shared
-        # cache: zero fresh measurements...
-        assert sum(g.measured for g in second.generations) == 0
-        # ...yet the model still trains from the replayed fitnesses,
-        # and offspring found in the warm snapshot are reported.
-        assert second.generations[-1].surrogate["training_size"] > 0
-        assert any(g.surrogate["warm_hits"] > 0
-                   for g in second.generations[1:])
-        # the learned search trajectory is identical either way
-        assert [g.best_fitness for g in first.generations] == \
-            [g.best_fitness for g in second.generations]
-
     def test_state_round_trip(self, tiny_config):
         strategy = make_strategy("surrogate", None)
         strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__)
+                      iter(range(10_000)).__next__, CORTEX_A15)
         key = (("ADD", ("x1", "x2", "x3")),)
         strategy._memo[key] = ((1.0,), 1.0, False, False)
         strategy._feature_memo[key] = {"loop_length": 3.0}
@@ -345,7 +295,7 @@ class TestSurrogateStrategy:
 
         fresh = make_strategy("surrogate", None)
         fresh.bind(tiny_config, make_rng(0),
-                   iter(range(10_000)).__next__)
+                   iter(range(10_000)).__next__, CORTEX_A15)
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
         assert fresh._feature_memo == strategy._feature_memo
@@ -368,9 +318,8 @@ class TestSurrogateStrategy:
         for row in rows:
             surrogate = row["surrogate"]
             assert surrogate["base"] == "genetic"
-            assert {"simulated", "pruned", "replayed", "warm_hits",
-                    "explored", "training_size",
-                    "spearman"} <= set(surrogate)
+            assert {"simulated", "pruned", "replayed", "explored",
+                    "training_size", "spearman"} <= set(surrogate)
         # a torn trailing line must not break the readers (S3)
         with open(stats_path, "a") as handle:
             handle.write('{"schema": 2, "truncat')
