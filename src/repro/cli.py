@@ -350,9 +350,6 @@ def _command_check(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     machine = SimulatedMachine(args.platform)
-    hierarchy = machine.hierarchy
-    l1 = hierarchy.l1_config.size_bytes if hierarchy is not None else None
-    l2 = hierarchy.l2_config.size_bytes if hierarchy is not None else None
     try:
         program = machine.compile(args.source.read_text(),
                                   name=args.source.name)
@@ -363,9 +360,7 @@ def _command_check(args: argparse.Namespace) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    kwargs = {} if hierarchy is None else {"l1_bytes": l1, "l2_bytes": l2}
-    report = analyze_program(program, source_file=str(args.source),
-                             **kwargs)
+    report = analyze_program(program, source_file=str(args.source))
     report.diagnostics = sort_diagnostics(report.diagnostics)
     profile = report.profile
     if args.as_json:
@@ -405,12 +400,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     machine = SimulatedMachine(args.platform)
-    hierarchy = machine.hierarchy
-    kwargs = {}
-    if hierarchy is not None:
-        kwargs = {"l1_bytes": hierarchy.l1_config.size_bytes,
-                  "l2_bytes": hierarchy.l2_config.size_bytes,
-                  "line_bytes": hierarchy.l1_config.line_bytes}
     try:
         program = machine.compile(args.source.read_text(),
                                   name=args.source.name)
@@ -424,7 +413,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
     report = analyze_cost(program, machine.arch,
                           source_file=str(args.source),
                           intent=args.intent,
-                          fitness_target=args.fitness_target, **kwargs)
+                          fitness_target=args.fitness_target)
     report.diagnostics = sort_diagnostics(report.diagnostics)
     if args.as_json:
         print(diagnostics_to_json(report.diagnostics,

@@ -10,11 +10,11 @@ the population in deterministic uid order, so every backend yields
 bit-identical checkpoints, populations and run histories.
 
 * :class:`SerialBackend` — evaluates job by job in the engine's
-  process against the live plug-in objects, sharing their state (screen
-  counters, call counters in test doubles).
+  process against the live plug-in objects.
 
-* :class:`BatchedBackend` — evaluates the generation as one batch
-  through the pipeline's own screen, compile-failure and score stages.
+* :class:`BatchedBackend` — has the measurement compile and measure the
+  generation as one batch, between the pipeline's own screen and score
+  stages.
 
 * :class:`ProcessPoolBackend` — fans the generation out over N forked
   worker processes, one contiguous slice each, evaluated there by a
@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import multiprocessing
 from abc import ABC, abstractmethod
-from time import perf_counter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
-from ..cpu.machine import BatchedMachine, SimulatedMachine
 from ..isa.splice import TemplateSplicer
+from ..measurement.base import Measurement
 from .pipeline import EmptyMeasurementError, EvaluationPipeline, \
     EvaluationResult, StageTimings, noise_key
 
@@ -59,18 +58,16 @@ ResultOrError = Union[EvaluationResult, EmptyMeasurementError]
 
 
 class ExecutorBackend(ABC):
-    """Strategy interface for evaluating one generation's jobs."""
+    """Strategy interface for evaluating one generation's jobs.
+
+    Everything the evaluator records comes back in the results, so no
+    executor depends on plug-in state in the engine's process.
+    """
 
     #: Stats label of the engine that evaluated the last generation.
     name = ""
     #: Why that engine was picked (filled in by auto-selection).
     reason = ""
-    #: True when the backend evaluates against the driver's live
-    #: plug-in objects (their in-process state — screen counters, test
-    #: doubles — observes the evaluations).  Replicating backends set
-    #: this False so the driver knows to sync observable counters from
-    #: the returned results instead.
-    shares_state = True
 
     @abstractmethod
     def evaluate(self, pipeline: EvaluationPipeline,
@@ -104,59 +101,33 @@ class SerialBackend(ExecutorBackend):
 
 
 def supports_batching(pipeline: EvaluationPipeline) -> bool:
-    """True when ``pipeline`` can take the population-batched path.
-
-    Requires a measurement that (a) opts in via
-    :meth:`~repro.measurement.base.Measurement.supports_batching` —
-    i.e. implements ``measure_from_result`` so one target execution
-    fully determines its values, (b) exposes the stock execution
-    parameters, and (c) sits on a :class:`SimulatedTarget` backed by a
-    real :class:`~repro.cpu.machine.SimulatedMachine` with a reseedable
-    noise stream (without per-individual reseeding the serial path's
-    noise draws are order-dependent and a batch could not replicate
-    them).
-    """
+    """True when :meth:`Measurement.supports_batching
+    <repro.measurement.base.Measurement.supports_batching>` lets a batch
+    stand in for the pipeline's measure stage."""
     measurement = pipeline.measurement
-    probe = getattr(measurement, "supports_batching", None)
-    if not callable(probe) or not probe():
-        return False
-    if getattr(pipeline, "_reseed", None) is None:
-        return False
-    machine = getattr(getattr(measurement, "target", None), "machine", None)
-    if not isinstance(machine, SimulatedMachine):
-        return False
-    for attr in ("duration_s", "cores", "sample_count", "repeats",
-                 "source_name"):
-        if not hasattr(measurement, attr):
-            return False
-    return callable(getattr(measurement, "aggregate_rounds", None))
+    return isinstance(measurement, Measurement) \
+        and measurement.supports_batching()
 
 
 class BatchedBackend(ExecutorBackend):
     """Evaluate a whole generation as one batch.
 
-    The render→measure→score path is re-staged population-wide:
-    screening stays per-individual (in job order, against the live
-    screen object), every surviving source is compiled through a
+    Screening stays per job, in job order.  The measurement then
+    compiles every surviving source through a
     :class:`~repro.isa.splice.TemplateSplicer` (template scaffolding
-    assembled once, only loop bodies re-decoded), and all programs then
-    execute as a single :class:`~repro.cpu.machine.BatchedMachine` pass
-    — scheduling (per program with steady-state detection on, lockstep
-    with it off), then per-program energy, power and PDN through the
-    serial code.  Per-individual noise substreams are replayed
-    afterwards in job order.  The screen-failure,
-    compile-failure and score results come from the pipeline's own
-    stage methods, so every observable is bit-identical to
-    :class:`SerialBackend`.
+    assembled once, only loop bodies re-decoded) and measures them as
+    one batch (:meth:`~repro.measurement.base.Measurement.measure_batch`).
+    The pipeline's own stage methods give the screen-failure,
+    compile-failure and score results, so every observable is
+    bit-identical to :class:`SerialBackend`.  Where
+    :func:`supports_batching` is false (a procedure overriding
+    ``measure``, ``measure_repeated``, ``execute_on_target`` or
+    ``reseed_noise``; a non-simulated target) the serial per-job loop
+    runs instead.
 
-    Pipelines that cannot batch (custom measurements without
-    ``measure_from_result`` or overriding ``measure``, non-simulated
-    targets) silently take the serial per-job loop — correctness never
-    depends on batching.
-
-    Stage-time accounting: screen and score remain per-individual;
-    the batch's compile+execute wall time is apportioned equally
-    across the batched jobs' ``measure_s``.
+    Stage-time accounting: screen and score remain per job; the batch's
+    compile, run and interpretation time is split equally across the
+    batched jobs' ``measure_s``.
     """
 
     name = "batched"
@@ -164,7 +135,6 @@ class BatchedBackend(ExecutorBackend):
     def __init__(self) -> None:
         self._pipeline: Optional[EvaluationPipeline] = None
         self._splicer: Optional[TemplateSplicer] = None
-        self._batched: Optional[BatchedMachine] = None
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
@@ -173,12 +143,10 @@ class BatchedBackend(ExecutorBackend):
         if not supports_batching(pipeline):
             return SerialBackend().evaluate(pipeline, jobs)
         measurement = pipeline.measurement
-        machine: SimulatedMachine = measurement.target.machine
         if self._pipeline is not pipeline:
             self._pipeline = pipeline
             self._splicer = TemplateSplicer(pipeline.template,
-                                            machine.assembler)
-            self._batched = BatchedMachine(machine)
+                                            pipeline.machine.assembler)
 
         slots: List[Optional[ResultOrError]] = [None] * len(jobs)
         timings = [StageTimings() for _ in jobs]
@@ -189,50 +157,36 @@ class BatchedBackend(ExecutorBackend):
             if slots[index] is None:
                 runnable.append(index)
 
-        # Compile (spliced) and execute the whole batch.
-        began_measure = perf_counter()  # staticcheck: disable=SC404
-        translator = getattr(measurement.target, "translator", None)
+        batch = StageTimings()
         programs = {}
         compile_cache = {}
+        with batch.stage("measure"):
+            for index in runnable:
+                individual, source = jobs[index]
+                tally = pipeline.compile_tally()
+                try:
+                    programs[index] = measurement.compile_source(
+                        source, builder=self._splicer.compile)
+                except AssemblyError:
+                    slots[index] = pipeline.compile_failure(
+                        individual, source, timings[index], tally())
+                    continue
+                compile_cache[index] = tally()
+            values = measurement.measure_batch(
+                list(programs.values()),
+                [jobs[index][0] for index in programs],
+                [noise_key(pipeline.noise_seed, jobs[index][1])
+                 for index in programs])
         for index in runnable:
-            individual, source = jobs[index]
-            tally = pipeline.compile_tally()
-            text = translator(source) if translator is not None else source
-            try:
-                programs[index] = machine.compile(
-                    text, name=measurement.source_name,
-                    builder=self._splicer.compile)
-            except AssemblyError:
-                slots[index] = pipeline.compile_failure(
-                    individual, source, timings[index], tally())
-                continue
-            compile_cache[index] = tally()
-        batch_rows = [index for index in runnable if index in programs]
-        rounds_by_row: List[List] = []
-        if batch_rows:
-            rounds_by_row = self._batched.run_batch(
-                [programs[index] for index in batch_rows],
-                duration_s=measurement.duration_s,
-                cores=measurement.cores,
-                power_sample_count=measurement.sample_count,
-                noise_keys=[noise_key(pipeline.noise_seed, jobs[index][1])
-                            for index in batch_rows],
-                repeats=measurement.repeats)
-        measure_share = (perf_counter() - began_measure) \
-            / max(1, len(runnable))
-        for index in runnable:
-            timings[index].measure_s += measure_share
+            timings[index].measure_s += batch.measure_s / len(runnable)
 
-        # Interpret, aggregate and score per individual, in job order.
-        for row, index in enumerate(batch_rows):
+        # Score per individual, in job order.
+        for index, measurements in zip(programs, values):
             individual, source = jobs[index]
-            rounds = [measurement.measure_from_result(result, individual)
-                      for result in rounds_by_row[row]]
             try:
                 slots[index] = pipeline.scored(
-                    individual, source,
-                    measurement.aggregate_rounds(rounds, individual),
-                    timings[index], compile_cache[index])
+                    individual, source, measurements, timings[index],
+                    compile_cache[index])
             except EmptyMeasurementError as exc:
                 # Mirror the serial stop point: everything before the
                 # failing job stands, the error goes in band, later
@@ -281,7 +235,6 @@ class ProcessPoolBackend(ExecutorBackend):
     """
 
     name = "pool"
-    shares_state = False
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
@@ -381,11 +334,6 @@ class AutoSelectBackend(ExecutorBackend):
     def name(self) -> str:  # type: ignore[override]
         """The delegate that ran the last generation."""
         return self._last.name
-
-    @property
-    def shares_state(self) -> bool:  # type: ignore[override]
-        """Reflects the delegate that ran the last generation."""
-        return self._last.shares_state
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:

@@ -15,7 +15,6 @@ and run histories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import List, Optional
 
 from .backends import AutoSelectBackend, ExecutorBackend, Job
@@ -69,9 +68,8 @@ class StagedEvaluator:
         for individual in population:
             if individual.evaluated:
                 continue
-            began = perf_counter()  # staticcheck: disable=SC404
-            source = self.pipeline.render(individual)
-            outcome.timings.render_s += perf_counter() - began  # staticcheck: disable=SC404
+            with outcome.timings.stage("render"):
+                source = self.pipeline.render(individual)
             cached = self.cache.get(source) if self.cache is not None \
                 else None
             if cached is not None:
@@ -117,38 +115,18 @@ class StagedEvaluator:
                 measurements=list(cached.measurements), fitness=0.0,
                 compile_failed=cached.compile_failed,
                 screen_failed=cached.screen_failed, cache_hit=True)
-        began = perf_counter()  # staticcheck: disable=SC404
-        fitness = self.pipeline.score(cached.measurements, individual)
-        timings.score_s += perf_counter() - began  # staticcheck: disable=SC404
+        with timings.stage("score"):
+            fitness = self.pipeline.score(cached.measurements, individual)
         return EvaluationResult(
             uid=individual.uid, source=source,
             measurements=list(cached.measurements), fitness=fitness,
             cache_hit=True)
 
     def _sync_counters(self, outcome: GenerationOutcome) -> None:
-        """Derive measured/screened counters; replicate screen stats.
-
-        A replicating backend (``shares_state = False``) screens inside
-        its worker copies, so the driver-side screen's cumulative
-        :class:`~repro.staticcheck.screen.ScreenStats` would otherwise
-        stay empty; rebuild them from the returned results.
-        """
-        screen = self.pipeline.screen
+        """Count the pass's fresh results: ``measured`` (passed the
+        screen) and, with a screen, ``screened``.  Derived from the
+        results alone, so every executor reports the same counts."""
         fresh = [r for r in outcome.results if not r.cache_hit]
         outcome.measured = sum(1 for r in fresh if not r.screen_failed)
-        if screen is None:
-            return
-        outcome.screened = len(fresh)
-        if self.backend.shares_state:
-            return
-        stats = getattr(screen, "stats", None)
-        if stats is None:
-            return
-        for result in fresh:
-            stats.screened += 1
-            if not result.screen_failed:
-                stats.passed += 1
-            elif result.compile_failed:
-                stats.assembly_failures += 1
-            else:
-                stats.dataflow_failures += 1
+        if self.pipeline.screen is not None:
+            outcome.screened = len(fresh)

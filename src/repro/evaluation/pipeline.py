@@ -34,9 +34,11 @@ populations and run histories.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, \
+    Tuple
 
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
@@ -58,8 +60,8 @@ class MeasurementProtocol(Protocol):
     Both methods are required: the pipeline always dispatches through
     :meth:`measure_repeated`, so a plug-in that omits it fails loudly at
     engine construction instead of silently measuring single-shot.
-    Subclasses of :class:`repro.measurement.base.Measurement` inherit a
-    correct ``measure_repeated`` and only override ``measure``.
+    Subclasses of :class:`repro.measurement.base.Measurement` inherit
+    both and override ``measure_from_result`` or ``measure``.
     """
 
     def measure(self, source_text: str,
@@ -109,13 +111,26 @@ class StageTimings:
 
     Under a process-pool backend the stage clocks tick concurrently in
     the workers, so totals may exceed the generation's wall time — they
-    are *work* accounting, not elapsed time.
+    are *work* accounting, not elapsed time.  :meth:`stage` is the
+    evaluation layer's one clock.
     """
 
     render_s: float = 0.0
     screen_s: float = 0.0
     measure_s: float = 0.0
     score_s: float = 0.0
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Add the wall time of the ``with`` block, exceptions
+        included, to the ``<name>_s`` field."""
+        attr = f"{name}_s"
+        began = perf_counter()  # staticcheck: disable=SC404
+        try:
+            yield
+        finally:
+            setattr(self, attr, getattr(self, attr)
+                    + (perf_counter() - began))
 
     def add(self, other: "StageTimings") -> None:
         self.render_s += other.render_s
@@ -258,9 +273,8 @@ class EvaluationPipeline:
         """
         if self.screen is None:
             return None
-        began = perf_counter()  # staticcheck: disable=SC404
-        report = self.screen.screen(source, individual)
-        timings.screen_s += perf_counter() - began  # staticcheck: disable=SC404
+        with timings.stage("screen"):
+            report = self.screen.screen(source, individual)
         if report.passed:
             return None
         return EvaluationResult(
@@ -309,9 +323,8 @@ class EvaluationPipeline:
                 f"an empty result list for individual "
                 f"uid={individual.uid} in generation "
                 f"{individual.generation}")
-        began = perf_counter()  # staticcheck: disable=SC404
-        value = self.score(measurements, individual)
-        timings.score_s += perf_counter() - began  # staticcheck: disable=SC404
+        with timings.stage("score"):
+            value = self.score(measurements, individual)
         hits, misses = compile_cache
         return EvaluationResult(
             uid=individual.uid, source=source,
@@ -334,25 +347,22 @@ class EvaluationPipeline:
         """
         timings = StageTimings()
         if source is None:
-            began = perf_counter()  # staticcheck: disable=SC404
-            source = self.render(individual)
-            timings.render_s += perf_counter() - began  # staticcheck: disable=SC404
+            with timings.stage("render"):
+                source = self.render(individual)
 
         rejected = self.screen_failure(individual, source, timings)
         if rejected is not None:
             return rejected
 
-        began = perf_counter()  # staticcheck: disable=SC404
         tally = self.compile_tally()
-        if self._reseed is not None:
-            self._reseed(noise_key(self.noise_seed, source))
         try:
-            measurements = self.measurement.measure_repeated(source,
-                                                             individual)
+            with timings.stage("measure"):
+                if self._reseed is not None:
+                    self._reseed(noise_key(self.noise_seed, source))
+                measurements = self.measurement.measure_repeated(
+                    source, individual)
         except AssemblyError:
-            timings.measure_s += perf_counter() - began  # staticcheck: disable=SC404
             return self.compile_failure(individual, source, timings,
                                         tally())
-        timings.measure_s += perf_counter() - began  # staticcheck: disable=SC404
         return self.scored(individual, source, measurements, timings,
                            tally())

@@ -7,7 +7,10 @@ parsing) and ``measure`` (the actual procedure).  This module is the
 analogue: :class:`Measurement` owns a
 :class:`~repro.cpu.target.SimulatedTarget` and provides the
 upload→compile→run→cleanup workflow; concrete classes override
-:meth:`init` and :meth:`measure`.
+:meth:`init` and either :meth:`measure_from_result` (arithmetic on one
+run, as every stock procedure does) or :meth:`measure`.  The class also
+runs its own population batch, and :meth:`supports_batching` alone
+decides when that batch may stand in for the procedure.
 
 The engine loads measurement classes dynamically by dotted name from
 the main configuration (:mod:`repro.core.loader`), so adding a new
@@ -18,13 +21,13 @@ property the paper demonstrates.
 from __future__ import annotations
 
 import dataclasses
-from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import ConfigError, MeasurementError
 from ..core.individual import Individual
-from ..cpu.machine import RunResult
+from ..cpu.machine import BatchedMachine, RunResult, SimulatedMachine
 from ..cpu.target import SimulatedTarget
+from ..isa.model import Program
 
 __all__ = ["Measurement"]
 
@@ -55,8 +58,22 @@ def _stable_repr(value) -> str:
     return repr(value)
 
 
-class Measurement(ABC):
+#: The steps :meth:`Measurement.measure_batch` skips.
+_BATCH_SKIPS = ("measure", "measure_repeated", "execute_on_target",
+                "reseed_noise")
+
+
+def _definer_depth(cls: type, name: str) -> int:
+    """How far up ``cls``'s MRO ``name`` is defined (0 = ``cls``)."""
+    return next(index for index, klass in enumerate(cls.__mro__)
+                if name in vars(klass))
+
+
+class Measurement:
     """Base class for measurement procedures.
+
+    A subclass defines :meth:`measure_from_result`, :meth:`measure`, or
+    both; construction refuses one that defines neither.
 
     Parameters come as a flat string→string mapping — the parsed
     contents of the separate measurement XML file the paper describes.
@@ -78,6 +95,12 @@ class Measurement(ABC):
 
     def __init__(self, target: SimulatedTarget,
                  params: Optional[Dict[str, str]] = None) -> None:
+        cls = type(self)
+        if cls.measure is Measurement.measure and \
+                cls.measure_from_result is Measurement.measure_from_result:
+            raise TypeError(
+                f"can't instantiate {cls.__name__}: a measurement defines "
+                "measure() or measure_from_result()")
         self.target = target
         if not target.connected:
             target.connect()
@@ -124,7 +147,6 @@ class Measurement(ABC):
                 f"unknown aggregate {self.aggregate!r}; "
                 "expected 'mean' or 'median'")
 
-    @abstractmethod
     def measure(self, source_text: str,
                 individual: Individual) -> List[float]:
         """Run the procedure once and return the measurement list.
@@ -135,47 +157,47 @@ class Measurement(ABC):
         :class:`~repro.core.errors.AssemblyError` — the engine turns
         them into zero-fitness individuals.
 
+        The base procedure is one target run interpreted by
+        :meth:`measure_from_result`.  A procedure that drives the target
+        in richer ways (extra runs, supply sweeps, file I/O) overrides
+        this instead.
+
         The engine should call :meth:`measure_repeated`, which wraps
         this with the ``repeats``/``aggregate`` policy; with the
         default ``repeats=1`` the two are identical.
         """
+        return self.measure_from_result(self.execute_on_target(source_text),
+                                        individual)
 
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
-        """Derive the measurement list from an already-executed run.
+        """Derive the measurement list from one executed run.
 
-        The batched evaluation backend
-        (:class:`repro.evaluation.backends.BatchedBackend`) executes a
-        whole generation's programs in one vectorized pass and then
-        asks each measurement to interpret its individual's
-        :class:`~repro.cpu.machine.RunResult`.  Stock procedures
-        implement this and define :meth:`measure` as
-        ``measure_from_result(execute_on_target(source), individual)``;
-        a procedure whose measurement is pure arithmetic on one
-        ``RunResult`` gets batched execution for free by doing the
-        same.  Procedures that drive the target in richer ways (extra
-        runs, supply sweeps, file I/O) simply don't override this, and
-        the batched backend falls back to their :meth:`measure` —
-        correctness is never contingent on batching.
+        Stock procedures define only this: pure arithmetic on one
+        :class:`~repro.cpu.machine.RunResult`.  The base :meth:`measure`
+        applies it to :meth:`execute_on_target`'s run, and
+        :meth:`measure_batch` to each row of a batch.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support batched execution")
+            f"{type(self).__name__} does not interpret single runs")
 
     def supports_batching(self) -> bool:
-        """True when :meth:`measure_from_result` is implemented, i.e.
-        one target execution per measurement fully determines the
-        values, and no subclass below it overrides :meth:`measure` or
-        :meth:`measure_repeated` (batched execution bypasses both)."""
+        """True when :meth:`measure_batch` may stand in for
+        :meth:`measure_repeated`; every executor follows this rule.
+
+        A batch skips :meth:`measure`, :meth:`measure_repeated`,
+        :meth:`execute_on_target` and :meth:`reseed_noise`, so the
+        most-derived :meth:`measure_from_result` must be at least as
+        derived as each of them, and the target's machine must be a
+        :class:`~repro.cpu.machine.SimulatedMachine`.
+        """
         cls = type(self)
         if cls.measure_from_result is Measurement.measure_from_result:
             return False
-        mro = cls.__mro__
-
-        def owner(name: str) -> int:
-            return next(index for index, klass in enumerate(mro)
-                        if name in vars(klass))
-        return owner("measure_from_result") <= min(
-            owner("measure"), owner("measure_repeated"))
+        depth = _definer_depth(cls, "measure_from_result")
+        if any(_definer_depth(cls, name) < depth for name in _BATCH_SKIPS):
+            return False
+        return isinstance(self.target.machine, SimulatedMachine)
 
     def measure_repeated(self, source_text: str,
                          individual: Individual) -> List[float]:
@@ -272,3 +294,38 @@ class Measurement(ABC):
             )
         finally:
             target.remove_file(self.source_name)
+
+    # -- batched execution ----------------------------------------------------
+
+    def compile_source(self, source_text: str, builder=None) -> Program:
+        """Compile ``source_text`` as :meth:`execute_on_target` does
+        (through the target's translator, under ``source_name``) without
+        the upload round trip; ``builder`` goes to
+        :meth:`~repro.cpu.machine.SimulatedMachine.compile`."""
+        target = self.target
+        if target.translator is not None:
+            source_text = target.translator(source_text)
+        return target.machine.compile(source_text, name=self.source_name,
+                                      builder=builder)
+
+    def measure_batch(self, programs: Sequence[Program],
+                      individuals: Sequence[Individual],
+                      noise_keys: Sequence[int]) -> List[List[float]]:
+        """Measure compiled ``programs`` in one
+        :meth:`~repro.cpu.machine.BatchedMachine.run_batch` call with
+        this procedure's parameters, each row's noise reseeded from its
+        key, then interpret each row with :meth:`measure_from_result`
+        and :meth:`aggregate_rounds`.  Where :meth:`supports_batching`
+        holds, row ``i`` equals :meth:`measure_repeated` after
+        :meth:`reseed_noise` with ``noise_keys[i]``.
+        """
+        if not programs:
+            return []
+        rows = BatchedMachine(self.target.machine).run_batch(
+            list(programs), duration_s=self.duration_s, cores=self.cores,
+            power_sample_count=self.sample_count,
+            noise_keys=list(noise_keys), repeats=self.repeats)
+        return [self.aggregate_rounds(
+                    [self.measure_from_result(result, individual)
+                     for result in rounds], individual)
+                for rounds, individual in zip(rows, individuals)]

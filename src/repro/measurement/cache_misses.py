@@ -25,11 +25,6 @@ class CacheMissMeasurement(Measurement):
     """LLC misses per thousand instructions (the fitness) plus the
     supporting hierarchy counters."""
 
-    def measure(self, source_text: str,
-                individual: Individual) -> List[float]:
-        return self.measure_from_result(
-            self.execute_on_target(source_text), individual)
-
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         if result.cache is None:

@@ -22,11 +22,6 @@ __all__ = ["OscilloscopeMeasurement"]
 class OscilloscopeMeasurement(Measurement):
     """Peak-to-peak die voltage from the PDN waveform."""
 
-    def measure(self, source_text: str,
-                individual: Individual) -> List[float]:
-        return self.measure_from_result(
-            self.execute_on_target(source_text), individual)
-
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         trace = result.voltage

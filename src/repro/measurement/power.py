@@ -24,11 +24,6 @@ __all__ = ["PowerMeasurement"]
 class PowerMeasurement(Measurement):
     """Average and peak power over multiple samples."""
 
-    def measure(self, source_text: str,
-                individual: Individual) -> List[float]:
-        return self.measure_from_result(
-            self.execute_on_target(source_text), individual)
-
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         samples = result.power_samples_w

@@ -23,11 +23,6 @@ __all__ = ["TemperatureMeasurement"]
 class TemperatureMeasurement(Measurement):
     """Quantised chip temperature after the run duration."""
 
-    def measure(self, source_text: str,
-                individual: Individual) -> List[float]:
-        return self.measure_from_result(
-            self.execute_on_target(source_text), individual)
-
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         return [result.temperature_c, result.avg_power_w, result.ipc]

@@ -37,7 +37,7 @@ from .diagnostics import (CODES, Diagnostic, Location, Severity,
                           diagnostics_to_json, format_diagnostics,
                           has_errors, make_diagnostic, sort_diagnostics,
                           summarise, worst_severity)
-from .screen import ScreenReport, ScreenStats, StaticScreen
+from .screen import ScreenReport, StaticScreen
 from .selflint import (lint_file, lint_source, lint_tree,
                        repro_package_root)
 
@@ -52,6 +52,6 @@ __all__ = [
     "CODES", "Diagnostic", "Location", "Severity",
     "diagnostics_to_json", "format_diagnostics", "has_errors",
     "make_diagnostic", "sort_diagnostics", "summarise", "worst_severity",
-    "ScreenReport", "ScreenStats", "StaticScreen",
+    "ScreenReport", "StaticScreen",
     "lint_file", "lint_source", "lint_tree", "repro_package_root",
 ]

@@ -38,7 +38,7 @@ from ..isa.assembler import BaseAssembler
 from .dataflow import DEFAULT_LINE_BYTES, StaticProfile, analyze_program
 from .diagnostics import Diagnostic, Severity, make_diagnostic
 
-__all__ = ["ScreenReport", "ScreenStats", "StaticScreen"]
+__all__ = ["ScreenReport", "StaticScreen"]
 
 
 @dataclass
@@ -53,22 +53,13 @@ class ScreenReport:
     profile: Optional[StaticProfile] = None
 
 
-@dataclass
-class ScreenStats:
-    """Cumulative counters, reported per generation by the engine."""
-
-    screened: int = 0
-    passed: int = 0
-    assembly_failures: int = 0
-    dataflow_failures: int = 0
-
-    @property
-    def failures(self) -> int:
-        return self.assembly_failures + self.dataflow_failures
-
-
 class StaticScreen:
     """The engine-facing screening object.
+
+    Stateless per call: each :meth:`screen` returns its verdict, and the
+    engine counts screenings and failures from the evaluation results
+    (``GenerationStats.screened`` / ``screen_failures``), so the counts
+    are the same under every executor.
 
     Parameters
     ----------
@@ -92,7 +83,6 @@ class StaticScreen:
         self.l1_bytes = l1_bytes
         self.l2_bytes = l2_bytes
         self.line_bytes = line_bytes
-        self.stats = ScreenStats()
 
     @classmethod
     def for_machine(cls, machine, **kwargs) -> "StaticScreen":
@@ -112,13 +102,11 @@ class StaticScreen:
 
     def screen(self, source_text: str, individual=None) -> ScreenReport:
         """Screen one rendered source; never raises on bad programs."""
-        self.stats.screened += 1
         name = f"uid{individual.uid}.s" if individual is not None \
             else "screened.s"
         try:
             program = self.assembler.assemble(source_text, name=name)
         except AssemblyError as exc:
-            self.stats.assembly_failures += 1
             diagnostic = make_diagnostic(
                 "SC201", f"source does not assemble: {exc}",
                 severity=Severity.ERROR, file=name)
@@ -131,10 +119,6 @@ class StaticScreen:
                                  source_file=name)
         failing = [d for d in report.diagnostics
                    if d.severity >= self.fail_severity]
-        if failing:
-            self.stats.dataflow_failures += 1
-        else:
-            self.stats.passed += 1
         return ScreenReport(passed=not failing, assembly_failed=False,
                             diagnostics=report.diagnostics,
                             profile=report.profile)

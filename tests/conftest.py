@@ -22,9 +22,9 @@ def _serial_evaluation_marker(request, monkeypatch):
     CI runs the whole suite under ``GEST_EVAL_WORKERS=2``, a 2-worker
     budget the auto-selecting executor may spend on a process pool, to
     prove pooled evaluation is behaviour-identical.  Tests that assert
-    *in-process* plug-in state (call counters on test doubles, live
-    screen stats) must never be pooled, so the marker clears the
-    environment override and leaves the executor a budget of one.
+    *in-process* plug-in state (call counters on test doubles) must
+    never be pooled, so the marker clears the environment override and
+    leaves the executor a budget of one.
     """
     if request.node.get_closest_marker("serial_evaluation"):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)

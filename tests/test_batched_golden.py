@@ -28,7 +28,8 @@ from repro.cpu.machine import BatchedMachine, SimulatedMachine
 from repro.cpu.target import SimulatedTarget
 from repro.evaluation import EvaluationCache
 from repro.evaluation.backends import (AutoSelectBackend, BatchedBackend,
-                                       SerialBackend, supports_batching)
+                                       ProcessPoolBackend, SerialBackend,
+                                       supports_batching)
 from repro.evaluation.pipeline import EvaluationPipeline, noise_key
 from repro.fitness.default_fitness import DefaultFitness
 from repro.measurement.oscilloscope import OscilloscopeMeasurement
@@ -191,6 +192,39 @@ class TestBatchedMachineGoldens:
                 rounds[0])
 
 
+class _ScriptedMeasure(PowerMeasurement):
+    def measure(self, source_text, individual):
+        return [1.0]
+
+
+class _ScriptedRepeated(PowerMeasurement):
+    def measure_repeated(self, source_text, individual):
+        return [1.0]
+
+
+class _UnderVolted(PowerMeasurement):
+    """Runs at 0.9x nominal supply, as a V_MIN sweep step would."""
+
+    def execute_on_target(self, source_text, supply_v=None):
+        return super().execute_on_target(
+            source_text, supply_v=0.9 * self.target.machine.supply_v)
+
+
+class _ShiftedNoise(PowerMeasurement):
+    def reseed_noise(self, key):
+        super().reseed_noise(key + 1)
+
+
+#: One PowerMeasurement subclass per step a batch skips, each
+#: overriding that step so that its values change.
+_SKIPPED_STEPS = {
+    "measure": _ScriptedMeasure,
+    "measure_repeated": _ScriptedRepeated,
+    "execute_on_target": _UnderVolted,
+    "reseed_noise": _ShiftedNoise,
+}
+
+
 def _build_pipeline(config, measurement_cls=PowerMeasurement,
                     screen=False, hierarchy=False, params=None):
     machine = SimulatedMachine(
@@ -309,20 +343,40 @@ class TestBatchedBackendGoldens:
         results = BatchedBackend().evaluate(pipeline, jobs)
         assert [r.measurements for r in results] == [[1.0]] * 4
 
-    def test_overridden_measure_is_never_batched(self, config):
-        """Batching bypasses measure(); a subclass overriding it keeps
-        the serial path even where the auto-selector would batch."""
-        class Scripted(PowerMeasurement):
-            def measure(self, source_text, individual):
-                return [1.0]
+    @pytest.mark.parametrize("method", list(_SKIPPED_STEPS))
+    def test_overridden_measure_is_never_batched(self, config, method):
+        """A batch skips measure(), measure_repeated(),
+        execute_on_target() and reseed_noise(); a subclass overriding
+        any of them keeps its own procedure under every executor, even
+        where the auto-selector would otherwise batch."""
+        params = {"duration": "1", "samples": "3", "repeats": "3"}
         pipeline = _build_pipeline(
-            config, measurement_cls=Scripted,
-            params={"duration": "1", "samples": "3", "repeats": "3"})
+            config, measurement_cls=_SKIPPED_STEPS[method], params=params)
+        assert not pipeline.measurement.supports_batching()
         assert not supports_batching(pipeline)
         backend = AutoSelectBackend()
-        results = backend.evaluate(pipeline, _jobs(pipeline, config, 4))
+        serial = backend.evaluate(pipeline, _jobs(pipeline, config, 8))
         assert backend.name == "serial"
-        assert [r.measurements for r in results] == [[1.0]] * 4
+        if method in ("measure", "measure_repeated"):
+            assert [r.measurements for r in serial] == [[1.0]] * 8
+        stock = _build_pipeline(config, params=params)
+        assert [r.measurements for r in serial] != [
+            r.measurements
+            for r in SerialBackend().evaluate(stock,
+                                              _jobs(stock, config, 8))]
+        pool = ProcessPoolBackend(2)
+        try:
+            for other in (BatchedBackend(), pool):
+                pipeline = _build_pipeline(
+                    config, measurement_cls=_SKIPPED_STEPS[method],
+                    params=params)
+                results = other.evaluate(pipeline,
+                                         _jobs(pipeline, config, 8))
+                assert [(r.uid, r.measurements, r.fitness)
+                        for r in results] == [
+                    (r.uid, r.measurements, r.fitness) for r in serial]
+        finally:
+            pool.close()
 
     def test_auto_select_records_choice(self, config):
         backend = AutoSelectBackend(pool_workers=1)
@@ -340,7 +394,6 @@ class TestBatchedBackendGoldens:
             individual.uid += 100
         backend.evaluate(repeated, jobs)
         assert backend.name == "batched"
-        assert backend.shares_state
 
 
 class TestEngineBackendStats:

@@ -321,8 +321,8 @@ class TestStaticScreening:
             unscreened.best_individual.genome_key()
         assert all(g.screen_failures == 0 for g in screened.generations)
         total = tiny_config.ga.population_size * tiny_config.ga.generations
-        assert screen.stats.screened == total
-        assert screen.stats.passed == total
+        assert sum(g.screened for g in screened.generations) == total
+        assert sum(g.screen_failures for g in screened.generations) == 0
 
 
 class TestEmptyMeasurementError:

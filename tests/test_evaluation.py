@@ -61,16 +61,28 @@ class _PrefixFailing(_LdrCounter):
         return super().measure(source_text, individual)
 
 
-def _power_measurement(seed=99):
+class _UnderVolted(PowerMeasurement):
+    """Measures at 0.9x nominal supply, as a V_MIN sweep step would; a
+    batch skips execute_on_target, so it must never stand in."""
+
+    def execute_on_target(self, source_text, supply_v=None):
+        return super().execute_on_target(
+            source_text, supply_v=0.9 * self.target.machine.supply_v)
+
+
+def _power_measurement(seed=99, measurement_cls=PowerMeasurement):
     machine = SimulatedMachine("cortex_a15", seed=seed, sim_cycles=600)
     target = SimulatedTarget(machine)
     target.connect()
-    return PowerMeasurement(target, {"samples": "2"})
+    return measurement_cls(target, {"samples": "2"})
 
 
-def _run(config, tmp_path=None, name="run", **engine_kwargs):
+def _run(config, tmp_path=None, name="run",
+         measurement_cls=PowerMeasurement, **engine_kwargs):
     recorder = OutputRecorder(tmp_path / name) if tmp_path else None
-    engine = GeneticEngine(config, _power_measurement(config.ga.seed),
+    engine = GeneticEngine(config,
+                           _power_measurement(config.ga.seed,
+                                              measurement_cls),
                            DefaultFitness(), recorder=recorder,
                            **engine_kwargs)
     history = engine.run()
@@ -81,21 +93,33 @@ def _run(config, tmp_path=None, name="run", **engine_kwargs):
 # serial / parallel / cache equivalence (the acceptance property)
 # ---------------------------------------------------------------------------
 
+#: The stock procedure, and one overriding a step a batch skips.
+MEASUREMENTS = pytest.mark.parametrize(
+    "measurement_cls", [PowerMeasurement, _UnderVolted],
+    ids=["stock", "undervolted"])
+
+
 class TestBackendEquivalence:
-    def test_histories_identical(self, tiny_config):
-        serial, _ = _run(tiny_config, backend=SerialBackend())
-        pooled, _ = _run(tiny_config, backend=ProcessPoolBackend(2))
+    @MEASUREMENTS
+    def test_histories_identical(self, tiny_config, measurement_cls):
+        serial, _ = _run(tiny_config, measurement_cls=measurement_cls,
+                         backend=SerialBackend())
+        pooled, _ = _run(tiny_config, measurement_cls=measurement_cls,
+                         backend=ProcessPoolBackend(2))
         assert serial.generations == pooled.generations
         assert serial.best_individual.genome_key() == \
             pooled.best_individual.genome_key()
         assert [i.measurements for i in serial.final_population] == \
             [i.measurements for i in pooled.final_population]
 
+    @MEASUREMENTS
     def test_population_binaries_bit_identical(self, tiny_config,
-                                               tmp_path):
+                                               tmp_path, measurement_cls):
         _, rec_serial = _run(tiny_config, tmp_path, "serial",
+                             measurement_cls=measurement_cls,
                              backend=SerialBackend())
         _, rec_pooled = _run(tiny_config, tmp_path, "pooled",
+                             measurement_cls=measurement_cls,
                              backend=ProcessPoolBackend(2))
         serial_files = rec_serial.population_files()
         pooled_files = rec_pooled.population_files()
