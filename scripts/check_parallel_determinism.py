@@ -4,15 +4,19 @@
 Runs the shipped arm_power configuration (at a reduced scale) several
 times — SerialBackend, ProcessPoolBackend(2), SerialBackend with a
 fresh evaluation cache, the same search again over that now-filled
-cache, and SerialBackend with steady-state kernel detection disabled
-(full cycle-by-cycle simulation) — and verifies they all produce
+cache, SerialBackend with a static screen, and SerialBackend with
+steady-state kernel detection disabled (full cycle-by-cycle
+simulation) — and verifies they all produce
 identical run histories and bit-identical population binaries.
 ``--backend batched`` (or ``auto``) swaps the non-reference variants'
 executor for the population-vectorized path, checking the batched
 render→measure→score pass against the serial loop end-to-end.
 The replayed variant checks that a cache only replays measurements:
 a search over a filled cache must measure exactly what it would
-without one, under every strategy.  The last variant is the tiling
+without one, under every strategy.  The screened variant checks the
+one compile path: the screen checks the program the measurement
+compiles, the same one the executors and the pruning rankers take,
+and must change nothing.  The last variant is the tiling
 contract end-to-end: stopping at a recurring scheduler state and
 analytically tiling the detected period must be observationally
 invisible to the whole GA.  Exits non-zero on any mismatch; CI runs
@@ -42,6 +46,7 @@ from repro.evaluation import (EvaluationCache, ProcessPoolBackend,
 from repro.evaluation.backends import AutoSelectBackend, BatchedBackend
 from repro.measurement.base import Measurement
 from repro.search import STRATEGIES
+from repro.staticcheck import StaticScreen
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "arm_power" \
     / "config.xml"
@@ -50,7 +55,7 @@ GENERATIONS = 4
 
 def run_variant(workdir: Path, name: str, backend, cache,
                 steady_state_detection: bool = True,
-                strategy: str = "genetic"):
+                strategy: str = "genetic", screened: bool = False):
     config = parse_config_file(CONFIG)
     config.ga.generations = GENERATIONS
     config.ga.population_size = 10
@@ -65,7 +70,9 @@ def run_variant(workdir: Path, name: str, backend, cache,
     recorder = OutputRecorder(workdir / name)
     engine = GeneticEngine(config, measurement, fitness,
                            recorder=recorder, backend=backend, cache=cache,
-                           strategy=strategy)
+                           strategy=strategy,
+                           screen=StaticScreen.for_machine(machine)
+                           if screened else None)
     history = engine.run()
     return history, recorder
 
@@ -102,6 +109,7 @@ def main() -> int:
                       else (ProcessPoolBackend(2), None)), True),
             ("cached", lambda: (challenger(), filled), True),
             ("replayed", lambda: (challenger(), filled), True),
+            ("screened", lambda: (challenger(), None), True),
             # Full cycle-by-cycle simulation: the steady-state tiling
             # contract says this must be bit-identical to the default.
             ("untiled", lambda: (challenger(), None), False),
@@ -115,7 +123,7 @@ def main() -> int:
             histories[name], recorders[name] = run_variant(
                 workdir, name, backend, cache,
                 steady_state_detection=detection,
-                strategy=args.strategy)
+                strategy=args.strategy, screened=name == "screened")
 
         reference = histories["serial"]
         for name, _, _ in variants[1:]:

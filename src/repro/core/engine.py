@@ -104,9 +104,9 @@ class GenerationStats:
     measured: int = field(default=0, compare=False)
     #: Individuals that entered the screen stage this pass.
     screened: int = field(default=0, compare=False)
-    #: Target-machine compile-cache traffic for this pass (mutation and
-    #: crossover re-render many identical sources, so assembly repeats;
-    #: the machine caches Program objects content-addressed on source).
+    #: Target-machine compile-cache traffic of each evaluation's first
+    #: compile (the screen's, else the measure stage's).  Under the
+    #: pruning wrappers the ranker compiles first, so these read hits.
     compile_cache_hits: int = field(default=0, compare=False)
     compile_cache_misses: int = field(default=0, compare=False)
     #: Cumulative per-stage evaluation seconds for this generation.
@@ -221,7 +221,8 @@ class GeneticEngine:
         :class:`repro.staticcheck.screen.StaticScreen`).  Individuals
         the screen rejects are recorded as zero-fitness screen failures
         without entering the measurement path; counts appear in
-        :class:`GenerationStats`.
+        :class:`GenerationStats`.  A measurement that cannot compile
+        with a screen raises :class:`ConfigError`.
     backend:
         Optional :class:`ExecutorBackend` instance replacing the
         default :class:`AutoSelectBackend`, which routes each
@@ -245,7 +246,7 @@ class GeneticEngine:
         ``genetic`` — the paper's GA).  A name matching the config's
         strategy picks up the config's strategy parameters; a different
         name runs with that strategy's defaults.  The strategy is bound
-        to the microarchitecture of the measurement's simulated machine.
+        to the measured machine's microarchitecture and compile.
     run_id:
         Explicit run identity stamped into every stats record and
         event; defaults to the content-derived :func:`derive_run_id`.
@@ -295,10 +296,11 @@ class GeneticEngine:
             fitness=fitness, screen=screen,
             noise_seed=config.ga.seed if config.ga.seed is not None else 0)
         # Strategies that price offspring (the pruning wrappers) do so
-        # on the machine this run measures.
+        # on the program this run measures, on the machine it measures.
+        compiles = pipeline.machine is not None
         self.strategy.bind(config, self.rng, self._take_uid,
-                           pipeline.machine.arch
-                           if pipeline.machine is not None else None)
+                           pipeline.machine.arch if compiles else None,
+                           pipeline.compile if compiles else None)
         if backend is None:
             backend = AutoSelectBackend(_pool_workers(workers, config))
         elif not isinstance(backend, ExecutorBackend):

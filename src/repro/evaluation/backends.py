@@ -12,9 +12,9 @@ bit-identical checkpoints, populations and run histories.
 * :class:`SerialBackend` — evaluates job by job in the engine's
   process against the live plug-in objects.
 
-* :class:`BatchedBackend` — has the measurement compile and measure the
-  generation as one batch, between the pipeline's own screen and score
-  stages.
+* :class:`BatchedBackend` — compiles the generation through the
+  pipeline and has the measurement measure it as one batch, between the
+  pipeline's own screen and score stages.
 
 * :class:`ProcessPoolBackend` — fans the generation out over N forked
   worker processes, one contiguous slice each, evaluated there by a
@@ -43,8 +43,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
-from ..isa.splice import TemplateSplicer
-from ..measurement.base import Measurement
 from .pipeline import EmptyMeasurementError, EvaluationPipeline, \
     EvaluationResult, StageTimings, noise_key
 
@@ -104,26 +102,25 @@ def supports_batching(pipeline: EvaluationPipeline) -> bool:
     """True when :meth:`Measurement.supports_batching
     <repro.measurement.base.Measurement.supports_batching>` lets a batch
     stand in for the pipeline's measure stage."""
-    measurement = pipeline.measurement
-    return isinstance(measurement, Measurement) \
-        and measurement.supports_batching()
+    return pipeline.machine is not None \
+        and pipeline.measurement.supports_batching()
 
 
 class BatchedBackend(ExecutorBackend):
     """Evaluate a whole generation as one batch.
 
-    Screening stays per job, in job order.  The measurement then
-    compiles every surviving source through a
-    :class:`~repro.isa.splice.TemplateSplicer` (template scaffolding
-    assembled once, only loop bodies re-decoded) and measures them as
-    one batch (:meth:`~repro.measurement.base.Measurement.measure_batch`).
+    Screening stays per job, in job order.  Every surviving source is
+    then compiled through :meth:`EvaluationPipeline.compile
+    <repro.evaluation.pipeline.EvaluationPipeline.compile>` (a compile
+    cache hit for a screened source) and the measurement measures them
+    as one batch (:meth:`~repro.measurement.base.Measurement.measure_batch`).
     The pipeline's own stage methods give the screen-failure,
     compile-failure and score results, so every observable is
     bit-identical to :class:`SerialBackend`.  Where
     :func:`supports_batching` is false (a procedure overriding
     ``measure``, ``measure_repeated``, ``execute_on_target`` or
     ``reseed_noise``; a non-simulated target) the serial per-job loop
-    runs instead.
+    runs instead.  The backend holds no state.
 
     Stage-time accounting: screen and score remain per job; the batch's
     compile, run and interpretation time is split equally across the
@@ -132,47 +129,41 @@ class BatchedBackend(ExecutorBackend):
 
     name = "batched"
 
-    def __init__(self) -> None:
-        self._pipeline: Optional[EvaluationPipeline] = None
-        self._splicer: Optional[TemplateSplicer] = None
-
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
         if not jobs:
             return []
         if not supports_batching(pipeline):
             return SerialBackend().evaluate(pipeline, jobs)
-        measurement = pipeline.measurement
-        if self._pipeline is not pipeline:
-            self._pipeline = pipeline
-            self._splicer = TemplateSplicer(pipeline.template,
-                                            pipeline.machine.assembler)
 
         slots: List[Optional[ResultOrError]] = [None] * len(jobs)
         timings = [StageTimings() for _ in jobs]
+        # (hits, misses) of each job's first compile: screen or batch.
+        compile_cache = {}
         runnable: List[int] = []
         for index, (individual, source) in enumerate(jobs):
+            tally = pipeline.compile_tally()
             slots[index] = pipeline.screen_failure(individual, source,
-                                                   timings[index])
+                                                   timings[index], tally)
             if slots[index] is None:
                 runnable.append(index)
+                if pipeline.screen is not None:
+                    compile_cache[index] = tally()
 
         batch = StageTimings()
         programs = {}
-        compile_cache = {}
         with batch.stage("measure"):
             for index in runnable:
                 individual, source = jobs[index]
                 tally = pipeline.compile_tally()
                 try:
-                    programs[index] = measurement.compile_source(
-                        source, builder=self._splicer.compile)
+                    programs[index] = pipeline.compile(source)
                 except AssemblyError:
                     slots[index] = pipeline.compile_failure(
                         individual, source, timings[index], tally())
                     continue
-                compile_cache[index] = tally()
-            values = measurement.measure_batch(
+                compile_cache.setdefault(index, tally())
+            values = pipeline.measurement.measure_batch(
                 list(programs.values()),
                 [jobs[index][0] for index in programs],
                 [noise_key(pipeline.noise_seed, jobs[index][1])
@@ -207,20 +198,14 @@ def _init_worker(pipeline: EvaluationPipeline) -> None:
     _WORKER_PIPELINE = pipeline
 
 
-_WORKER_BATCHED: Optional[BatchedBackend] = None
-
-
 def _run_subbatch(chunk: Sequence[Job]) -> List[ResultOrError]:
     """Evaluate a contiguous slice of the generation as one batch.
 
-    The worker-global :class:`BatchedBackend` runs the slice against
-    the worker's forked pipeline replica — the pool's parallelism
-    composes with the batch speedup instead of competing with it.
+    A :class:`BatchedBackend` runs the slice against the worker's
+    forked pipeline replica — the pool's parallelism composes with the
+    batch speedup instead of competing with it.
     """
-    global _WORKER_BATCHED
-    if _WORKER_BATCHED is None:
-        _WORKER_BATCHED = BatchedBackend()
-    return _WORKER_BATCHED.evaluate(_WORKER_PIPELINE, chunk)
+    return BatchedBackend().evaluate(_WORKER_PIPELINE, chunk)
 
 
 class ProcessPoolBackend(ExecutorBackend):
@@ -352,7 +337,7 @@ class AutoSelectBackend(ExecutorBackend):
             return self._serial, (
                 f"pipeline not batchable; {n} jobs too few for "
                 f"{workers} workers")
-        cycles = pipeline.measurement.target.machine.sim_cycles
+        cycles = pipeline.machine.sim_cycles
         work = n * cycles
         if (workers > 1 and work >= _POOL_MIN_CYCLE_WORK
                 and n // workers >= _POOL_MIN_SLICE):

@@ -12,8 +12,8 @@ Stages, mirroring what the engine's old monolithic loop interleaved:
 
 1. **render** — instantiate the template with the individual's loop body;
 2. **screen** — optional pre-measurement static screen
-   (:class:`repro.staticcheck.screen.StaticScreen`); failures take the
-   zero-fitness path without touching the pipeline model;
+   (:class:`repro.staticcheck.screen.StaticScreen`) of the compiled
+   program; failures skip the pipeline model at zero fitness;
 3. **measure** — ``measure_repeated`` on the measurement plug-in;
    :class:`~repro.core.errors.AssemblyError` becomes a zero-fitness
    compile failure;
@@ -43,6 +43,10 @@ from typing import Callable, Iterator, List, Optional, Protocol, Sequence, \
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
 from ..core.template import Template
+from ..cpu.machine import SimulatedMachine
+from ..isa.model import Program
+from ..isa.splice import TemplateSplicer
+from ..measurement.base import Measurement
 
 __all__ = ["MeasurementProtocol", "FitnessProtocol", "ScreenProtocol",
            "ScreenReportProtocol", "StageTimings", "EvaluationResult",
@@ -89,14 +93,13 @@ class ScreenReportProtocol(Protocol):
     """Verdict shape returned by a static screen."""
 
     passed: bool
-    assembly_failed: bool
 
 
 class ScreenProtocol(Protocol):
     """What the evaluation layer needs from a pre-measurement static
     screen (see :class:`repro.staticcheck.screen.StaticScreen`)."""
 
-    def screen(self, source_text: str,
+    def screen(self, program: Program,
                individual: Individual) -> ScreenReportProtocol:
         ...
 
@@ -161,10 +164,10 @@ class EvaluationResult:
     screen_failed: bool = False
     cache_hit: bool = False
     timings: StageTimings = field(default_factory=StageTimings)
-    #: Target-machine compile-cache traffic attributable to this
-    #: evaluation (deltas around the measure stage).  Carried on the
-    #: result because pool workers compile in *replica* machines whose
-    #: counters the driver never sees.
+    #: Target-machine compile-cache traffic of this evaluation's first
+    #: compile (the screen stage's with a screen, else the measure
+    #: stage's).  Carried on the result because pool workers compile in
+    #: *replica* machines whose counters the driver never sees.
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
 
@@ -213,7 +216,8 @@ class EvaluationPipeline:
         ``measure_repeated`` raises :class:`ConfigError` at
         construction.
     screen:
-        Optional pre-measurement static screen.
+        Optional pre-measurement static screen; refused with
+        :class:`ConfigError` when the measurement cannot compile.
     noise_seed:
         Base seed mixed into each individual's noise-substream key
         (normally the GA seed, so one config+seed pins the whole run).
@@ -243,14 +247,20 @@ class EvaluationPipeline:
         self._reseed = getattr(measurement, "reseed_noise", None)
         if self._reseed is not None and not callable(self._reseed):
             self._reseed = None
-        #: Duck-typed handle to the simulated machine the measurement
-        #: drives (compile-cache accounting; the engine binds its arch
-        #: into the search strategy); None for measurements without a
-        #: simulated target.
-        self.machine = getattr(
-            getattr(measurement, "target", None), "machine", None)
-        if not hasattr(self.machine, "compile_cache_hits"):
-            self.machine = None
+        #: The simulated machine a :class:`Measurement` compiles for,
+        #: else None: the one rule for whether the run may screen and
+        #: the strategy is bound an arch and a compile.
+        machine = getattr(getattr(measurement, "target", None),
+                          "machine", None)
+        self.machine = machine if isinstance(measurement, Measurement) \
+            and isinstance(machine, SimulatedMachine) else None
+        if screen is not None and self.machine is None:
+            raise ConfigError(
+                f"a static screen needs a measurement that compiles; "
+                f"{type(measurement).__name__!r} is not a Measurement on "
+                "a SimulatedTarget")
+        self._splicer = TemplateSplicer(template, self.machine.assembler) \
+            if self.machine is not None else None
 
     # -- stages -------------------------------------------------------------
 
@@ -263,25 +273,40 @@ class EvaluationPipeline:
         """Stage 4, standalone — used for cache-hit replay."""
         return float(self.fitness.get_fitness(measurements, individual))
 
-    def screen_failure(self, individual: Individual, source: str,
-                       timings: StageTimings) -> Optional[EvaluationResult]:
-        """Stage 2: the zero-fitness result when the screen rejects
-        ``source``; None when it passes or there is no screen.
+    def compile(self, source: str) -> Program:
+        """The program the measurement compiles from ``source`` (raises
+        AssemblyError), cached where the measurement's own compile finds
+        it.  Requires :attr:`machine`."""
+        return self.measurement.compile_source(
+            source, builder=self._splicer.compile)
 
-        Same zero-fitness path as a compile failure, but the
+    def screen_failure(self, individual: Individual, source: str,
+                       timings: StageTimings,
+                       tally: Callable[[], Tuple[int, int]]
+                       ) -> Optional[EvaluationResult]:
+        """Stage 2: the zero-fitness result when ``source`` does not
+        compile or the screen rejects its program; None when it passes
+        or there is no screen.
+
+        Same zero-fitness path as a compile failure (``tally`` read
+        after the screen's compile, the evaluation's first), but the
         individual never enters the pipeline model.
         """
         if self.screen is None:
             return None
         with timings.stage("screen"):
-            report = self.screen.screen(source, individual)
-        if report.passed:
-            return None
-        return EvaluationResult(
-            uid=individual.uid, source=source,
-            measurements=[0.0], fitness=0.0,
-            compile_failed=report.assembly_failed,
-            screen_failed=True, timings=timings)
+            try:
+                program = self.compile(source)
+            except AssemblyError:
+                program = None
+            if program is not None and \
+                    self.screen.screen(program, individual).passed:
+                return None
+        rejected = self.compile_failure(individual, source, timings,
+                                        tally())
+        rejected.compile_failed = program is None
+        rejected.screen_failed = True
+        return rejected
 
     def compile_tally(self) -> Callable[[], Tuple[int, int]]:
         """Start counting the target's compile-cache traffic.
@@ -350,11 +375,12 @@ class EvaluationPipeline:
             with timings.stage("render"):
                 source = self.render(individual)
 
-        rejected = self.screen_failure(individual, source, timings)
+        tally = self.compile_tally()
+        rejected = self.screen_failure(individual, source, timings, tally)
         if rejected is not None:
             return rejected
+        screen_compile = tally() if self.screen is not None else None
 
-        tally = self.compile_tally()
         try:
             with timings.stage("measure"):
                 if self._reseed is not None:
@@ -363,6 +389,6 @@ class EvaluationPipeline:
                     source, individual)
         except AssemblyError:
             return self.compile_failure(individual, source, timings,
-                                        tally())
+                                        screen_compile or tally())
         return self.scored(individual, source, measurements, timings,
-                           tally())
+                           screen_compile or tally())

@@ -17,8 +17,9 @@ and splices them between the shared template parts.
 Safety model
 ------------
 The splicer is *self-validating*: for every distinct body shape (line
-count, instruction count) the first source is compiled both ways and
-the resulting Programs compared for equality; any mismatch permanently
+count, instruction count) the first source is compiled both ways (the
+very first source's full assembly doubles as its reference) and the
+resulting Programs compared for equality; any mismatch permanently
 deactivates splicing, falling back to the full assembler.  Sources that
 do not textually match the template's rendered prefix/suffix, bodies
 that define or reference non-numeric labels, and templates using
@@ -103,30 +104,36 @@ class TemplateSplicer:
 
     def compile(self, source: str, name: str = "stress.s") -> Program:
         """Assemble ``source``, splicing when it matches the template."""
-        if not self.active:
-            return self._full(source, name)
-        body = self._match(source)
+        body = self._match(source) if self.active else None
         if body is None:
             return self._full(source, name)
+        # The first source's full assembly captures the template parts
+        # and is also the reference that validates its shape.
+        reference = None
+        if self._parts is None:
+            reference = self._full(source, name)
+            self._parts = self._capture_parts(reference, body)
+            if self._parts is None:
+                return reference
         try:
-            spliced = self._splice(source, body, name)
+            spliced = self._splice(body, name)
         except AssemblyError:
             # Local resolution could not satisfy the body (dangling
             # numeric reference, unknown opcode...): let the full
             # assembler produce the authoritative result/diagnostic.
-            return self._full(source, name)
-        if spliced is None:
-            return self._full(source, name)
-        shape = (len(body), len(spliced.loop))
-        if shape not in self._validated:
+            spliced = None
+        shape = None if spliced is None else (len(body), len(spliced.loop))
+        if shape in self._validated:
+            self.spliced += 1
+            return spliced
+        if reference is None:
             reference = self._full(source, name)
-            if not _programs_equal(spliced, reference):
-                self.active = False
-            else:
+        if shape is not None:
+            if _programs_equal(spliced, reference):
                 self._validated.add(shape)
-            return reference
-        self.spliced += 1
-        return spliced
+            else:
+                self.active = False
+        return reference
 
     # -- internals -----------------------------------------------------------
 
@@ -147,15 +154,9 @@ class TemplateSplicer:
             return None
         return lines[n_pre:len(lines) - n_suf]
 
-    def _splice(self, source: str, body_lines: List[str],
+    def _splice(self, body_lines: List[str],
                 name: str) -> Optional[Program]:
         parts = self._parts
-        if parts is None:
-            parts = self._capture_parts(source, body_lines, name)
-            if parts is None:
-                return None
-            self._parts = parts
-
         n_pre = len(self._prefix_lines)
         # Decode the body: peel numeric labels, memoised per line text.
         instrs: List[DecodedInstruction] = []
@@ -225,10 +226,9 @@ class TemplateSplicer:
         program.register_values = dict(parts["register_values"])
         return program
 
-    def _capture_parts(self, source: str, body_lines: List[str],
-                       name: str) -> Optional[dict]:
+    def _capture_parts(self, reference: Program,
+                       body_lines: List[str]) -> Optional[dict]:
         """Split the first full assemble into template-owned pieces."""
-        reference = self._full(source, name)
         body_instr_count = _instruction_count(body_lines)
         loop_prefix_len = self._loop_prefix_len
         suffix_start = loop_prefix_len + body_instr_count

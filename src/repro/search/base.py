@@ -20,9 +20,9 @@ A strategy is a *pure proposal mechanism*: it owns no evaluation code
 and performs no I/O.  Everything it needs beyond the evaluated
 populations arrives through :meth:`bind` — the run configuration, the
 run's single RNG stream, the engine's uid allocator, and the
-:class:`~repro.cpu.microarch.MicroArch` of the machine the run
-measures on.  All randomness must come from that bound RNG; this is
-what makes runs reproducible and checkpoints exact (the engine
+:class:`~repro.cpu.microarch.MicroArch` and compile of the machine
+the run measures on.  All randomness must come from that bound RNG;
+this is what makes runs reproducible and checkpoints exact (the engine
 snapshots the RNG state, so a resumed strategy replays the identical
 draw sequence).
 
@@ -41,6 +41,7 @@ from ..core.errors import ConfigError
 from ..core.individual import Individual, random_individual
 from ..core.population import Population, load_population
 from ..cpu.microarch import MicroArch
+from ..isa.model import Program
 from .registry import Registry
 
 __all__ = ["STRATEGIES", "SearchStrategy"]
@@ -94,23 +95,26 @@ class SearchStrategy:
         self.rng: Optional[Random] = None
         self._take_uid: Optional[Callable[[], int]] = None
         self.arch: Optional[MicroArch] = None
+        self.compile: Optional[Callable[[str], Program]] = None
 
     # -- engine wiring ------------------------------------------------------
 
     def bind(self, config, rng: Random, take_uid: Callable[[], int],
-             arch: Optional[MicroArch] = None) -> None:
+             arch: Optional[MicroArch] = None,
+             compile: Optional[Callable[[str], Program]] = None) -> None:
         """Attach the run context.  Called once by the engine before
         any population is proposed.
 
         ``arch`` is the microarchitecture of the simulated machine the
-        run's measurement drives, or None when the measurement has no
-        simulated machine.
+        run's measurement drives and ``compile`` that measurement's
+        compile; both are None when the measurement cannot compile.
         """
         config.validate()
         self.config = config
         self.rng = rng
         self._take_uid = take_uid
         self.arch = arch
+        self.compile = compile
         self._bound()
 
     def _bound(self) -> None:

@@ -3,10 +3,10 @@
 GeST pays one board measurement per individual per generation.  A
 pruning wrapper composes with any registered base strategy (default:
 the paper's GA) and spends that budget where a ranker expects it to
-matter.  The ranker prices offspring on the machine the run measures:
-the engine binds that machine's
-:class:`~repro.cpu.microarch.MicroArch` into the strategy.  Per
-generation:
+matter.  The ranker prices the program the measurement compiles on the
+machine the run measures: the engine binds the measurement's compile
+and that machine's :class:`~repro.cpu.microarch.MicroArch` into the
+strategy.  Per generation:
 
 1. the base strategy proposes offspring as usual (same RNG stream,
    same uid allocation);
@@ -62,13 +62,13 @@ def _fraction(value) -> float:
 class PruningStrategy(SearchStrategy):
     """A base strategy whose fresh offspring a ranker prunes.
 
-    The ranker prices and probes on the bound :attr:`arch`, the
-    microarchitecture of the machine the run measures; a measurement
-    without a simulated machine is refused (SC210).  Subclasses declare
-    ``base`` and ``top_fraction`` among their :attr:`PARAMS`, implement
-    :meth:`_predict`, and may override :meth:`_explore`; ranker state
-    rides along by extending ``_bound``, ``observe``, ``state_dict``
-    and ``load_state``.
+    The ranker compiles with the bound :attr:`compile` and prices and
+    probes on the bound :attr:`arch`, the measured machine's; a
+    measurement without a simulated machine is refused (SC210).
+    Subclasses declare ``base`` and ``top_fraction`` among their
+    :attr:`PARAMS`, implement :meth:`_predict`, and may override
+    :meth:`_explore`; ranker state rides along by extending ``_bound``,
+    ``observe``, ``state_dict`` and ``load_state``.
     """
 
     def _bound(self) -> None:
@@ -78,14 +78,15 @@ class PruningStrategy(SearchStrategy):
                 f"search strategy {self.name!r} cannot wrap itself; "
                 "pick a concrete base strategy (e.g. base=\"genetic\")",
                 diagnostic_code="SC210")
-        if self.arch is None:
+        if self.arch is None or self.compile is None:
             raise ConfigError(
-                f"search strategy {self.name!r} prices offspring on the "
-                "measured machine, but the measurement has no simulated "
-                "machine; use a measurement on a SimulatedTarget or a "
-                "strategy that does not prune", diagnostic_code="SC210")
+                f"search strategy {self.name!r} prices compiled offspring "
+                "on the measured machine, but the measurement has no "
+                "simulated machine; use a Measurement on a SimulatedTarget "
+                "or a strategy that does not prune", diagnostic_code="SC210")
         self._base: SearchStrategy = STRATEGIES.get(base_name)(None)
-        self._base.bind(self.config, self.rng, self._take_uid, self.arch)
+        self._base.bind(self.config, self.rng, self._take_uid, self.arch,
+                        self.compile)
 
         # Checkpointed via state_dict:
         #: genome key -> (measurements, fitness, compile_failed,

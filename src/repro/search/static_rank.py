@@ -3,9 +3,9 @@
 The static cost model prices a candidate for far less than one
 simulated measurement, so a whole generation can be ranked before any
 of it is measured.  This wrapper ranks any base strategy's fresh
-offspring by :func:`repro.staticcheck.costmodel.static_score` on the
-measured machine's microarchitecture and measures only the top
-``top_fraction``; the shared machinery (replay
+offspring by :func:`repro.staticcheck.costmodel.static_score` of their
+compiled programs on the measured machine's microarchitecture and
+measures only the top ``top_fraction``; the shared machinery (replay
 memo, cut, pruned status, Spearman record, checkpoint state) lives in
 :mod:`repro.search.pruning`.  The wrapper draws no randomness.
 """
@@ -18,7 +18,6 @@ from ..core.errors import AssemblyError
 from ..core.individual import Individual
 from ..core.population import Population
 from ..core.template import Template
-from ..isa import assembler_for
 from ..staticcheck.costmodel import static_score
 from .base import STRATEGIES
 from .pruning import PruningStrategy, _fraction
@@ -54,7 +53,6 @@ class StaticRankStrategy(PruningStrategy):
 
     def _bound(self) -> None:
         super()._bound()
-        self._assembler = assembler_for(self.arch.isa)
         self._template = Template(self.config.template_text)
         self._metric = self.params["metric"]
         #: genome key -> static score; elitism clones and replayed
@@ -72,8 +70,7 @@ class StaticRankStrategy(PruningStrategy):
             return cached
         source = self._template.instantiate(individual.render_body())
         try:
-            program = self._assembler.assemble(
-                source, name=f"uid{individual.uid}.s")
+            program = self.compile(source)
         except AssemblyError:
             score = float("-inf")
         else:

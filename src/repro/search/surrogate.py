@@ -13,10 +13,10 @@ feedback loop applied to the search's own evaluation budget.
 On top of the shared pruning machinery (:mod:`repro.search.pruning`),
 per generation:
 
-1. fresh offspring are featurized in one batch on the measured
-   machine's microarchitecture (static features priced on its tables,
-   one probe pass on a private copy of it for the whole pool; rows are
-   memoised per genome);
+1. fresh offspring are compiled by the measurement's compile and
+   featurized in one batch on the measured machine's microarchitecture
+   (static features priced on its tables, one probe pass on a private
+   copy of it for the whole pool; rows are memoised per genome);
 2. once the model has seen ``min_train`` rows it ranks them by
    predicted fitness, and an ε-draw promotes a few candidates below
    the cut for unbiased training data;
@@ -118,7 +118,7 @@ class SurrogateStrategy(PruningStrategy):
     def _bound(self) -> None:
         super()._bound()
         self._featurizer = SurrogateFeaturizer(
-            self.config.template_text, self.arch,
+            self.config.template_text, self.arch, self.compile,
             probe_cycles=self.params["probe"])
         self._model = RidgeModel(l2=self.params["l2"])
 

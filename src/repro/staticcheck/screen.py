@@ -3,12 +3,13 @@
 Measurement is the expensive part of a GeST search — the paper's runs
 spend hours driving real hardware, and this reproduction's cycle-level
 :mod:`repro.cpu` model is the analogous hot path.  The screen runs the
-cheap static passes on each rendered individual *before* it enters that
-path:
+cheap static passes on each individual *before* it enters that path:
 
-1. assemble the source (the toolchain front-end, no pipeline);
-2. run the dataflow pass (:mod:`repro.staticcheck.dataflow`);
-3. fail the individual when assembly fails or any diagnostic reaches
+1. the evaluation pipeline compiles the rendered source as the
+   measurement does (a source that does not compile fails there);
+2. the screen runs the dataflow pass (:mod:`repro.staticcheck.dataflow`)
+   over the compiled program;
+3. it fails the individual when any diagnostic reaches
    ``fail_severity`` (default: error).
 
 Failed individuals take the same zero-fitness route as
@@ -21,22 +22,18 @@ Determinism note: the staged evaluation layer
 every measurement, so a screened individual skipping its measurement
 can never shift the noise another individual observes — screening is
 order-free by construction, under any executor backend and with the
-evaluation cache on or off.  (Historically the machine drew noise from
-one sequential stream, and only the default error-only policy kept
-screened and unscreened runs bit-identical; that equivalence no longer
-depends on the policy, so raising ``fail_severity`` to ``WARNING`` is
-now purely a strictness choice.)
+evaluation cache on or off, and raising ``fail_severity`` to
+``WARNING`` is purely a strictness choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.errors import AssemblyError
-from ..isa.assembler import BaseAssembler
+from ..isa.model import Program
 from .dataflow import DEFAULT_LINE_BYTES, StaticProfile, analyze_program
-from .diagnostics import Diagnostic, Severity, make_diagnostic
+from .diagnostics import Diagnostic, Severity
 
 __all__ = ["ScreenReport", "StaticScreen"]
 
@@ -46,11 +43,8 @@ class ScreenReport:
     """Verdict of one screening."""
 
     passed: bool
-    #: True when the source failed to assemble (the classic compile
-    #: failure); False for dataflow-diagnostic rejections.
-    assembly_failed: bool
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    profile: Optional[StaticProfile] = None
+    diagnostics: List[Diagnostic]
+    profile: StaticProfile
 
 
 class StaticScreen:
@@ -63,9 +57,6 @@ class StaticScreen:
 
     Parameters
     ----------
-    assembler:
-        The SimISA front-end matching the target platform — screening
-        with the wrong syntax would reject every individual.
     fail_severity:
         Minimum dataflow-diagnostic severity that fails an individual.
     l1_bytes / l2_bytes:
@@ -73,12 +64,10 @@ class StaticScreen:
         corresponding check.
     """
 
-    def __init__(self, assembler: BaseAssembler,
-                 fail_severity: Severity = Severity.ERROR,
+    def __init__(self, fail_severity: Severity = Severity.ERROR,
                  l1_bytes: Optional[int] = None,
                  l2_bytes: Optional[int] = None,
                  line_bytes: int = DEFAULT_LINE_BYTES) -> None:
-        self.assembler = assembler
         self.fail_severity = fail_severity
         self.l1_bytes = l1_bytes
         self.l2_bytes = l2_bytes
@@ -86,7 +75,7 @@ class StaticScreen:
 
     @classmethod
     def for_machine(cls, machine, **kwargs) -> "StaticScreen":
-        """A screen whose syntax *and* cache geometry match ``machine``.
+        """A screen whose cache geometry matches ``machine``.
 
         Threads the machine's configured hierarchy through to the
         footprint bound, so SC104 compares against the cache sizes the
@@ -98,27 +87,18 @@ class StaticScreen:
             kwargs.setdefault("l1_bytes", hierarchy.l1_config.size_bytes)
             kwargs.setdefault("l2_bytes", hierarchy.l2_config.size_bytes)
             kwargs.setdefault("line_bytes", hierarchy.l1_config.line_bytes)
-        return cls(machine.assembler, **kwargs)
+        return cls(**kwargs)
 
-    def screen(self, source_text: str, individual=None) -> ScreenReport:
-        """Screen one rendered source; never raises on bad programs."""
+    def screen(self, program: Program, individual=None) -> ScreenReport:
+        """Screen one compiled program; never raises on bad programs."""
         name = f"uid{individual.uid}.s" if individual is not None \
-            else "screened.s"
-        try:
-            program = self.assembler.assemble(source_text, name=name)
-        except AssemblyError as exc:
-            diagnostic = make_diagnostic(
-                "SC201", f"source does not assemble: {exc}",
-                severity=Severity.ERROR, file=name)
-            return ScreenReport(passed=False, assembly_failed=True,
-                                diagnostics=[diagnostic])
-
+            else program.name
         report = analyze_program(program, l1_bytes=self.l1_bytes,
                                  l2_bytes=self.l2_bytes,
                                  line_bytes=self.line_bytes,
                                  source_file=name)
         failing = [d for d in report.diagnostics
                    if d.severity >= self.fail_severity]
-        return ScreenReport(passed=not failing, assembly_failed=False,
+        return ScreenReport(passed=not failing,
                             diagnostics=report.diagnostics,
                             profile=report.profile)

@@ -20,21 +20,21 @@ spending a probe on them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import AssemblyError
 from ..core.individual import Individual
 from ..core.template import Template
 from ..cpu.microarch import MicroArch
 from ..evaluation.probe import ShortProbe
-from ..isa import assembler_for
+from ..isa.model import Program
 from ..staticcheck.costmodel import analyze_cost
 
 __all__ = ["SurrogateFeaturizer"]
 
 
 class SurrogateFeaturizer:
-    """Renders, assembles and prices candidates into feature rows.
+    """Renders, compiles and prices candidates into feature rows.
 
     Parameters
     ----------
@@ -45,16 +45,19 @@ class SurrogateFeaturizer:
         Microarchitecture whose latency/port/energy tables price the
         static features and which the probe machine simulates (the
         ``surrogate`` strategy passes the measured machine's).
+    compile:
+        Rendered source → program; raises ``AssemblyError``.
     probe_cycles:
         0 disables the dynamic probe; otherwise the per-candidate probe
         cycle budget (see :class:`~repro.evaluation.probe.ShortProbe`).
     """
 
     def __init__(self, template_text: str, arch: MicroArch,
+                 compile: Callable[[str], Program],
                  probe_cycles: int = 0) -> None:
         self.arch = arch
         self._template = Template(template_text)
-        self._assembler = assembler_for(arch.isa)
+        self._compile = compile
         self._probe = ShortProbe(arch, cycles=probe_cycles) \
             if probe_cycles else None
 
@@ -77,8 +80,7 @@ class SurrogateFeaturizer:
             source = self._template.instantiate(individual.render_body())
             sources.append(source)
             try:
-                program = self._assembler.assemble(
-                    source, name=f"uid{individual.uid}.s")
+                program = self._compile(source)
             except AssemblyError:
                 programs.append(None)
                 rows.append(None)

@@ -14,7 +14,10 @@ from repro.core.individual import random_individual
 from repro.core.output import OutputRecorder
 from repro.core.population import Population
 from repro.core.rng import make_rng
+from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.fitness.default_fitness import DefaultFitness
+from repro.measurement.base import Measurement
+from repro.staticcheck import StaticScreen
 
 
 class CountingMeasurement:
@@ -31,6 +34,16 @@ class CountingMeasurement:
 
     def measure_repeated(self, source_text, individual):
         return self.measure(source_text, individual)
+
+
+class CompilingMeasurement(CountingMeasurement, Measurement):
+    """CountingMeasurement on a simulated target, so a static screen can
+    check the program it compiles."""
+
+    def __init__(self):
+        CountingMeasurement.__init__(self)
+        Measurement.__init__(
+            self, SimulatedTarget(SimulatedMachine("cortex_a15")))
 
 
 class FailingMeasurement(CountingMeasurement):
@@ -258,20 +271,19 @@ class _RejectNopScreen:
     def __init__(self):
         self.calls = 0
 
-    def screen(self, source_text, individual):
+    def screen(self, program, individual):
         self.calls += 1
         failed = any(i.name == "NOP" for i in individual.instructions)
 
         class Report:
             passed = not failed
-            assembly_failed = False
         return Report()
 
 
 class TestStaticScreening:
     @pytest.mark.serial_evaluation
     def test_screen_failures_take_zero_fitness_path(self, tiny_config):
-        measurement = CountingMeasurement()
+        measurement = CompilingMeasurement()
         screen = _RejectNopScreen()
         engine = GeneticEngine(tiny_config, measurement, DefaultFitness(),
                                screen=screen)
@@ -289,7 +301,7 @@ class TestStaticScreening:
                 assert not ind.compile_failed
 
     def test_screen_failures_counted_per_generation(self, tiny_config):
-        engine = GeneticEngine(tiny_config, CountingMeasurement(),
+        engine = GeneticEngine(tiny_config, CompilingMeasurement(),
                                DefaultFitness(), screen=_RejectNopScreen())
         history = engine.run()
         for stats in history.generations:
@@ -307,13 +319,10 @@ class TestStaticScreening:
         """The acceptance property: with the default error-only policy
         the real StaticScreen passes every generated individual, so a
         seeded run is bit-identical to an unscreened one."""
-        from repro.isa import ArmAssembler
-        from repro.staticcheck import StaticScreen
-
         unscreened = _engine(tiny_config).run()
-        screen = StaticScreen(ArmAssembler())
-        screened = GeneticEngine(tiny_config, CountingMeasurement(),
-                                 DefaultFitness(), screen=screen).run()
+        screened = GeneticEngine(tiny_config, CompilingMeasurement(),
+                                 DefaultFitness(),
+                                 screen=StaticScreen()).run()
 
         assert screened.best_fitness_series() == \
             unscreened.best_fitness_series()
@@ -323,6 +332,14 @@ class TestStaticScreening:
         total = tiny_config.ga.population_size * tiny_config.ga.generations
         assert sum(g.screened for g in screened.generations) == total
         assert sum(g.screen_failures for g in screened.generations) == 0
+
+    def test_screen_needs_a_measurement_that_compiles(self, tiny_config):
+        # The screen checks the program the measurement compiles; a
+        # measurement that cannot compile is refused when the engine is
+        # built.
+        with pytest.raises(ConfigError, match="measurement that compiles"):
+            GeneticEngine(tiny_config, CountingMeasurement(),
+                          DefaultFitness(), screen=StaticScreen())
 
 
 class TestEmptyMeasurementError:

@@ -11,6 +11,7 @@ comparison seed with ≥30% fewer simulated evaluations.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,8 @@ from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.microarch import microarch_for, preset_names
 from repro.cpu.pipeline import PipelineSimulator
 from repro.fitness import DefaultFitness
-from repro.isa import ArmAssembler, X86Assembler, arm_library, arm_template
+from repro.isa import ArmAssembler, X86Assembler, arm_library, \
+    arm_template, clike_library, clike_template, compile_clike
 from repro.measurement import PowerMeasurement
 from repro.search import STRATEGIES, make_strategy
 from repro.staticcheck import (StaticScreen, analyze_cost,
@@ -356,7 +358,7 @@ class TestScreenStaticRankMode:
         # one: SC104 must fire against the *configured* geometry.
         body = "\n".join(f"ldr x1, [x10, #{offset * 64}]"
                          for offset in range(32))
-        report = screen.screen(f"mov x10, #0\n.loop\n{body}\n.endloop\n")
+        report = screen.screen(arm_program(body))
         assert "SC104" in codes_of(report.diagnostics)
 
     def test_for_machine_defaults_without_hierarchy(self):
@@ -424,6 +426,23 @@ class TestStaticRankStrategy:
         assert archs and all(arch is machine.arch for arch in archs)
         assert [g.surrogate["platform"] for g in history.generations] == \
             ["xgene2", "xgene2"]
+
+        # A target with a translator: the ranker prices the translated
+        # program the measurement compiles, so every score is finite
+        # and the Spearman record is set once pruning starts.
+        config = _strategy_config(clike_library(), Template(
+            clike_template()), generations=2)
+        machine = SimulatedMachine("xgene2", seed=17, sim_cycles=600)
+        target = SimulatedTarget(machine, translator=compile_clike)
+        target.connect()
+        engine = GeneticEngine(config,
+                               PowerMeasurement(target, {"samples": "2"}),
+                               DefaultFitness())
+        history = engine.run()
+        scores = list(engine.strategy._score_memo.values())
+        assert scores and all(math.isfinite(score) for score in scores)
+        pruned = history.generations[1].surrogate
+        assert pruned["pruned"] > 0 and pruned["spearman"] is not None
 
     def test_prunes_and_records_surrogate(self, tiny_library,
                                           tiny_template):
@@ -518,17 +537,19 @@ class TestStaticRankStrategy:
         assert len(calls) == len(priced)
 
     def test_state_round_trip(self, tiny_config):
-        arch = microarch_for("cortex_a15")
+        machine = SimulatedMachine("cortex_a15")
         strategy = make_strategy("static_rank", None)
         strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__, arch)
+                      iter(range(10_000)).__next__, machine.arch,
+                      machine.compile)
         key = (("ADD", ("x1", "x2", "x3")),)
         strategy._memo[key] = ((1.0,), 1.0, False, False)
         strategy._score_memo[key] = 0.25
         state = strategy.state_dict()
         fresh = make_strategy("static_rank", None)
         fresh.bind(tiny_config, make_rng(0),
-                   iter(range(10_000)).__next__, arch)
+                   iter(range(10_000)).__next__, machine.arch,
+                   machine.compile)
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
         assert fresh._score_memo == {key: 0.25}

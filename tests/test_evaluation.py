@@ -29,10 +29,12 @@ from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.evaluation import (CachedEvaluation, EvaluationCache,
                               EvaluationPipeline, ProcessPoolBackend,
                               SerialBackend, StageTimings, noise_key)
-from repro.evaluation.backends import AutoSelectBackend
+from repro.evaluation.backends import AutoSelectBackend, BatchedBackend
 from repro.fitness.default_fitness import DefaultFitness
+from repro.isa.assembler import BaseAssembler
 from repro.measurement import PowerMeasurement
 from repro.measurement.base import Measurement
+from repro.staticcheck import StaticScreen
 
 SHIPPED_CONFIG = "configs/arm_power/config.xml"
 
@@ -567,6 +569,55 @@ class TestObservability:
         assert total.render_s == 1.5
         assert total.measure_s == 2.0
         assert total.total_s == 3.5
+
+
+# ---------------------------------------------------------------------------
+# one compile per source
+# ---------------------------------------------------------------------------
+
+class TestOneCompile:
+    """The screen, the batched backend and the pruning rankers take the
+    program the measurement compiles: every assembly of a run happens
+    inside the machine's compile, behind its content-addressed cache."""
+
+    @pytest.mark.parametrize("backend_cls, strategy, screened", [
+        (SerialBackend, "genetic", True),
+        (BatchedBackend, "genetic", True),
+        (SerialBackend, "static_rank", False),
+    ], ids=["serial-screened", "batched-screened", "static_rank"])
+    def test_every_assembly_is_inside_the_machines_compile(
+            self, tiny_config, monkeypatch, backend_cls, strategy,
+            screened):
+        depth = [0]
+        outside = []
+        real_compile = SimulatedMachine.compile
+        real_assemble = BaseAssembler.assemble
+
+        def counting_compile(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_compile(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def recording_assemble(self, source, name="<source>"):
+            if not depth[0]:
+                outside.append(name)
+            return real_assemble(self, source, name=name)
+
+        monkeypatch.setattr(SimulatedMachine, "compile", counting_compile)
+        monkeypatch.setattr(BaseAssembler, "assemble", recording_assemble)
+        measurement = _power_measurement(tiny_config.ga.seed)
+        machine = measurement.target.machine
+        engine = GeneticEngine(
+            tiny_config, measurement, DefaultFitness(),
+            backend=backend_cls(), strategy=strategy,
+            screen=StaticScreen.for_machine(machine) if screened else None)
+        history = engine.run(generations=2)
+        assert machine.compile_cache_misses > 0
+        assert all(g.screened == (g.measured if screened else 0)
+                   for g in history.generations)
+        assert outside == []
 
 
 # ---------------------------------------------------------------------------

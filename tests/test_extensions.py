@@ -16,6 +16,7 @@ from repro.isa import (arm_cache_stress_library, arm_library,
                        arm_shared_template, arm_template, clike_library,
                        clike_template, compile_clike)
 from repro.measurement import CacheMissMeasurement, PowerMeasurement
+from repro.staticcheck import StaticScreen
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +232,28 @@ class TestClike:
                 compile_clike(f"loop {{\n{statement}\n}}\n")
 
     def test_c_level_ga_improves(self):
-        machine = SimulatedMachine("cortex_a15", seed=5, sim_cycles=800)
-        target = SimulatedTarget(machine, translator=compile_clike)
-        target.connect()
-        ga = GAParameters(population_size=10, individual_size=15,
-                          mutation_rate=0.08, generations=8, seed=5)
-        config = RunConfig(ga=ga, library=clike_library(),
-                           template_text=clike_template())
-        engine = GeneticEngine(
-            config, PowerMeasurement(target, {"samples": "3"}),
-            DefaultFitness())
-        history = engine.run()
+        def search(screened):
+            machine = SimulatedMachine("cortex_a15", seed=5,
+                                       sim_cycles=800)
+            target = SimulatedTarget(machine, translator=compile_clike)
+            target.connect()
+            ga = GAParameters(population_size=10, individual_size=15,
+                              mutation_rate=0.08, generations=8, seed=5)
+            config = RunConfig(ga=ga, library=clike_library(),
+                               template_text=clike_template())
+            engine = GeneticEngine(
+                config, PowerMeasurement(target, {"samples": "3"}),
+                DefaultFitness(),
+                screen=StaticScreen.for_machine(machine) if screened
+                else None)
+            return engine.run()
+
+        history = search(screened=False)
         series = history.best_fitness_series()
         assert series[-1] > series[0]
+        # The screen checks the translated program the measurement
+        # compiles, so it passes every individual and changes nothing.
+        assert search(screened=True).generations == history.generations
 
 
 # ---------------------------------------------------------------------------

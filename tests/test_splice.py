@@ -78,11 +78,22 @@ class TestTemplateSplicer:
         assert spliced == machine.assembler.assemble(source, name="lbl.s")
         assert splicer.active
 
-    def test_validation_failure_deactivates(self, config, setup):
+    def test_each_shape_assembles_once(self, config, setup):
+        # The first source's full assembly captures the template parts
+        # and validates its shape; it is never assembled twice.
         _, template, splicer = setup
+        for index, source in enumerate(_sources(config, template, 20)):
+            splicer.compile(source, name=f"s{index}.s")
+        assert splicer.active
+        assert splicer.full_assemblies == len(splicer._validated)
+        assert splicer.spliced + splicer.full_assemblies == 20
+
+    def test_validation_failure_deactivates(self, config, setup):
+        machine, template, splicer = setup
         source = template.instantiate("add x1, x1, x2")
-        parts = splicer._capture_parts(source, ["add x1, x1, x2"],
-                                       "warm.s")
+        parts = splicer._capture_parts(
+            machine.assembler.assemble(source, name="warm.s"),
+            ["add x1, x1, x2"])
         assert parts is not None
         # Corrupt the captured suffix: validation must catch the
         # mismatch and permanently fall back to the full assembler.

@@ -13,9 +13,16 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import parse_config_file
+from repro.core.individual import random_individual
 from repro.core.instruction import InstructionLibrary, InstructionSpec
 from repro.core.operand import ImmediateOperand, RegisterOperand
+from repro.core.rng import make_rng
+from repro.core.template import Template
+from repro.cpu import SimulatedMachine, SimulatedTarget
+from repro.evaluation import EvaluationPipeline
+from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler
+from repro.measurement import PowerMeasurement
 from repro.staticcheck import (CODES, Diagnostic, Location, Severity,
                                StaticScreen, analyze_program,
                                detect_syntax, diagnostics_to_json,
@@ -350,45 +357,49 @@ class TestConfigFileLint:
 
 class TestStaticScreen:
     def test_pass_and_profile(self):
-        screen = StaticScreen(ArmAssembler())
-        report = screen.screen(
-            "mov x10, #0\n.loop\nadd x1, x10, x10\n.endloop\n")
-        assert report.passed and not report.assembly_failed
+        screen = StaticScreen()
+        report = screen.screen(asm_program("add x1, x10, x10"))
+        assert report.passed
         assert report.profile is not None
         assert report.profile.loop_length == 1
         assert all(d.severity < screen.fail_severity
                    for d in report.diagnostics)
 
-    def test_assembly_failure(self):
-        screen = StaticScreen(ArmAssembler())
-        report = screen.screen("??? garbage\n")
-        assert not report.passed and report.assembly_failed
-        assert codes_of(report.diagnostics) == ["SC201"]
-        assert report.profile is None
+    def test_assembly_failure(self, tiny_config):
+        # The pipeline compiles before it screens: a source that does
+        # not assemble is a zero-fitness screen and compile failure.
+        machine = SimulatedMachine("cortex_a15", sim_cycles=400)
+        target = SimulatedTarget(machine)
+        target.connect()
+        pipeline = EvaluationPipeline(
+            Template(tiny_config.template_text), PowerMeasurement(target),
+            DefaultFitness(), screen=StaticScreen.for_machine(machine))
+        individual = random_individual(tiny_config.library, 4,
+                                       make_rng(1), uid=7)
+        result = pipeline.evaluate(individual, source="??? garbage\n")
+        assert result.screen_failed and result.compile_failed
+        assert result.fitness == 0.0 and result.measurements == [0.0]
 
     def test_dataflow_error_fails(self):
-        screen = StaticScreen(ArmAssembler())
-        report = screen.screen("mov x10, #0\n.loop\n.endloop\n")
-        assert not report.passed and not report.assembly_failed
+        screen = StaticScreen()
+        report = screen.screen(asm_program(""))
+        assert not report.passed
         assert "SC103" in codes_of(report.diagnostics)
         assert any(d.severity >= screen.fail_severity
                    for d in report.diagnostics)
 
     def test_warning_severity_gate(self):
-        screen = StaticScreen(ArmAssembler(),
-                              fail_severity=Severity.WARNING)
-        report = screen.screen(
-            "mov x10, #0\n.loop\nadd x1, x5, x5\n.endloop\n")
+        screen = StaticScreen(fail_severity=Severity.WARNING)
+        report = screen.screen(asm_program("add x1, x5, x5"))
         assert not report.passed          # SC101 warning trips the gate
-        default = StaticScreen(ArmAssembler())
-        assert default.screen(
-            "mov x10, #0\n.loop\nadd x1, x5, x5\n.endloop\n").passed
+        default = StaticScreen()
+        assert default.screen(asm_program("add x1, x5, x5")).passed
 
     def test_individual_uid_in_location(self):
         class FakeIndividual:
             uid = 42
-        screen = StaticScreen(ArmAssembler())
-        report = screen.screen("??? nope\n", FakeIndividual())
+        screen = StaticScreen()
+        report = screen.screen(asm_program(""), FakeIndividual())
         assert report.diagnostics[0].location.file == "uid42.s"
 
 

@@ -50,6 +50,12 @@ def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
 CORTEX_A15 = microarch_for("cortex_a15")
 
 
+def _a15_compile():
+    """A fresh cortex_a15 machine's compile, to bind or to featurize
+    with."""
+    return SimulatedMachine("cortex_a15").compile
+
+
 def _measurement(seed=17, platform="cortex_a15"):
     machine = SimulatedMachine(platform, seed=seed, sim_cycles=600)
     target = SimulatedTarget(machine)
@@ -147,7 +153,7 @@ class TestSurrogateFeaturizer:
     def test_static_rows(self, tiny_config, rng):
         from repro.core.individual import random_individual
         featurizer = SurrogateFeaturizer(tiny_config.template_text,
-                                         microarch_for("cortex_a15"))
+                                         CORTEX_A15, _a15_compile())
         individuals = [random_individual(tiny_config.library, 6, rng,
                                          uid=i) for i in range(3)]
         rows = featurizer.featurize_batch(individuals)
@@ -161,7 +167,7 @@ class TestSurrogateFeaturizer:
     def test_probe_rows_merge_dynamic_features(self, tiny_config, rng):
         from repro.core.individual import random_individual
         featurizer = SurrogateFeaturizer(tiny_config.template_text,
-                                         microarch_for("cortex_a15"),
+                                         CORTEX_A15, _a15_compile(),
                                          probe_cycles=400)
         assert featurizer.probes
         individual = random_individual(tiny_config.library, 6, rng, uid=0)
@@ -211,10 +217,13 @@ class TestSurrogateStrategy:
 
     def test_can_wrap_static_rank(self, tiny_config):
         strategy = make_strategy("surrogate", {"base": "static_rank"})
+        compile_program = _a15_compile()
         strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__, CORTEX_A15)
+                      iter(range(10_000)).__next__, CORTEX_A15,
+                      compile_program)
         assert strategy._base.name == "static_rank"
         assert strategy._base.arch is CORTEX_A15
+        assert strategy._base.compile is compile_program
 
     def test_warmup_then_learned_pruning(self, tiny_library,
                                          tiny_template):
@@ -281,7 +290,8 @@ class TestSurrogateStrategy:
     def test_state_round_trip(self, tiny_config):
         strategy = make_strategy("surrogate", None)
         strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__, CORTEX_A15)
+                      iter(range(10_000)).__next__, CORTEX_A15,
+                      _a15_compile())
         key = (("ADD", ("x1", "x2", "x3")),)
         strategy._memo[key] = ((1.0,), 1.0, False, False)
         strategy._feature_memo[key] = {"loop_length": 3.0}
@@ -295,7 +305,8 @@ class TestSurrogateStrategy:
 
         fresh = make_strategy("surrogate", None)
         fresh.bind(tiny_config, make_rng(0),
-                   iter(range(10_000)).__next__, CORTEX_A15)
+                   iter(range(10_000)).__next__, CORTEX_A15,
+                   _a15_compile())
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
         assert fresh._feature_memo == strategy._feature_memo
