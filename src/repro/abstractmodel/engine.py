@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.engine import FitnessProtocol, MeasurementProtocol
+from ..core.engine import FitnessProtocol
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual as _CodeIndividual
 from ..core.rng import make_rng
 from ..core.template import Template
+from ..measurement.base import Measurement
 from .generator import generate_loop
 from .profile import WorkloadProfile
 
@@ -56,7 +57,7 @@ class AbstractGenerationStats:
 class AbstractEngine:
     """Tournament GA over workload-profile vectors."""
 
-    def __init__(self, measurement: MeasurementProtocol,
+    def __init__(self, measurement: Measurement,
                  fitness: FitnessProtocol,
                  template_text: str,
                  loop_size: int = 50,
@@ -96,7 +97,7 @@ class AbstractEngine:
         # stream for e.g. simplicity scores; hand them a code-level
         # view so the same classes serve both engines.
         try:
-            measurements = self.measurement.measure(source, None)
+            measurements = self.measurement.measure_repeated(source, None)
         except AssemblyError:
             individual.measurements = [0.0]
             individual.fitness = 0.0

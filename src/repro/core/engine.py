@@ -5,7 +5,7 @@ The engine is a thin orchestrator over two pluggable layers.  A
 default ``genetic`` strategy is the paper's GA (selection, crossover,
 mutation, elitism), with ``random`` / ``hill_climb`` /
 ``simulated_annealing`` available for the paper's baseline comparisons.
-Evaluation — render, screen, measure, score — lives in the staged
+Evaluation — render, compile, screen, measure, score — lives in the staged
 :mod:`repro.evaluation` layer, which the engine drives through a
 :class:`~repro.evaluation.evaluator.StagedEvaluator`: an auto-selecting
 executor (serial, batched, or a process pool replicating the simulated
@@ -40,8 +40,9 @@ from ..evaluation.backends import AutoSelectBackend, ExecutorBackend
 from ..evaluation.cache import EvaluationCache, cache_fingerprint
 from ..evaluation.evaluator import GenerationOutcome, StagedEvaluator
 from ..evaluation.pipeline import (EvaluationPipeline, FitnessProtocol,
-                                   MeasurementProtocol, ScreenProtocol,
-                                   ScreenReportProtocol, StageTimings)
+                                   ScreenProtocol, ScreenReportProtocol,
+                                   StageTimings)
+from ..measurement.base import Measurement
 from ..search import SearchStrategy, make_strategy
 from .config import RunConfig, config_to_xml
 from .errors import ConfigError
@@ -53,9 +54,9 @@ from .population import Population
 from .rng import make_rng
 from .template import Template
 
-__all__ = ["MeasurementProtocol", "FitnessProtocol", "ScreenProtocol",
-           "ScreenReportProtocol", "GenerationStats", "RunHistory",
-           "GeneticEngine", "WORKERS_ENV_VAR", "derive_run_id"]
+__all__ = ["FitnessProtocol", "ScreenProtocol", "ScreenReportProtocol",
+           "GenerationStats", "RunHistory", "GeneticEngine",
+           "WORKERS_ENV_VAR", "derive_run_id"]
 
 #: Environment override for the evaluation worker budget (CI runs the
 #: suite with a 2-worker pool available this way).  An explicit
@@ -104,9 +105,10 @@ class GenerationStats:
     measured: int = field(default=0, compare=False)
     #: Individuals that entered the screen stage this pass.
     screened: int = field(default=0, compare=False)
-    #: Target-machine compile-cache traffic of each evaluation's first
-    #: compile (the screen's, else the measure stage's).  Under the
-    #: pruning wrappers the ranker compiles first, so these read hits.
+    #: Target-machine compile-cache traffic of each evaluation's
+    #: compile stage (the measure stage's own compile then hits).
+    #: Under the pruning wrappers the ranker compiles first, so these
+    #: read hits.
     compile_cache_hits: int = field(default=0, compare=False)
     compile_cache_misses: int = field(default=0, compare=False)
     #: Cumulative per-stage evaluation seconds for this generation.
@@ -192,12 +194,14 @@ class GeneticEngine:
         The run configuration (GA parameters, instruction library,
         template text, optional seed-population file, evaluation
         settings).
-    measurement, fitness:
-        Plug-in objects; see the protocols in
-        :mod:`repro.evaluation.pipeline`.  The measurement must
-        implement both ``measure`` and ``measure_repeated`` — a plug-in
-        missing either fails here, at construction, rather than
-        silently measuring single-shot.
+    measurement:
+        A :class:`~repro.measurement.base.Measurement` subclass instance
+        on a simulated target (paper III.C: a procedure subclasses the
+        abstract class); anything else raises :class:`ConfigError`
+        here, at construction.
+    fitness:
+        Plug-in object satisfying
+        :class:`~repro.evaluation.pipeline.FitnessProtocol`.
     recorder:
         Optional :class:`~repro.core.events.RunRecorder` — or a
         sequence of them — subscribed to the engine's event stream
@@ -221,8 +225,8 @@ class GeneticEngine:
         :class:`repro.staticcheck.screen.StaticScreen`).  Individuals
         the screen rejects are recorded as zero-fitness screen failures
         without entering the measurement path; counts appear in
-        :class:`GenerationStats`.  A measurement that cannot compile
-        with a screen raises :class:`ConfigError`.
+        :class:`GenerationStats`.  It checks the program the pipeline
+        compiled once for the measurement.
     backend:
         Optional :class:`ExecutorBackend` instance replacing the
         default :class:`AutoSelectBackend`, which routes each
@@ -253,7 +257,7 @@ class GeneticEngine:
     """
 
     def __init__(self, config: RunConfig,
-                 measurement: MeasurementProtocol,
+                 measurement: Measurement,
                  fitness: FitnessProtocol,
                  recorder: Union[None, RunRecorder,
                                  Sequence[RunRecorder]] = None,
@@ -297,10 +301,8 @@ class GeneticEngine:
             noise_seed=config.ga.seed if config.ga.seed is not None else 0)
         # Strategies that price offspring (the pruning wrappers) do so
         # on the program this run measures, on the machine it measures.
-        compiles = pipeline.machine is not None
         self.strategy.bind(config, self.rng, self._take_uid,
-                           pipeline.machine.arch if compiles else None,
-                           pipeline.compile if compiles else None)
+                           pipeline.machine.arch, pipeline.compile)
         if backend is None:
             backend = AutoSelectBackend(_pool_workers(workers, config))
         elif not isinstance(backend, ExecutorBackend):
@@ -476,7 +478,7 @@ class GeneticEngine:
 
     @classmethod
     def resume(cls, config: RunConfig,
-               measurement: MeasurementProtocol,
+               measurement: Measurement,
                fitness: FitnessProtocol,
                checkpoint_path: Union[str, Path],
                recorder: Union[None, RunRecorder,

@@ -7,10 +7,10 @@ crossover, mutation and bookkeeping; everything between "here is an
 unevaluated individual" and "here are its measurements and fitness"
 lives here:
 
-* :class:`EvaluationPipeline` — the explicit render → screen → measure
-  → score stages for one individual, with per-stage wall-time and a
-  per-source noise-substream contract that makes every evaluation a
-  pure function (the key to everything below);
+* :class:`EvaluationPipeline` — the explicit render → compile → screen
+  → measure → score stages for one individual, with per-stage
+  wall-time and a per-source noise-substream contract that makes every
+  evaluation a pure function (the key to everything below);
 * :class:`SerialBackend` / :class:`ProcessPoolBackend` — executors
   behind the auto-selecting backend the engine runs; the pool backend
   replicates the whole pipeline (machine, measurement, screen) into N
@@ -30,8 +30,7 @@ from .backends import ExecutorBackend, ProcessPoolBackend, SerialBackend
 from .cache import CachedEvaluation, EvaluationCache, cache_fingerprint
 from .evaluator import GenerationOutcome, StagedEvaluator
 from .pipeline import (EmptyMeasurementError, EvaluationPipeline,
-                       EvaluationResult, FitnessProtocol,
-                       MeasurementProtocol, ScreenProtocol,
+                       EvaluationResult, FitnessProtocol, ScreenProtocol,
                        ScreenReportProtocol, StageTimings, noise_key)
 
 __all__ = [
@@ -39,6 +38,6 @@ __all__ = [
     "CachedEvaluation", "EvaluationCache", "cache_fingerprint",
     "GenerationOutcome", "StagedEvaluator",
     "EmptyMeasurementError", "EvaluationPipeline", "EvaluationResult",
-    "FitnessProtocol", "MeasurementProtocol", "ScreenProtocol",
-    "ScreenReportProtocol", "StageTimings", "noise_key",
+    "FitnessProtocol", "ScreenProtocol", "ScreenReportProtocol",
+    "StageTimings", "noise_key",
 ]

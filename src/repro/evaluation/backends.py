@@ -12,9 +12,9 @@ bit-identical checkpoints, populations and run histories.
 * :class:`SerialBackend` — evaluates job by job in the engine's
   process against the live plug-in objects.
 
-* :class:`BatchedBackend` — compiles the generation through the
-  pipeline and has the measurement measure it as one batch, between the
-  pipeline's own screen and score stages.
+* :class:`BatchedBackend` — runs the pipeline's compile and screen
+  stages per job and has the measurement measure the compiled programs
+  as one batch, before the pipeline's own score stage.
 
 * :class:`ProcessPoolBackend` — fans the generation out over N forked
   worker processes, one contiguous slice each, evaluated there by a
@@ -41,8 +41,9 @@ import multiprocessing
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..core.errors import AssemblyError, ConfigError
+from ..core.errors import ConfigError
 from ..core.individual import Individual
+from ..isa.model import Program
 from .pipeline import EmptyMeasurementError, EvaluationPipeline, \
     EvaluationResult, StageTimings, noise_key
 
@@ -102,28 +103,25 @@ def supports_batching(pipeline: EvaluationPipeline) -> bool:
     """True when :meth:`Measurement.supports_batching
     <repro.measurement.base.Measurement.supports_batching>` lets a batch
     stand in for the pipeline's measure stage."""
-    return pipeline.machine is not None \
-        and pipeline.measurement.supports_batching()
+    return pipeline.measurement.supports_batching()
 
 
 class BatchedBackend(ExecutorBackend):
     """Evaluate a whole generation as one batch.
 
-    Screening stays per job, in job order.  Every surviving source is
-    then compiled through :meth:`EvaluationPipeline.compile
-    <repro.evaluation.pipeline.EvaluationPipeline.compile>` (a compile
-    cache hit for a screened source) and the measurement measures them
-    as one batch (:meth:`~repro.measurement.base.Measurement.measure_batch`).
-    The pipeline's own stage methods give the screen-failure,
-    compile-failure and score results, so every observable is
-    bit-identical to :class:`SerialBackend`.  Where
-    :func:`supports_batching` is false (a procedure overriding
-    ``measure``, ``measure_repeated``, ``execute_on_target`` or
-    ``reseed_noise``; a non-simulated target) the serial per-job loop
+    The pipeline's compile and screen stages stay per job, in job order
+    (:meth:`EvaluationPipeline.prepare
+    <repro.evaluation.pipeline.EvaluationPipeline.prepare>`); the
+    measurement then measures the programs they produced as one batch
+    (:meth:`~repro.measurement.base.Measurement.measure_batch`) and the
+    pipeline scores each row, so every observable is bit-identical to
+    :class:`SerialBackend`.  Where :func:`supports_batching` is false (a
+    procedure overriding ``measure``, ``measure_repeated``,
+    ``execute_on_target`` or ``reseed_noise``) the serial per-job loop
     runs instead.  The backend holds no state.
 
-    Stage-time accounting: screen and score remain per job; the batch's
-    compile, run and interpretation time is split equally across the
+    Stage-time accounting: compile, screen and score remain per job;
+    the batch's run and interpretation time is split equally across the
     batched jobs' ``measure_s``.
     """
 
@@ -131,61 +129,40 @@ class BatchedBackend(ExecutorBackend):
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        if not jobs:
-            return []
         if not supports_batching(pipeline):
             return SerialBackend().evaluate(pipeline, jobs)
 
-        slots: List[Optional[ResultOrError]] = [None] * len(jobs)
-        timings = [StageTimings() for _ in jobs]
-        # (hits, misses) of each job's first compile: screen or batch.
-        compile_cache = {}
-        runnable: List[int] = []
-        for index, (individual, source) in enumerate(jobs):
-            tally = pipeline.compile_tally()
-            slots[index] = pipeline.screen_failure(individual, source,
-                                                   timings[index], tally)
-            if slots[index] is None:
-                runnable.append(index)
-                if pipeline.screen is not None:
-                    compile_cache[index] = tally()
+        results: List[EvaluationResult] = []
+        batch: List[Tuple[int, Program]] = []
+        for individual, source in jobs:
+            program, result = pipeline.prepare(individual, source,
+                                               StageTimings())
+            if program is not None:
+                batch.append((len(results), program))
+            results.append(result)
 
-        batch = StageTimings()
-        programs = {}
-        with batch.stage("measure"):
-            for index in runnable:
-                individual, source = jobs[index]
-                tally = pipeline.compile_tally()
-                try:
-                    programs[index] = pipeline.compile(source)
-                except AssemblyError:
-                    slots[index] = pipeline.compile_failure(
-                        individual, source, timings[index], tally())
-                    continue
-                compile_cache.setdefault(index, tally())
+        run = StageTimings()
+        with run.stage("measure"):
             values = pipeline.measurement.measure_batch(
-                list(programs.values()),
-                [jobs[index][0] for index in programs],
+                [program for _, program in batch],
+                [jobs[index][0] for index, _ in batch],
                 [noise_key(pipeline.noise_seed, jobs[index][1])
-                 for index in programs])
-        for index in runnable:
-            timings[index].measure_s += batch.measure_s / len(runnable)
+                 for index, _ in batch])
+        for index, _ in batch:
+            results[index].timings.measure_s += run.measure_s / len(batch)
 
         # Score per individual, in job order.
-        for index, measurements in zip(programs, values):
-            individual, source = jobs[index]
+        for (index, _), measurements in zip(batch, values):
             try:
-                slots[index] = pipeline.scored(
-                    individual, source, measurements, timings[index],
-                    compile_cache[index])
+                pipeline.scored(results[index], jobs[index][0],
+                                measurements)
             except EmptyMeasurementError as exc:
                 # Mirror the serial stop point: everything before the
                 # failing job stands, the error goes in band, later
                 # results (already computed, as with any parallel
                 # dispatch) drop.
-                return [item for item in slots[:index]
-                        if item is not None] + [exc]
-        return [item for item in slots if item is not None]
+                return results[:index] + [exc]
+        return results
 
 
 # -- worker-side plumbing (module-level so the pool can address it) ---------

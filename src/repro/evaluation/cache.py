@@ -10,12 +10,15 @@ replays previously measured genomes from the cache file instead of the
 simulator.  A cache only replays measurements: no search strategy reads
 it, so it never changes which individuals get measured.
 
-Only the measurements and failure flags are cached.  Fitness is always
-re-scored against the hitting individual, because fitness plug-ins may
-read genome properties (e.g. the simplicity term of the paper's
-Equation 1) that differ between individuals sharing a source digest —
-in practice they never do for identical sources, which keeps cached and
-uncached runs bit-identical.
+Only the measurements and the compile-failure flag are cached: whether
+a compiled program passes a static screen depends on the run's screen,
+which the address does not cover, so a screen rejection is never stored
+and a replayed compile failure is a screen failure exactly when the
+replaying run screens.  Fitness is always re-scored against the hitting
+individual, because fitness plug-ins may read genome properties (e.g.
+the simplicity term of the paper's Equation 1) that differ between
+individuals sharing a source digest — in practice they never do for
+identical sources, which keeps cached and uncached runs bit-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..core.errors import ConfigError
+from ..measurement.base import Measurement
 
 __all__ = ["CachedEvaluation", "EvaluationCache", "cache_fingerprint"]
 
@@ -35,15 +39,12 @@ _FORMAT = "gest-repro-evaluation-cache"
 _VERSION = 1
 
 
-def cache_fingerprint(measurement, noise_seed: int) -> str:
+def cache_fingerprint(measurement: Measurement, noise_seed: int) -> str:
     """A run's cache fingerprint: the measurement's own
-    ``fingerprint()`` (its class path when it has none) and the noise
-    seed.  Saved cache files and shared-cache rows are addressed by
-    this exact string."""
-    fingerprint = getattr(measurement, "fingerprint", None)
-    base = fingerprint() if callable(fingerprint) else \
-        f"{type(measurement).__module__}.{type(measurement).__qualname__}"
-    return f"{base}|noise_seed={noise_seed}"
+    :meth:`~repro.measurement.base.Measurement.fingerprint` and the
+    noise seed.  Saved cache files and shared-cache rows are addressed
+    by this exact string."""
+    return f"{measurement.fingerprint()}|noise_seed={noise_seed}"
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class CachedEvaluation:
 
     measurements: Tuple[float, ...]
     compile_failed: bool = False
-    screen_failed: bool = False
 
 
 class EvaluationCache:
@@ -114,7 +114,6 @@ class EvaluationCache:
                 key: {
                     "measurements": list(entry.measurements),
                     "compile_failed": entry.compile_failed,
-                    "screen_failed": entry.screen_failed,
                 }
                 for key, entry in sorted(self._entries.items())
             },
@@ -164,6 +163,5 @@ class EvaluationCache:
                 measurements=tuple(float(m)
                                    for m in raw.get("measurements", [])),
                 compile_failed=bool(raw.get("compile_failed", False)),
-                screen_failed=bool(raw.get("screen_failed", False)),
             )
         return cache

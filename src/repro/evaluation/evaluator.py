@@ -88,11 +88,15 @@ class StagedEvaluator:
             outcome.timings.add(item.timings)
             outcome.compile_cache_hits += item.compile_cache_hits
             outcome.compile_cache_misses += item.compile_cache_misses
-            if self.cache is not None:
+            # Store only what _replay reproduces: not a screen's verdict
+            # on a compiled program (the cache address does not cover
+            # the screen), nor a compile failure the measurement raised
+            # after the screen passed the program.
+            if self.cache is not None and item.screen_failed == (
+                    item.compile_failed and self.pipeline.screen is not None):
                 self.cache.put(item.source, CachedEvaluation(
                     measurements=tuple(item.measurements),
-                    compile_failed=item.compile_failed,
-                    screen_failed=item.screen_failed))
+                    compile_failed=item.compile_failed))
 
         self._sync_counters(outcome)
         outcome.backend = self.backend.name
@@ -108,13 +112,16 @@ class StagedEvaluator:
 
     def _replay(self, individual, source: str, cached: CachedEvaluation,
                 timings: StageTimings) -> EvaluationResult:
-        """Reconstruct a result from a cache entry (score re-runs)."""
-        if cached.compile_failed or cached.screen_failed:
+        """Reconstruct a result from a cache entry (score re-runs).  A
+        compile failure is a screen failure exactly when this run
+        screens, as the compile stage would record it."""
+        if cached.compile_failed:
             return EvaluationResult(
                 uid=individual.uid, source=source,
                 measurements=list(cached.measurements), fitness=0.0,
-                compile_failed=cached.compile_failed,
-                screen_failed=cached.screen_failed, cache_hit=True)
+                compile_failed=True,
+                screen_failed=self.pipeline.screen is not None,
+                cache_hit=True)
         with timings.stage("score"):
             fitness = self.pipeline.score(cached.measurements, individual)
         return EvaluationResult(

@@ -1,4 +1,5 @@
-"""The staged evaluation pipeline (render → screen → measure → score).
+"""The staged evaluation pipeline (render → compile → screen → measure
+→ score).
 
 Measurement dominates a GeST search — the paper runs generations of
 individuals against multiple target boards in parallel precisely
@@ -8,16 +9,23 @@ because the GA itself is cheap.  This module extracts the evaluation of
 processes, the cache (:mod:`repro.evaluation.cache`) can skip it, and
 the engine (:mod:`repro.core.engine`) shrinks to pure GA logic.
 
-Stages, mirroring what the engine's old monolithic loop interleaved:
+The measurement is a :class:`~repro.measurement.base.Measurement` on a
+:class:`~repro.cpu.machine.SimulatedMachine` (paper III.C: a procedure
+subclasses the abstract class); the pipeline refuses anything else.
+Stages:
 
 1. **render** — instantiate the template with the individual's loop body;
-2. **screen** — optional pre-measurement static screen
+2. **compile** — :meth:`EvaluationPipeline.compile`, once per
+   evaluation, into the machine's compile cache (timed as measure); a
+   source that does not compile takes the zero-fitness path;
+3. **screen** — optional pre-measurement static screen
    (:class:`repro.staticcheck.screen.StaticScreen`) of the compiled
    program; failures skip the pipeline model at zero fitness;
-3. **measure** — ``measure_repeated`` on the measurement plug-in;
-   :class:`~repro.core.errors.AssemblyError` becomes a zero-fitness
-   compile failure;
-4. **score** — the fitness plug-in maps measurements to one value.
+4. **measure** — ``measure_repeated`` on the measurement, whose own
+   compile hits the cache entry stage 2 made;
+   :class:`~repro.core.errors.AssemblyError` still becomes a
+   zero-fitness compile failure;
+5. **score** — the fitness plug-in maps measurements to one value.
 
 Determinism contract
 --------------------
@@ -37,8 +45,7 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterator, List, Optional, Protocol, Sequence, \
-    Tuple
+from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
@@ -48,38 +55,14 @@ from ..isa.model import Program
 from ..isa.splice import TemplateSplicer
 from ..measurement.base import Measurement
 
-__all__ = ["MeasurementProtocol", "FitnessProtocol", "ScreenProtocol",
-           "ScreenReportProtocol", "StageTimings", "EvaluationResult",
-           "EmptyMeasurementError", "EvaluationPipeline", "noise_key"]
+__all__ = ["FitnessProtocol", "ScreenProtocol", "ScreenReportProtocol",
+           "StageTimings", "EvaluationResult", "EmptyMeasurementError",
+           "EvaluationPipeline", "noise_key"]
 
 
 # ---------------------------------------------------------------------------
 # Plug-in protocols (moved here from repro.core.engine; re-exported there)
 # ---------------------------------------------------------------------------
-
-class MeasurementProtocol(Protocol):
-    """What the evaluation layer needs from a measurement object
-    (paper III.C).
-
-    Both methods are required: the pipeline always dispatches through
-    :meth:`measure_repeated`, so a plug-in that omits it fails loudly at
-    engine construction instead of silently measuring single-shot.
-    Subclasses of :class:`repro.measurement.base.Measurement` inherit
-    both and override ``measure_from_result`` or ``measure``.
-    """
-
-    def measure(self, source_text: str,
-                individual: Individual) -> List[float]:
-        """Compile and run ``source_text`` on the target, returning the
-        list of measurement values (first one is the default fitness)."""
-        ...
-
-    def measure_repeated(self, source_text: str,
-                         individual: Individual) -> List[float]:
-        """Run :meth:`measure` under the plug-in's repetition/aggregation
-        policy (identical to one ``measure`` call when repeats == 1)."""
-        ...
-
 
 class FitnessProtocol(Protocol):
     """What the evaluation layer needs from a fitness object (III.C)."""
@@ -154,6 +137,12 @@ class EvaluationResult:
     driver), so they carry the individual's ``uid`` rather than the
     individual itself; the driver re-attaches measurements to *its*
     population objects during the deterministic uid-ordered merge.
+
+    A zero-fitness result has ``measurements == [0.0]``:
+    ``compile_failed`` when the source did not compile (then
+    ``screen_failed`` too exactly when a screen is configured) or the
+    measurement raised AssemblyError, ``screen_failed`` alone when the
+    screen rejected the program.
     """
 
     uid: int
@@ -164,9 +153,8 @@ class EvaluationResult:
     screen_failed: bool = False
     cache_hit: bool = False
     timings: StageTimings = field(default_factory=StageTimings)
-    #: Target-machine compile-cache traffic of this evaluation's first
-    #: compile (the screen stage's with a screen, else the measure
-    #: stage's).  Carried on the result because pool workers compile in
+    #: Target-machine compile-cache traffic of this evaluation's compile
+    #: stage.  Carried on the result because pool workers compile in
     #: *replica* machines whose counters the driver never sees.
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
@@ -210,31 +198,31 @@ class EvaluationPipeline:
     ----------
     template:
         The run's :class:`~repro.core.template.Template`.
-    measurement, fitness:
-        Plug-in objects satisfying the protocols above.  The
-        measurement is validated eagerly: missing ``measure`` *or*
-        ``measure_repeated`` raises :class:`ConfigError` at
-        construction.
+    measurement:
+        A :class:`~repro.measurement.base.Measurement` whose target's
+        machine is a :class:`~repro.cpu.machine.SimulatedMachine`;
+        anything else raises :class:`ConfigError` at construction.
+    fitness:
+        A plug-in satisfying :class:`FitnessProtocol`; one without
+        ``get_fitness`` raises :class:`ConfigError` at construction.
     screen:
-        Optional pre-measurement static screen; refused with
-        :class:`ConfigError` when the measurement cannot compile.
+        Optional pre-measurement static screen of the compiled program.
     noise_seed:
         Base seed mixed into each individual's noise-substream key
         (normally the GA seed, so one config+seed pins the whole run).
     """
 
-    def __init__(self, template: Template,
-                 measurement: MeasurementProtocol,
+    def __init__(self, template: Template, measurement: Measurement,
                  fitness: FitnessProtocol,
                  screen: Optional[ScreenProtocol] = None,
                  noise_seed: int = 0) -> None:
-        for required in ("measure", "measure_repeated"):
-            if not callable(getattr(measurement, required, None)):
-                raise ConfigError(
-                    f"measurement {type(measurement).__name__!r} does not "
-                    f"implement {required}(); MeasurementProtocol requires "
-                    "both measure() and measure_repeated() — subclass "
-                    "repro.measurement.base.Measurement or define both")
+        if not (isinstance(measurement, Measurement) and isinstance(
+                measurement.target.machine, SimulatedMachine)):
+            raise ConfigError(
+                f"measurement {type(measurement).__name__!r} is not a "
+                "Measurement on a simulated machine; subclass "
+                "repro.measurement.base.Measurement and give it a "
+                "SimulatedTarget")
         if not callable(getattr(fitness, "get_fitness", None)):
             raise ConfigError(
                 f"fitness {type(fitness).__name__!r} does not implement "
@@ -244,23 +232,9 @@ class EvaluationPipeline:
         self.fitness = fitness
         self.screen = screen
         self.noise_seed = noise_seed
-        self._reseed = getattr(measurement, "reseed_noise", None)
-        if self._reseed is not None and not callable(self._reseed):
-            self._reseed = None
-        #: The simulated machine a :class:`Measurement` compiles for,
-        #: else None: the one rule for whether the run may screen and
-        #: the strategy is bound an arch and a compile.
-        machine = getattr(getattr(measurement, "target", None),
-                          "machine", None)
-        self.machine = machine if isinstance(measurement, Measurement) \
-            and isinstance(machine, SimulatedMachine) else None
-        if screen is not None and self.machine is None:
-            raise ConfigError(
-                f"a static screen needs a measurement that compiles; "
-                f"{type(measurement).__name__!r} is not a Measurement on "
-                "a SimulatedTarget")
-        self._splicer = TemplateSplicer(template, self.machine.assembler) \
-            if self.machine is not None else None
+        #: The simulated machine the measurement compiles for and runs on.
+        self.machine: SimulatedMachine = measurement.target.machine
+        self._splicer = TemplateSplicer(template, self.machine.assembler)
 
     # -- stages -------------------------------------------------------------
 
@@ -270,74 +244,53 @@ class EvaluationPipeline:
 
     def score(self, measurements: Sequence[float],
               individual: Individual) -> float:
-        """Stage 4, standalone — used for cache-hit replay."""
+        """Stage 5, standalone — used for cache-hit replay."""
         return float(self.fitness.get_fitness(measurements, individual))
 
     def compile(self, source: str) -> Program:
         """The program the measurement compiles from ``source`` (raises
         AssemblyError), cached where the measurement's own compile finds
-        it.  Requires :attr:`machine`."""
+        it."""
         return self.measurement.compile_source(
             source, builder=self._splicer.compile)
 
-    def screen_failure(self, individual: Individual, source: str,
-                       timings: StageTimings,
-                       tally: Callable[[], Tuple[int, int]]
-                       ) -> Optional[EvaluationResult]:
-        """Stage 2: the zero-fitness result when ``source`` does not
-        compile or the screen rejects its program; None when it passes
-        or there is no screen.
+    def prepare(self, individual: Individual, source: str,
+                timings: StageTimings
+                ) -> Tuple[Optional[Program], EvaluationResult]:
+        """Stages 2 and 3: compile ``source`` once, then screen it.
 
-        Same zero-fitness path as a compile failure (``tally`` read
-        after the screen's compile, the evaluation's first), but the
-        individual never enters the pipeline model.
-        """
-        if self.screen is None:
-            return None
-        with timings.stage("screen"):
-            try:
-                program = self.compile(source)
-            except AssemblyError:
-                program = None
-            if program is not None and \
-                    self.screen.screen(program, individual).passed:
-                return None
-        rejected = self.compile_failure(individual, source, timings,
-                                        tally())
-        rejected.compile_failed = program is None
-        rejected.screen_failed = True
-        return rejected
-
-    def compile_tally(self) -> Callable[[], Tuple[int, int]]:
-        """Start counting the target's compile-cache traffic.
-
-        The returned callable gives the (hits, misses) since this call;
-        (0, 0) for measurements without a simulated machine.
+        Returns the program to measure (None when the source does not
+        compile or the screen rejects it) and the individual's result,
+        at zero fitness until :meth:`scored` fills it in.  The result
+        carries the compile's compile-cache traffic.
         """
         machine = self.machine
-        if machine is None:
-            return lambda: (0, 0)
         hits, misses = machine.compile_cache_hits, \
             machine.compile_cache_misses
-        return lambda: (machine.compile_cache_hits - hits,
-                        machine.compile_cache_misses - misses)
-
-    def compile_failure(self, individual: Individual, source: str,
-                        timings: StageTimings,
-                        compile_cache: Tuple[int, int]) -> EvaluationResult:
-        """Stage 3's zero-fitness result for a source that does not
-        assemble; ``compile_cache`` is its (hits, misses) tally."""
-        hits, misses = compile_cache
-        return EvaluationResult(
+        try:
+            with timings.stage("measure"):
+                program: Optional[Program] = self.compile(source)
+        except AssemblyError:
+            program = None
+        result = EvaluationResult(
             uid=individual.uid, source=source,
             measurements=[0.0], fitness=0.0,
-            compile_failed=True, timings=timings,
-            compile_cache_hits=hits, compile_cache_misses=misses)
+            compile_failed=program is None,
+            screen_failed=program is None and self.screen is not None,
+            timings=timings,
+            compile_cache_hits=machine.compile_cache_hits - hits,
+            compile_cache_misses=machine.compile_cache_misses - misses)
+        if program is not None and self.screen is not None:
+            with timings.stage("screen"):
+                result.screen_failed = \
+                    not self.screen.screen(program, individual).passed
+            if result.screen_failed:
+                program = None
+        return program, result
 
-    def scored(self, individual: Individual, source: str,
-               measurements: Sequence[float], timings: StageTimings,
-               compile_cache: Tuple[int, int]) -> EvaluationResult:
-        """Stage 4: score ``measurements`` into the individual's result.
+    def scored(self, result: EvaluationResult, individual: Individual,
+               measurements: Sequence[float]) -> EvaluationResult:
+        """Stage 5: score ``measurements`` into the individual's result.
 
         Raises :class:`EmptyMeasurementError` when the measurement
         returned no values.
@@ -348,14 +301,10 @@ class EvaluationPipeline:
                 f"an empty result list for individual "
                 f"uid={individual.uid} in generation "
                 f"{individual.generation}")
-        with timings.stage("score"):
-            value = self.score(measurements, individual)
-        hits, misses = compile_cache
-        return EvaluationResult(
-            uid=individual.uid, source=source,
-            measurements=list(measurements), fitness=value,
-            timings=timings,
-            compile_cache_hits=hits, compile_cache_misses=misses)
+        with result.timings.stage("score"):
+            result.fitness = self.score(measurements, individual)
+        result.measurements = list(measurements)
+        return result
 
     def evaluate(self, individual: Individual,
                  source: Optional[str] = None) -> EvaluationResult:
@@ -374,21 +323,16 @@ class EvaluationPipeline:
         if source is None:
             with timings.stage("render"):
                 source = self.render(individual)
-
-        tally = self.compile_tally()
-        rejected = self.screen_failure(individual, source, timings, tally)
-        if rejected is not None:
-            return rejected
-        screen_compile = tally() if self.screen is not None else None
-
+        program, result = self.prepare(individual, source, timings)
+        if program is None:
+            return result
         try:
             with timings.stage("measure"):
-                if self._reseed is not None:
-                    self._reseed(noise_key(self.noise_seed, source))
+                self.measurement.reseed_noise(
+                    noise_key(self.noise_seed, source))
                 measurements = self.measurement.measure_repeated(
                     source, individual)
         except AssemblyError:
-            return self.compile_failure(individual, source, timings,
-                                        screen_compile or tally())
-        return self.scored(individual, source, measurements, timings,
-                           screen_compile or tally())
+            result.compile_failed = True
+            return result
+        return self.scored(result, individual, measurements)

@@ -100,14 +100,14 @@ class SearchStrategy:
     # -- engine wiring ------------------------------------------------------
 
     def bind(self, config, rng: Random, take_uid: Callable[[], int],
-             arch: Optional[MicroArch] = None,
-             compile: Optional[Callable[[str], Program]] = None) -> None:
+             arch: MicroArch, compile: Callable[[str], Program]) -> None:
         """Attach the run context.  Called once by the engine before
         any population is proposed.
 
         ``arch`` is the microarchitecture of the simulated machine the
-        run's measurement drives and ``compile`` that measurement's
-        compile; both are None when the measurement cannot compile.
+        run's measurement drives and ``compile`` the pipeline's compile
+        (:meth:`~repro.evaluation.pipeline.EvaluationPipeline.compile`),
+        which builds the program the measurement measures.
         """
         config.validate()
         self.config = config

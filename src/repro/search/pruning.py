@@ -62,11 +62,10 @@ def _fraction(value) -> float:
 class PruningStrategy(SearchStrategy):
     """A base strategy whose fresh offspring a ranker prunes.
 
-    The ranker compiles with the bound :attr:`compile` and prices and
-    probes on the bound :attr:`arch`, the measured machine's; a
-    measurement without a simulated machine is refused (SC210).
-    Subclasses declare ``base`` and ``top_fraction`` among their
-    :attr:`PARAMS`, implement :meth:`_predict`, and may override
+    The ranker compiles with the bound :attr:`compile`, the pipeline's,
+    and prices and probes on the bound :attr:`arch`, the measured
+    machine's.  Subclasses declare ``base`` and ``top_fraction`` among
+    their :attr:`PARAMS`, implement :meth:`_predict`, and may override
     :meth:`_explore`; ranker state rides along by extending ``_bound``,
     ``observe``, ``state_dict`` and ``load_state``.
     """
@@ -78,12 +77,6 @@ class PruningStrategy(SearchStrategy):
                 f"search strategy {self.name!r} cannot wrap itself; "
                 "pick a concrete base strategy (e.g. base=\"genetic\")",
                 diagnostic_code="SC210")
-        if self.arch is None or self.compile is None:
-            raise ConfigError(
-                f"search strategy {self.name!r} prices compiled offspring "
-                "on the measured machine, but the measurement has no "
-                "simulated machine; use a Measurement on a SimulatedTarget "
-                "or a strategy that does not prune", diagnostic_code="SC210")
         self._base: SearchStrategy = STRATEGIES.get(base_name)(None)
         self._base.bind(self.config, self.rng, self._take_uid, self.arch,
                         self.compile)

@@ -5,8 +5,10 @@ spend hours driving real hardware, and this reproduction's cycle-level
 :mod:`repro.cpu` model is the analogous hot path.  The screen runs the
 cheap static passes on each individual *before* it enters that path:
 
-1. the evaluation pipeline compiles the rendered source as the
-   measurement does (a source that does not compile fails there);
+1. the evaluation pipeline's compile stage compiles the rendered
+   source once, for the measurement, which then reuses the program (a
+   source that does not compile fails there and is recorded as a
+   compile and a screen failure);
 2. the screen runs the dataflow pass (:mod:`repro.staticcheck.dataflow`)
    over the compiled program;
 3. it fails the individual when any diagnostic reaches

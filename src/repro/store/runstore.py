@@ -104,7 +104,7 @@ CREATE TABLE IF NOT EXISTS cache_entries (
     key            TEXT NOT NULL,
     measurements   TEXT NOT NULL,
     compile_failed INTEGER NOT NULL DEFAULT 0,
-    screen_failed  INTEGER NOT NULL DEFAULT 0,
+    screen_failed  INTEGER NOT NULL DEFAULT 0,  -- unread (verdicts not cached)
     created_by     TEXT,
     hits           INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (fingerprint, key)

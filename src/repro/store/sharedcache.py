@@ -93,7 +93,7 @@ class SharedEvaluationCache(EvaluationCache):
         key = self.key(source_text)
         conn = self._connection()
         raw = conn.execute(
-            "SELECT measurements, compile_failed, screen_failed "
+            "SELECT measurements, compile_failed "
             "FROM cache_entries WHERE fingerprint = ? AND key = ?",
             (self.fingerprint, key)).fetchone()
         if raw is None:
@@ -107,20 +107,19 @@ class SharedEvaluationCache(EvaluationCache):
                 (self.fingerprint, key))
         return CachedEvaluation(
             measurements=tuple(float(m) for m in json.loads(raw[0])),
-            compile_failed=bool(raw[1]), screen_failed=bool(raw[2]))
+            compile_failed=bool(raw[1]))
 
     def put(self, source_text: str, entry: CachedEvaluation) -> None:
         conn = self._connection()
         with conn:
             conn.execute(
                 "INSERT INTO cache_entries (fingerprint, key, "
-                "measurements, compile_failed, screen_failed, created_by) "
-                "VALUES (?, ?, ?, ?, ?, ?) "
+                "measurements, compile_failed, created_by) "
+                "VALUES (?, ?, ?, ?, ?) "
                 "ON CONFLICT (fingerprint, key) DO NOTHING",
                 (self.fingerprint, self.key(source_text),
                  json.dumps(list(entry.measurements)),
-                 int(entry.compile_failed), int(entry.screen_failed),
-                 self.run_id))
+                 int(entry.compile_failed), self.run_id))
 
     # -- accounting ---------------------------------------------------------
 

@@ -12,6 +12,8 @@ from repro.isa import ArmAssembler, arm_template
 from repro.isa.model import InstrClass
 from repro.measurement import PowerMeasurement
 
+from .scripted import ScriptedMeasurement
+
 
 class TestWorkloadProfile:
     def test_default_is_valid(self):
@@ -172,6 +174,16 @@ class TestAbstractEngine:
         series = engine.best_fitness_series()
         assert all(b >= a - 0.02 * series[-1]
                    for a, b in zip(series, series[1:]))
+
+    def test_each_evaluation_follows_the_repeat_policy(self):
+        # As in the instruction-level engine, an evaluation samples a
+        # repeats="3" measurement three times.
+        measurement = ScriptedMeasurement(lambda individual: [1.0],
+                                          {"repeats": "3"})
+        AbstractEngine(measurement, DefaultFitness(), arm_template(),
+                       loop_size=20, population_size=4, generations=1,
+                       seed=8).run()
+        assert measurement.calls == 3 * 4
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):

@@ -17,6 +17,8 @@ from repro.core.individual import random_individual
 from repro.core.rng import make_rng
 from repro.isa import ArmAssembler
 
+from .scripted import ScriptedMeasurement
+
 
 class TestInstructionMix:
     def test_mix_of_individual_categories(self, arm_lib):
@@ -211,17 +213,9 @@ class TestLineage:
         from repro.core.output import OutputRecorder
         from repro.fitness import DefaultFitness
 
-        class LdrCounter:
-            def measure(self, source_text, individual):
-                return [float(sum(1 for i in individual.instructions
-                                  if i.name == "LDR"))]
-
-            def measure_repeated(self, source_text, individual):
-                return self.measure(source_text, individual)
-
         tiny_config.ga.generations = 6
         recorder = OutputRecorder(tmp_path / "run")
-        GeneticEngine(tiny_config, LdrCounter(), DefaultFitness(),
+        GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness(),
                       recorder=recorder).run()
         return recorder.results_dir
 
@@ -281,18 +275,10 @@ class TestDiversity:
         from repro.core.output import OutputRecorder
         from repro.fitness import DefaultFitness
 
-        class LdrCounter:
-            def measure(self, source_text, individual):
-                return [float(sum(1 for i in individual.instructions
-                                  if i.name == "LDR"))]
-
-            def measure_repeated(self, source_text, individual):
-                return self.measure(source_text, individual)
-
         tiny_config.ga.generations = 10
         tiny_config.ga.population_size = 10
         recorder = OutputRecorder(tmp_path / "run")
-        GeneticEngine(tiny_config, LdrCounter(), DefaultFitness(),
+        GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness(),
                       recorder=recorder).run()
         return recorder.results_dir
 

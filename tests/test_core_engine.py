@@ -1,63 +1,34 @@
 """Unit tests for the GA engine (repro.core.engine).
 
-These use a deterministic in-memory measurement/fitness pair so the
+These use a scripted measurement (``tests/scripted.py``) so the
 engine's mechanics (seeding, evaluation, breeding, elitism, recording,
-compile-failure handling) are tested without the CPU substrate.
+compile-failure handling) are tested without simulating a pipeline.
 """
 
 import pytest
 
 from repro.core.config import GAParameters, RunConfig
 from repro.core.engine import GeneticEngine
-from repro.core.errors import AssemblyError, ConfigError
+from repro.core.errors import ConfigError
 from repro.core.individual import random_individual
 from repro.core.output import OutputRecorder
 from repro.core.population import Population
 from repro.core.rng import make_rng
-from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.fitness.default_fitness import DefaultFitness
-from repro.measurement.base import Measurement
 from repro.staticcheck import StaticScreen
 
-
-class CountingMeasurement:
-    """Fitness = number of LDR instructions (deterministic, cheap)."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def measure(self, source_text, individual):
-        self.calls += 1
-        score = float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))
-        return [score, score + 1.0]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
-
-
-class CompilingMeasurement(CountingMeasurement, Measurement):
-    """CountingMeasurement on a simulated target, so a static screen can
-    check the program it compiles."""
-
-    def __init__(self):
-        CountingMeasurement.__init__(self)
-        Measurement.__init__(
-            self, SimulatedTarget(SimulatedMachine("cortex_a15")))
-
-
-class FailingMeasurement(CountingMeasurement):
-    """Marks every individual containing a NOP as a compile failure."""
-
-    def measure(self, source_text, individual):
-        if any(i.name == "NOP" for i in individual.instructions):
-            raise AssemblyError("synthetic compile failure")
-        return super().measure(source_text, individual)
+from .scripted import ScriptedMeasurement, ldr_pair, nop_fails
 
 
 def _engine(config, measurement=None, recorder=None):
-    return GeneticEngine(config, measurement or CountingMeasurement(),
+    return GeneticEngine(config,
+                         measurement or ScriptedMeasurement(ldr_pair),
                          DefaultFitness(), recorder=recorder)
+
+
+def _no_values(individual):
+    """A broken measurement plug-in's script: no values at all."""
+    return []
 
 
 class TestRunMechanics:
@@ -77,7 +48,7 @@ class TestRunMechanics:
 
     @pytest.mark.serial_evaluation
     def test_every_individual_evaluated(self, tiny_config):
-        measurement = CountingMeasurement()
+        measurement = ScriptedMeasurement(ldr_pair)
         history = _engine(tiny_config, measurement).run()
         expected = tiny_config.ga.population_size * \
             tiny_config.ga.generations
@@ -169,7 +140,8 @@ class TestSelectionAndElitism:
 
 class TestCompileFailures:
     def test_failures_get_zero_fitness_and_stay_recorded(self, tiny_config):
-        history = _engine(tiny_config, FailingMeasurement()).run()
+        history = _engine(tiny_config,
+                          ScriptedMeasurement(nop_fails)).run()
         failed = [ind for pop in [history.final_population]
                   for ind in pop if ind.compile_failed]
         for ind in failed:
@@ -183,14 +155,15 @@ class TestCompileFailures:
                           tournament_size=4, seed=3)
         config = RunConfig(ga=ga, library=tiny_library,
                            template_text=tiny_template.text)
-        history = _engine(config, FailingMeasurement()).run()
+        history = _engine(config, ScriptedMeasurement(nop_fails)).run()
         # NOP-bearing individuals are unfit, so the winner has none.
         assert all(i.name != "NOP"
                    for i in history.best_individual.instructions)
         assert history.best_individual.fitness > 0
 
     def test_failure_counter_in_stats(self, tiny_config):
-        history = _engine(tiny_config, FailingMeasurement()).run()
+        history = _engine(tiny_config,
+                          ScriptedMeasurement(nop_fails)).run()
         assert all(g.compile_failures >= 0 for g in history.generations)
 
 
@@ -255,16 +228,6 @@ class TestRenderSource:
             assert line in source
 
 
-class _EmptyMeasurement:
-    """A broken measurement plug-in: returns no values at all."""
-
-    def measure(self, source_text, individual):
-        return []
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
-
-
 class _RejectNopScreen:
     """Deterministic screen stub: fails any NOP-bearing individual."""
 
@@ -283,7 +246,7 @@ class _RejectNopScreen:
 class TestStaticScreening:
     @pytest.mark.serial_evaluation
     def test_screen_failures_take_zero_fitness_path(self, tiny_config):
-        measurement = CompilingMeasurement()
+        measurement = ScriptedMeasurement(ldr_pair)
         screen = _RejectNopScreen()
         engine = GeneticEngine(tiny_config, measurement, DefaultFitness(),
                                screen=screen)
@@ -301,7 +264,7 @@ class TestStaticScreening:
                 assert not ind.compile_failed
 
     def test_screen_failures_counted_per_generation(self, tiny_config):
-        engine = GeneticEngine(tiny_config, CompilingMeasurement(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(ldr_pair),
                                DefaultFitness(), screen=_RejectNopScreen())
         history = engine.run()
         for stats in history.generations:
@@ -320,7 +283,7 @@ class TestStaticScreening:
         the real StaticScreen passes every generated individual, so a
         seeded run is bit-identical to an unscreened one."""
         unscreened = _engine(tiny_config).run()
-        screened = GeneticEngine(tiny_config, CompilingMeasurement(),
+        screened = GeneticEngine(tiny_config, ScriptedMeasurement(ldr_pair),
                                  DefaultFitness(),
                                  screen=StaticScreen()).run()
 
@@ -334,27 +297,32 @@ class TestStaticScreening:
         assert sum(g.screen_failures for g in screened.generations) == 0
 
     def test_screen_needs_a_measurement_that_compiles(self, tiny_config):
-        # The screen checks the program the measurement compiles; a
-        # measurement that cannot compile is refused when the engine is
-        # built.
-        with pytest.raises(ConfigError, match="measurement that compiles"):
-            GeneticEngine(tiny_config, CountingMeasurement(),
-                          DefaultFitness(), screen=StaticScreen())
+        # The pipeline compiles every source for the measured machine, so
+        # a measurement without a simulated one is refused when the
+        # engine is built, screened or not.
+        unsimulated = ScriptedMeasurement()
+        unsimulated.target.machine = object()
+        for screen in (StaticScreen(), None):
+            with pytest.raises(ConfigError,
+                               match="not a Measurement on a simulated"):
+                GeneticEngine(tiny_config, unsimulated, DefaultFitness(),
+                              screen=screen)
 
 
 class TestEmptyMeasurementError:
     def test_error_names_individual_and_generation(self, tiny_config):
         with pytest.raises(ConfigError) as excinfo:
-            _engine(tiny_config, _EmptyMeasurement()).run()
+            _engine(tiny_config, ScriptedMeasurement(_no_values)).run()
         message = str(excinfo.value)
-        assert "_EmptyMeasurement" in message
+        assert "ScriptedMeasurement" in message
         assert "uid=" in message
         assert "generation" in message
 
     def test_partial_generation_checkpointed_before_raise(
             self, tiny_config, tmp_path):
         checkpoint = tmp_path / "partial.ckpt"
-        engine = GeneticEngine(tiny_config, _EmptyMeasurement(),
+        engine = GeneticEngine(tiny_config,
+                               ScriptedMeasurement(_no_values),
                                DefaultFitness(),
                                checkpoint_path=checkpoint)
         with pytest.raises(ConfigError, match="empty result list"):
@@ -363,4 +331,4 @@ class TestEmptyMeasurementError:
 
     def test_no_checkpoint_path_still_raises_cleanly(self, tiny_config):
         with pytest.raises(ConfigError, match="empty result list"):
-            _engine(tiny_config, _EmptyMeasurement()).run()
+            _engine(tiny_config, ScriptedMeasurement(_no_values)).run()

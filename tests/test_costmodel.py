@@ -396,8 +396,10 @@ class TestStaticRankStrategy:
 
     def test_rejects_self_wrap(self, tiny_config):
         strategy = make_strategy("static_rank", {"base": "static_rank"})
+        machine = SimulatedMachine("cortex_a15")
         with pytest.raises(ConfigError, match="cannot wrap itself"):
-            strategy.bind(tiny_config, make_rng(0), lambda: 0)
+            strategy.bind(tiny_config, make_rng(0), lambda: 0, machine.arch,
+                          machine.compile)
 
     def test_rejects_bad_top_fraction(self):
         with pytest.raises(ConfigError, match="top_fraction"):

@@ -4,7 +4,7 @@ The acceptance property of the refactor: the same config + seed yields
 bit-identical populations and identical run histories under the serial
 backend, the process-pool backend, and with the evaluation cache on or
 off.  These tests pin that property, plus the layer's satellite
-contracts: loud protocol validation, ragged-repeat rejection, partial
+contracts: the one measurement contract, ragged-repeat rejection, partial
 generation resume, cache persistence, and per-stage observability.
 """
 
@@ -20,7 +20,9 @@ from repro.core.engine import GenerationStats, GeneticEngine, \
     WORKERS_ENV_VAR
 from repro.core.errors import ConfigError
 from repro.core.individual import random_individual
+from repro.core.instruction import InstructionLibrary
 from repro.core.loader import instantiate
+from repro.core.operand import RegisterOperand
 from repro.core.output import OutputRecorder
 from repro.core.population import load_population
 from repro.core.rng import make_rng
@@ -36,31 +38,17 @@ from repro.measurement import PowerMeasurement
 from repro.measurement.base import Measurement
 from repro.staticcheck import StaticScreen
 
+from .scripted import ScriptedMeasurement, ldr_count, nop_fails
+
 SHIPPED_CONFIG = "configs/arm_power/config.xml"
 
 
-class _LdrCounter:
-    """Deterministic in-memory measurement: fitness = LDR count."""
-
-    def measure(self, source_text, individual):
-        return [float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
-
-
-class _PrefixFailing(_LdrCounter):
-    """Behaves like _LdrCounter until ``fail_from`` — then returns an
-    empty measurement list (the checkpoint-then-abort plug-in bug)."""
-
-    def __init__(self, fail_from):
-        self.fail_from = fail_from
-
-    def measure(self, source_text, individual):
-        if individual.uid >= self.fail_from:
-            return []
-        return super().measure(source_text, individual)
+def _fails_from(uid):
+    """A script that measures the LDR count until ``uid``, then returns
+    an empty measurement list (the checkpoint-then-abort plug-in bug)."""
+    def script(individual):
+        return [] if individual.uid >= uid else ldr_count(individual)
+    return script
 
 
 class _UnderVolted(PowerMeasurement):
@@ -130,7 +118,7 @@ class TestBackendEquivalence:
             assert a.read_bytes() == b.read_bytes()
 
     def test_workers_argument_selects_auto_pool(self, tiny_config):
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness(), workers=2)
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         assert engine.evaluator.backend.pool_workers == 2
@@ -139,7 +127,7 @@ class TestBackendEquivalence:
     @pytest.mark.serial_evaluation
     def test_config_workers_selects_auto_pool(self, tiny_config):
         tiny_config.evaluation.workers = 3
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness())
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         assert engine.evaluator.backend.pool_workers == 3
@@ -150,18 +138,18 @@ class TestBackendEquivalence:
         # ExecutorBackend instance.
         for name in ("serial", "batched", "pool", "auto"):
             with pytest.raises(TypeError, match="ExecutorBackend"):
-                GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
-                              backend=name, workers=1)
+                GeneticEngine(tiny_config, ScriptedMeasurement(),
+                              DefaultFitness(), backend=name, workers=1)
 
     @pytest.mark.serial_evaluation
     def test_environment_override(self, tiny_config, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness())
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         engine.evaluator.close()
         # An explicit workers argument wins over the environment.
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness(), workers=1)
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         assert engine.evaluator.backend.pool_workers == 1
@@ -173,24 +161,24 @@ class TestBackendEquivalence:
         # env path accepted 0 (falling through to serial) while the
         # config path rejected it, so pin all three.
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness())
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         assert engine.evaluator.backend.pool_workers >= 1
         engine.evaluator.close()
         monkeypatch.delenv(WORKERS_ENV_VAR)
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness(), workers=0)
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         engine.evaluator.close()
         tiny_config.evaluation.workers = 0
         tiny_config.evaluation.validate()  # 0 is a legal config value
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness())
         assert isinstance(engine.evaluator.backend, AutoSelectBackend)
         engine.evaluator.close()
         with pytest.raises(ConfigError, match="workers"):
-            GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
+            GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness(),
                           workers=-1)
 
     @pytest.mark.serial_evaluation
@@ -198,7 +186,7 @@ class TestBackendEquivalence:
                                             monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "many")
         with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
-            GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness())
+            GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness())
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
@@ -206,8 +194,8 @@ class TestBackendEquivalence:
 
     def test_empty_measurement_aborts_under_pool(self, tiny_config):
         engine = GeneticEngine(
-            tiny_config, _PrefixFailing(0), DefaultFitness(),
-            backend=ProcessPoolBackend(2))
+            tiny_config, ScriptedMeasurement(_fails_from(0)),
+            DefaultFitness(), backend=ProcessPoolBackend(2))
         with pytest.raises(ConfigError, match="empty result list"):
             engine.run()
 
@@ -329,6 +317,50 @@ class TestCacheEquivalence:
         assert sum(g.cache_hits for g in second.generations) == \
             sum(g.measured + g.cache_hits for g in first.generations)
 
+    def test_screen_verdicts_follow_the_replaying_run(self, tiny_config):
+        # "x99" never assembles: a screened run records those compile
+        # failures as screen failures too, an unscreened run does not,
+        # and a run over the other's cache records them as a fresh run
+        # of its own setting would.
+        operands = dict(tiny_config.library.operands, src=RegisterOperand(
+            "src", ["x1", "x2", "x3", "x99"]))
+        tiny_config.library = InstructionLibrary(
+            list(operands.values()),
+            list(tiny_config.library.instructions.values()))
+
+        def search(screened, cache=None):
+            measurement = _power_measurement(tiny_config.ga.seed)
+            screen = StaticScreen.for_machine(measurement.target.machine) \
+                if screened else None
+            return GeneticEngine(tiny_config, measurement, DefaultFitness(),
+                                 screen=screen, cache=cache).run()
+
+        for filler, replayer in ((True, False), (False, True)):
+            cache = EvaluationCache("test")
+            search(filler, cache)
+            fresh, replayed = search(replayer), search(replayer, cache)
+            assert sum(g.cache_hits for g in replayed.generations) > 0
+            assert replayed.generations == fresh.generations
+        assert sum(g.screen_failures for g in fresh.generations) > 0
+
+    def test_measurement_compile_failures_replay_exactly(self,
+                                                         tiny_config):
+        # A compile failure the measurement raises after the screen
+        # passed the program is no screen failure, and a cache does not
+        # replay it as one.
+        def search(cache):
+            return GeneticEngine(tiny_config, ScriptedMeasurement(nop_fails),
+                                 DefaultFitness(), screen=StaticScreen(),
+                                 cache=cache).run()
+
+        cache = EvaluationCache("test")
+        first = search(cache)
+        assert sum(g.compile_failures for g in first.generations) > 0
+        assert all(g.screen_failures == 0 for g in first.generations)
+        second = search(cache)
+        assert sum(g.cache_hits for g in second.generations) > 0
+        assert second.generations == first.generations
+
     def test_cache_with_pool_backend(self, tiny_config):
         plain, _ = _run(tiny_config)
         cached, _ = _run(tiny_config, cache=EvaluationCache("test"),
@@ -416,17 +448,43 @@ class TestCachePersistence:
 
 
 # ---------------------------------------------------------------------------
-# protocol validation (no more duck-typed getattr fallback)
+# one measurement contract: a Measurement on a simulated machine
 # ---------------------------------------------------------------------------
 
 class TestProtocolValidation:
+    def test_non_measurement_refused_at_construction(self, tiny_config,
+                                                     tmp_path):
+        class DuckTyped:
+            def measure(self, source_text, individual):
+                return [1.0]
+
+            def measure_repeated(self, source_text, individual):
+                return [1.0]
+
+        unsimulated = ScriptedMeasurement()
+        unsimulated.target.machine = object()
+        checkpoint = tmp_path / "run.ckpt"
+        GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness(),
+                      checkpoint_path=checkpoint).run(generations=1)
+        for measurement in (DuckTyped(), unsimulated):
+            message = (rf"{type(measurement).__name__}.*subclass "
+                       r"repro\.measurement\.base\.Measurement")
+            with pytest.raises(ConfigError, match=message):
+                EvaluationPipeline(Template(tiny_config.template_text),
+                                   measurement, DefaultFitness())
+            with pytest.raises(ConfigError, match=message):
+                GeneticEngine(tiny_config, measurement, DefaultFitness())
+            with pytest.raises(ConfigError, match=message):
+                GeneticEngine.resume(tiny_config, measurement,
+                                     DefaultFitness(), checkpoint)
+
     def test_missing_measure_repeated_fails_at_construction(
             self, tiny_config):
         class SingleShot:
             def measure(self, source_text, individual):
                 return [1.0]
 
-        with pytest.raises(ConfigError, match="measure_repeated"):
+        with pytest.raises(ConfigError, match=r"'SingleShot'.*subclass"):
             GeneticEngine(tiny_config, SingleShot(), DefaultFitness())
 
     def test_missing_measure_fails_at_construction(self, tiny_config):
@@ -434,8 +492,7 @@ class TestProtocolValidation:
             def measure_repeated(self, source_text, individual):
                 return [1.0]
 
-        with pytest.raises(ConfigError,
-                           match=r"implement measure\(\)"):
+        with pytest.raises(ConfigError, match=r"'NoMeasure'.*subclass"):
             GeneticEngine(tiny_config, NoMeasure(), DefaultFitness())
 
     def test_missing_get_fitness_fails_at_construction(self, tiny_config):
@@ -443,7 +500,7 @@ class TestProtocolValidation:
             pass
 
         with pytest.raises(ConfigError, match="get_fitness"):
-            GeneticEngine(tiny_config, _LdrCounter(), NotFitness())
+            GeneticEngine(tiny_config, ScriptedMeasurement(), NotFitness())
 
 
 class TestRaggedRepeats:
@@ -478,7 +535,8 @@ class TestResumePartialGeneration:
         checkpoint = tmp_path / "run.ckpt"
         # Generation 1 holds uids 6..11; the plug-in dies at uid 9, so
         # the abort checkpoint holds generation 1 with 6, 7, 8 evaluated.
-        engine = GeneticEngine(tiny_config, _PrefixFailing(9),
+        engine = GeneticEngine(tiny_config,
+                               ScriptedMeasurement(_fails_from(9)),
                                DefaultFitness(),
                                checkpoint_path=checkpoint)
         with pytest.raises(ConfigError, match="empty result list"):
@@ -491,7 +549,7 @@ class TestResumePartialGeneration:
         assert any(ind.evaluated for ind in partial)
 
         recorder = OutputRecorder(tmp_path / "resumed")
-        resumed = GeneticEngine.resume(tiny_config, _LdrCounter(),
+        resumed = GeneticEngine.resume(tiny_config, ScriptedMeasurement(),
                                        DefaultFitness(), checkpoint,
                                        recorder=recorder)
         history = resumed.run()
@@ -507,7 +565,7 @@ class TestResumePartialGeneration:
 
         # And the finished trajectory matches an uninterrupted run with
         # the healthy plug-in (the failing one agrees on uids < 9).
-        uninterrupted = GeneticEngine(tiny_config, _LdrCounter(),
+        uninterrupted = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                       DefaultFitness()).run()
         assert history.generations == uninterrupted.generations[1:]
         assert [i.genome_key() for i in history.final_population] == \
@@ -516,11 +574,11 @@ class TestResumePartialGeneration:
     def test_resume_completed_generation_still_breeds(self, tiny_config,
                                                       tmp_path):
         checkpoint = tmp_path / "run.ckpt"
-        full = GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
-                             checkpoint_path=checkpoint)
+        full = GeneticEngine(tiny_config, ScriptedMeasurement(),
+                             DefaultFitness(), checkpoint_path=checkpoint)
         full_history = full.run(generations=2)
         assert checkpoint.exists()
-        resumed = GeneticEngine.resume(tiny_config, _LdrCounter(),
+        resumed = GeneticEngine.resume(tiny_config, ScriptedMeasurement(),
                                        DefaultFitness(), checkpoint)
         history = resumed.run(generations=3)
         assert [g.number for g in history.generations] == [2]

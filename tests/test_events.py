@@ -23,17 +23,9 @@ from repro.core.events import (CheckpointWritten, GenerationCompleted,
 from repro.core.output import FileRecorder, read_stats
 from repro.fitness.default_fitness import DefaultFitness
 
+from .scripted import ScriptedMeasurement, ldr_pair
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-class CountingMeasurement:
-    def measure(self, source_text, individual):
-        score = float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))
-        return [score, score + 1.0]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
 
 
 class EventLog(RunRecorder):
@@ -55,8 +47,8 @@ class EventLog(RunRecorder):
 
 
 def _engine(config, recorder=None, **kwargs):
-    return GeneticEngine(config, CountingMeasurement(), DefaultFitness(),
-                         recorder=recorder, **kwargs)
+    return GeneticEngine(config, ScriptedMeasurement(ldr_pair),
+                         DefaultFitness(), recorder=recorder, **kwargs)
 
 
 class TestEventStream:

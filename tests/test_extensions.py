@@ -18,6 +18,8 @@ from repro.isa import (arm_cache_stress_library, arm_library,
 from repro.measurement import CacheMissMeasurement, PowerMeasurement
 from repro.staticcheck import StaticScreen
 
+from .scripted import ScriptedMeasurement
+
 
 # ---------------------------------------------------------------------------
 # cache-miss measurement & catalog
@@ -260,15 +262,6 @@ class TestClike:
 # checkpoint / resume
 # ---------------------------------------------------------------------------
 
-class _LdrCounter:
-    def measure(self, source_text, individual):
-        return [float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
-
-
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tiny_library,
                                                  tiny_template, tmp_path):
@@ -280,19 +273,19 @@ class TestCheckpointResume:
                              template_text=tiny_template.text)
 
         # Reference: one uninterrupted run.
-        full = GeneticEngine(config(), _LdrCounter(),
+        full = GeneticEngine(config(), ScriptedMeasurement(),
                              DefaultFitness()).run()
 
         # Interrupted run: 4 generations, checkpointing...
         checkpoint = tmp_path / "run.ckpt"
-        first = GeneticEngine(config(), _LdrCounter(), DefaultFitness(),
-                              checkpoint_path=checkpoint)
+        first = GeneticEngine(config(), ScriptedMeasurement(),
+                              DefaultFitness(), checkpoint_path=checkpoint)
         first.run(generations=4)
         assert checkpoint.exists()
 
         # ...then resume to the full 8.
         resumed_engine = GeneticEngine.resume(
-            config(), _LdrCounter(), DefaultFitness(), checkpoint)
+            config(), ScriptedMeasurement(), DefaultFitness(), checkpoint)
         resumed = resumed_engine.run(generations=8)
 
         assert len(resumed.generations) == 4   # generations 4..7
@@ -303,7 +296,7 @@ class TestCheckpointResume:
 
     def test_resume_missing_file(self, tiny_config, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
-            GeneticEngine.resume(tiny_config, _LdrCounter(),
+            GeneticEngine.resume(tiny_config, ScriptedMeasurement(),
                                  DefaultFitness(), tmp_path / "none.ckpt")
 
     def test_resume_garbage_file(self, tiny_config, tmp_path):
@@ -311,33 +304,33 @@ class TestCheckpointResume:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(pickle.dumps({"not": "a checkpoint"}))
         with pytest.raises(ConfigError, match="not a checkpoint"):
-            GeneticEngine.resume(tiny_config, _LdrCounter(),
+            GeneticEngine.resume(tiny_config, ScriptedMeasurement(),
                                  DefaultFitness(), bad)
 
     def test_resume_unsupported_version(self, tiny_config, tmp_path):
         import pickle
         checkpoint = tmp_path / "v.ckpt"
-        GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
+        GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness(),
                       checkpoint_path=checkpoint).run(generations=1)
         payload = pickle.loads(checkpoint.read_bytes())
         payload["version"] = 99
         checkpoint.write_bytes(pickle.dumps(payload))
         with pytest.raises(ConfigError,
                            match="unsupported version 99"):
-            GeneticEngine.resume(tiny_config, _LdrCounter(),
+            GeneticEngine.resume(tiny_config, ScriptedMeasurement(),
                                  DefaultFitness(), checkpoint)
 
     def test_resume_missing_version_field(self, tiny_config, tmp_path):
         import pickle
         checkpoint = tmp_path / "v.ckpt"
-        GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
+        GeneticEngine(tiny_config, ScriptedMeasurement(), DefaultFitness(),
                       checkpoint_path=checkpoint).run(generations=1)
         payload = pickle.loads(checkpoint.read_bytes())
         del payload["version"]
         checkpoint.write_bytes(pickle.dumps(payload))
         with pytest.raises(ConfigError,
                            match="unsupported version None"):
-            GeneticEngine.resume(tiny_config, _LdrCounter(),
+            GeneticEngine.resume(tiny_config, ScriptedMeasurement(),
                                  DefaultFitness(), checkpoint)
 
     def test_resume_past_the_end_rejected(self, tiny_library,
@@ -347,15 +340,15 @@ class TestCheckpointResume:
         config = RunConfig(ga=ga, library=tiny_library,
                            template_text=tiny_template.text)
         checkpoint = tmp_path / "c.ckpt"
-        GeneticEngine(config, _LdrCounter(), DefaultFitness(),
+        GeneticEngine(config, ScriptedMeasurement(), DefaultFitness(),
                       checkpoint_path=checkpoint).run()
-        resumed = GeneticEngine.resume(config, _LdrCounter(),
+        resumed = GeneticEngine.resume(config, ScriptedMeasurement(),
                                        DefaultFitness(), checkpoint)
         with pytest.raises(ConfigError, match="already covers"):
             resumed.run()
 
     def test_checkpoint_without_path_rejected(self, tiny_config):
-        engine = GeneticEngine(tiny_config, _LdrCounter(),
+        engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
                                DefaultFitness())
         from repro.core.population import Population
         with pytest.raises(ConfigError, match="no checkpoint path"):

@@ -12,21 +12,14 @@ from repro.core.output import OutputRecorder
 from repro.fitness.default_fitness import DefaultFitness
 from repro.isa.catalogs import write_stock_config
 
-
-class _LdrCounter:
-    def measure(self, source_text, individual):
-        return [float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
+from .scripted import ScriptedMeasurement
 
 
 @pytest.fixture
 def recorded_run(tiny_config, tmp_path):
     recorder = OutputRecorder(tmp_path / "run")
-    engine = GeneticEngine(tiny_config, _LdrCounter(), DefaultFitness(),
-                           recorder=recorder)
+    engine = GeneticEngine(tiny_config, ScriptedMeasurement(),
+                           DefaultFitness(), recorder=recorder)
     history = engine.run()
     return recorder.results_dir, history
 

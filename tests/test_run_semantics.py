@@ -9,14 +9,7 @@ from repro.core.population import load_population
 from repro.experiments import GAScale, clear_virus_cache, evolve_virus
 from repro.fitness import DefaultFitness
 
-
-class _LdrCounter:
-    def measure(self, source_text, individual):
-        return [float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
+from .scripted import ScriptedMeasurement
 
 
 def _config(tiny_library, tiny_template, generations=6, seed=55):
@@ -36,14 +29,14 @@ class TestResumeWithRecorder:
 
         first = GeneticEngine(
             _config(tiny_library, tiny_template),
-            _LdrCounter(), DefaultFitness(),
+            ScriptedMeasurement(), DefaultFitness(),
             recorder=OutputRecorder(recorder_dir),
             checkpoint_path=checkpoint)
         first.run(generations=3)
 
         resumed = GeneticEngine.resume(
             _config(tiny_library, tiny_template),
-            _LdrCounter(), DefaultFitness(), checkpoint,
+            ScriptedMeasurement(), DefaultFitness(), checkpoint,
             recorder=OutputRecorder(recorder_dir))
         history = resumed.run(generations=6)
 
@@ -58,11 +51,11 @@ class TestResumeWithRecorder:
         checkpoint = tmp_path / "c.ckpt"
         recorder_dir = tmp_path / "run"
         GeneticEngine(_config(tiny_library, tiny_template),
-                      _LdrCounter(), DefaultFitness(),
+                      ScriptedMeasurement(), DefaultFitness(),
                       recorder=OutputRecorder(recorder_dir),
                       checkpoint_path=checkpoint).run(generations=3)
         resumed = GeneticEngine.resume(
-            _config(tiny_library, tiny_template), _LdrCounter(),
+            _config(tiny_library, tiny_template), ScriptedMeasurement(),
             DefaultFitness(), checkpoint,
             recorder=OutputRecorder(recorder_dir))
         resumed.run(generations=5)
@@ -78,7 +71,7 @@ class TestResumeWithRecorder:
                                                tiny_template, tmp_path):
         checkpoint = tmp_path / "c.ckpt"
         GeneticEngine(_config(tiny_library, tiny_template),
-                      _LdrCounter(), DefaultFitness(),
+                      ScriptedMeasurement(), DefaultFitness(),
                       checkpoint_path=checkpoint).run()
         # No stray temp file remains after the run.
         assert not checkpoint.with_suffix(".tmp").exists()

@@ -320,22 +320,18 @@ class TestEngineStrategySelection:
         assert engine.strategy is strategy
         engine.evaluator.close()
 
-    # The pruning wrappers price on the measured machine, so a
-    # measurement without a simulated one leaves them nothing to price.
+    # The pruning wrappers price on the measured machine; a measurement
+    # without a simulated one is refused before any strategy is bound.
     @pytest.mark.parametrize("name", ["static_rank", "surrogate"])
     def test_pruning_needs_a_simulated_machine(self, tiny_config, name):
-        class _Stub:
-            def measure(self, source_text, individual):
-                return [1.0]
-
-            def measure_repeated(self, source_text, individual):
-                return [1.0]
-
+        strategy = make_strategy(name)
+        measurement = _power_measurement()
+        measurement.target.machine = object()
         with pytest.raises(ConfigError,
-                           match="has no simulated machine") as excinfo:
-            GeneticEngine(tiny_config, _Stub(), DefaultFitness(),
-                          strategy=name)
-        assert excinfo.value.diagnostic_code == "SC210"
+                           match="not a Measurement on a simulated"):
+            GeneticEngine(tiny_config, measurement, DefaultFitness(),
+                          strategy=strategy)
+        assert strategy.arch is None
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from repro.fitness.default_fitness import DefaultFitness
 from repro.store import (RunStore, SCHEMA_VERSION, SharedEvaluationCache,
                          StoreRecorder, open_store_connection)
 
+from .scripted import ScriptedMeasurement, ldr_pair
+
 
 def _tiny_config(seed=99):
     """Self-contained clone of the conftest tiny fixtures — must be
@@ -48,16 +50,6 @@ def _tiny_config(seed=99):
     template = ("mov x10, #4096\n.loop\nstart:\n#loop_code\n"
                 "subs x0, x0, #1\nbne start\n.endloop\n")
     return RunConfig(ga=ga, library=library, template_text=template)
-
-
-class CountingMeasurement:
-    def measure(self, source_text, individual):
-        score = float(sum(1 for i in individual.instructions
-                          if i.name == "LDR"))
-        return [score, score + 1.0]
-
-    def measure_repeated(self, source_text, individual):
-        return self.measure(source_text, individual)
 
 
 class TestSchema:
@@ -240,7 +232,7 @@ class TestStoreRecorder:
         store_path = tmp_path / "s.sqlite"
         with RunStore(store_path) as store:
             recorder = StoreRecorder(store)
-            engine = GeneticEngine(config, CountingMeasurement(),
+            engine = GeneticEngine(config, ScriptedMeasurement(ldr_pair),
                                    DefaultFitness(), recorder=recorder,
                                    checkpoint_path=tmp_path / "cp.bin")
             history = engine.run()
@@ -261,8 +253,7 @@ class TestStoreRecorder:
 class TestSharedEvaluationCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = SharedEvaluationCache(tmp_path / "s.sqlite", "fp")
-        entry = CachedEvaluation((1.5, 2.0), compile_failed=False,
-                                 screen_failed=True)
+        entry = CachedEvaluation((1.5, 2.0), compile_failed=True)
         cache.put("some source", entry)
         assert len(cache) == 1
         got = cache.get("some source")
@@ -332,7 +323,7 @@ def _hammer_worker(store_path, worker, count, out_path):
 def _engine_worker(store_path, run_id, out_path):
     """Child process: full tiny GA run against the shared cache."""
     cache = SharedEvaluationCache(store_path, "fp", run_id=run_id)
-    engine = GeneticEngine(_tiny_config(), CountingMeasurement(),
+    engine = GeneticEngine(_tiny_config(), ScriptedMeasurement(ldr_pair),
                            DefaultFitness(), cache=cache)
     history = engine.run()
     cache.close()
@@ -361,7 +352,7 @@ class TestConcurrentAccess:
         cache.close()
 
     def test_concurrent_runs_match_serial_fitness(self, tmp_path):
-        serial = GeneticEngine(_tiny_config(), CountingMeasurement(),
+        serial = GeneticEngine(_tiny_config(), ScriptedMeasurement(ldr_pair),
                                DefaultFitness()).run()
         expected = serial.best_individual.fitness
 

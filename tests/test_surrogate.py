@@ -187,7 +187,8 @@ class TestSurrogateStrategy:
     def test_rejects_self_wrap(self, tiny_config):
         strategy = make_strategy("surrogate", {"base": "surrogate"})
         with pytest.raises(ConfigError, match="cannot wrap itself"):
-            strategy.bind(tiny_config, make_rng(0), lambda: 0)
+            strategy.bind(tiny_config, make_rng(0), lambda: 0, CORTEX_A15,
+                          _a15_compile())
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError, match="epsilon"):
