@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Run ``gest analyze`` over every shipped winner and sanity-check it.
+"""Run ``gest analyze`` and ``gest check`` over every shipped winner.
 
 Feeds all ``configs/*/results/individuals/*.txt`` sources through the
-``analyze`` CLI subcommand (the same entry point users hit), in JSON
+``analyze`` and ``check`` CLI subcommands (the entry points users hit
+for the static passes; no search runs the dataflow pass), in JSON
 mode, against the platform each config targets.  Verifies every source
 analyzes cleanly: exit code 0, a well-formed cost block with positive
 cycle bounds, a static IPC within the machine's issue width, and
-deterministically ordered diagnostics.  Exits non-zero on the first
-violation; CI runs this as the analyze-smoke leg.
+deterministically ordered diagnostics; and checks cleanly: exit code
+0, no error diagnostic, and a non-empty measured loop in the static
+profile.  Exits non-zero on the first violation; CI runs this as the
+analyze-smoke leg.
 
 Usage: PYTHONPATH=src python scripts/analyze_smoke.py
 """
@@ -32,19 +35,27 @@ CONFIG_PLATFORMS = {
 }
 
 
-def analyze(path: Path, platform: str) -> dict:
+def run_json(command: str, path: Path, platform: str) -> dict:
+    """``gest <command> <path> --platform <platform> --json``, which
+    must exit 0; returns its JSON document."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["analyze", str(path), "--platform", platform,
+        code = main([command, str(path), "--platform", platform,
                      "--json"])
     if code != 0:
-        raise SystemExit(f"FAIL {path}: analyze exited {code}\n"
+        raise SystemExit(f"FAIL {path}: {command} exited {code}\n"
                          f"{out.getvalue()}")
     return json.loads(out.getvalue())
 
 
 def check(path: Path, platform: str) -> None:
-    payload = analyze(path, platform)
+    payload = run_json("check", path, platform)
+    if payload["errors"] != 0:
+        raise SystemExit(f"FAIL {path}: check reports "
+                         f"{payload['errors']} error(s)")
+    if not payload["profile"]["loop_length"] > 0:
+        raise SystemExit(f"FAIL {path}: check profiles an empty loop")
+    payload = run_json("analyze", path, platform)
     arch = microarch_for(platform)
     cost = payload["cost"]
     if cost["arch"] != platform:
@@ -73,7 +84,7 @@ def run() -> int:
         total += len(winners)
         print(f"analyze-smoke: {config_dir}: {len(winners)} winners OK "
               f"({platform})")
-    print(f"analyze-smoke: {total} sources analyzed cleanly")
+    print(f"analyze-smoke: {total} sources analyzed and checked cleanly")
     return 0
 
 

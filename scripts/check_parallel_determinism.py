@@ -71,8 +71,7 @@ def run_variant(workdir: Path, name: str, backend, cache,
     engine = GeneticEngine(config, measurement, fitness,
                            recorder=recorder, backend=backend, cache=cache,
                            strategy=strategy,
-                           screen=StaticScreen.for_machine(machine)
-                           if screened else None)
+                           screen=StaticScreen() if screened else None)
     history = engine.run()
     return history, recorder
 

@@ -258,7 +258,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
     results_dir = args.results or config.results_dir
     recorder = OutputRecorder(results_dir) if results_dir else None
-    screen = None if args.no_screen else StaticScreen.for_machine(machine)
+    screen = None if args.no_screen else StaticScreen()
 
     if args.cache is not None:
         config.evaluation.cache = args.cache

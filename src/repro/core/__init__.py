@@ -18,8 +18,8 @@ from .errors import (AssemblyError, ConfigError, GestError, LoaderError,
                      MeasurementError, SimulationError, TargetError,
                      TemplateError)
 from .events import (STATS_SCHEMA_VERSION, CheckpointWritten,
-                     GenerationCompleted, IndividualEvaluated, RecorderSet,
-                     RunEvent, RunFinished, RunRecorder, RunStarted)
+                     GenerationCompleted, IndividualEvaluated, RunEvent,
+                     RunFinished, RunRecorder, RunStarted)
 from .individual import Individual, random_individual, selection_key
 from .instruction import ConcreteInstruction, InstructionLibrary, InstructionSpec
 from .loader import instantiate, load_class
@@ -38,7 +38,7 @@ __all__ = [
     "AssemblyError", "ConfigError", "GestError", "LoaderError",
     "MeasurementError", "SimulationError", "TargetError", "TemplateError",
     "STATS_SCHEMA_VERSION", "CheckpointWritten", "GenerationCompleted",
-    "IndividualEvaluated", "RecorderSet", "RunEvent", "RunFinished",
+    "IndividualEvaluated", "RunEvent", "RunFinished",
     "RunRecorder", "RunStarted",
     "Individual", "random_individual", "selection_key",
     "ConcreteInstruction", "InstructionLibrary", "InstructionSpec",

@@ -101,7 +101,8 @@ class GenerationStats:
     surrogate: Optional[dict] = field(default=None, compare=False)
     #: Individuals satisfied from the evaluation cache this pass.
     cache_hits: int = field(default=0, compare=False)
-    #: Individuals that entered the measure stage this pass.
+    #: Individuals whose measure stage produced measurements this pass
+    #: (compile and screen failures are not counted).
     measured: int = field(default=0, compare=False)
     #: Individuals that entered the screen stage this pass.
     screened: int = field(default=0, compare=False)
@@ -222,8 +223,9 @@ class GeneticEngine:
         bit-identical behaviour.
     screen:
         Optional pre-measurement static screen (see
-        :class:`repro.staticcheck.screen.StaticScreen`).  Individuals
-        the screen rejects are recorded as zero-fitness screen failures
+        :class:`repro.staticcheck.screen.StaticScreen`, which fails
+        only a program with an empty measured loop).  Individuals the
+        screen rejects are recorded as zero-fitness screen failures
         without entering the measurement path; counts appear in
         :class:`GenerationStats`.  It checks the program the pipeline
         compiled once for the measurement.
@@ -234,8 +236,9 @@ class GeneticEngine:
         can observe (job count, measurement repeats, simulated cycles).
     cache:
         Optional explicit :class:`EvaluationCache`; defaults to a fresh
-        cache when ``config.evaluation.cache`` is set.  It replays
-        measurements only; no strategy reads it.
+        cache when ``config.evaluation.cache`` is set.  It stores and
+        replays measurements only (never a compile or screen failure);
+        no strategy reads it.
     workers:
         Process-pool size available to :class:`AutoSelectBackend` (1 =
         never pool; unused when ``backend`` is given); wins over the
@@ -275,7 +278,6 @@ class GeneticEngine:
         self.measurement = measurement
         self.fitness = fitness
         self.recorders = as_recorders(recorder)
-        self.recorder = self.recorders[0] if self.recorders else None
         self.rng = rng if rng is not None else make_rng(config.ga.seed)
         self.screen = screen
         self.template = Template(config.template_text)

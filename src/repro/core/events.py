@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from .config import RunConfig
 from .individual import Individual
@@ -29,7 +29,7 @@ from .population import Population
 
 __all__ = ["RunEvent", "RunStarted", "IndividualEvaluated",
            "GenerationCompleted", "CheckpointWritten", "RunFinished",
-           "RunRecorder", "RecorderSet", "as_recorders",
+           "RunRecorder", "as_recorders",
            "STATS_SCHEMA_VERSION"]
 
 #: Version stamped into every ``stats.jsonl`` record (and the
@@ -149,21 +149,6 @@ class RunRecorder:
 
     def close(self) -> None:
         """Release any resources (files, database connections)."""
-
-
-class RecorderSet(RunRecorder):
-    """Fan one event stream out to several recorders, in order."""
-
-    def __init__(self, recorders: Iterable[RunRecorder] = ()) -> None:
-        self.recorders: List[RunRecorder] = list(recorders)
-
-    def handle(self, event: RunEvent) -> None:
-        for recorder in self.recorders:
-            recorder.handle(event)
-
-    def close(self) -> None:
-        for recorder in self.recorders:
-            recorder.close()
 
 
 def as_recorders(recorder: Union[None, RunRecorder,

@@ -27,7 +27,7 @@ histories under any backend, with the cache on or off.
 """
 
 from .backends import ExecutorBackend, ProcessPoolBackend, SerialBackend
-from .cache import CachedEvaluation, EvaluationCache, cache_fingerprint
+from .cache import EvaluationCache, cache_fingerprint
 from .evaluator import GenerationOutcome, StagedEvaluator
 from .pipeline import (EmptyMeasurementError, EvaluationPipeline,
                        EvaluationResult, FitnessProtocol, ScreenProtocol,
@@ -35,7 +35,7 @@ from .pipeline import (EmptyMeasurementError, EvaluationPipeline,
 
 __all__ = [
     "ExecutorBackend", "ProcessPoolBackend", "SerialBackend",
-    "CachedEvaluation", "EvaluationCache", "cache_fingerprint",
+    "EvaluationCache", "cache_fingerprint",
     "GenerationOutcome", "StagedEvaluator",
     "EmptyMeasurementError", "EvaluationPipeline", "EvaluationResult",
     "FitnessProtocol", "ScreenProtocol", "ScreenReportProtocol",

@@ -4,21 +4,21 @@ An evaluation's observables are a pure function of the rendered source,
 the target machine, and the measurement parameters (see the determinism
 contract in :mod:`repro.evaluation.pipeline`), so they can be memoised
 under a content address: ``sha256(target fingerprint ‖ rendered
-source)``.  Hits skip the screen *and* the pipeline model entirely —
-re-measured elitism clones cost nothing, and a resumed or re-seeded run
-replays previously measured genomes from the cache file instead of the
-simulator.  A cache only replays measurements: no search strategy reads
-it, so it never changes which individuals get measured.
+source)``.  Hits skip the compile, the screen *and* the pipeline model
+entirely — re-measured elitism clones cost nothing, and a resumed or
+re-seeded run replays previously measured genomes from the cache file
+instead of the simulator.  A cache only replays measurements: no search
+strategy reads it, so it never changes which individuals get measured.
 
-Only the measurements and the compile-failure flag are cached: whether
-a compiled program passes a static screen depends on the run's screen,
-which the address does not cover, so a screen rejection is never stored
-and a replayed compile failure is a screen failure exactly when the
-replaying run screens.  Fitness is always re-scored against the hitting
-individual, because fitness plug-ins may read genome properties (e.g.
-the simplicity term of the paper's Equation 1) that differ between
-individuals sharing a source digest — in practice they never do for
-identical sources, which keeps cached and uncached runs bit-identical.
+An entry is the measurement tuple of an evaluation that produced one.
+A compile or screen failure is never stored: which stage fails depends
+on the run's screen, which the address does not cover, so such a source
+goes through the pipeline again and fails as a fresh run would.
+Fitness is always re-scored against the hitting individual, because
+fitness plug-ins may read genome properties (e.g. the simplicity term
+of the paper's Equation 1) that differ between individuals sharing a
+source digest — in practice they never do for identical sources, which
+keeps cached and uncached runs bit-identical.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ConfigError
 from ..measurement.base import Measurement
 
-__all__ = ["CachedEvaluation", "EvaluationCache", "cache_fingerprint"]
+__all__ = ["EvaluationCache", "cache_fingerprint"]
 
 _FORMAT = "gest-repro-evaluation-cache"
 _VERSION = 1
@@ -47,16 +46,9 @@ def cache_fingerprint(measurement: Measurement, noise_seed: int) -> str:
     return f"{measurement.fingerprint()}|noise_seed={noise_seed}"
 
 
-@dataclass(frozen=True)
-class CachedEvaluation:
-    """The replayable part of one evaluation."""
-
-    measurements: Tuple[float, ...]
-    compile_failed: bool = False
-
-
 class EvaluationCache:
-    """In-memory store keyed on (fingerprint, rendered source).
+    """In-memory store of measurement tuples keyed on (fingerprint,
+    rendered source).
 
     Parameters
     ----------
@@ -72,7 +64,7 @@ class EvaluationCache:
 
     def __init__(self, fingerprint: str = "") -> None:
         self.fingerprint = fingerprint
-        self._entries: Dict[str, CachedEvaluation] = {}
+        self._entries: Dict[str, Tuple[float, ...]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -90,7 +82,7 @@ class EvaluationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, source_text: str) -> Optional[CachedEvaluation]:
+    def get(self, source_text: str) -> Optional[Tuple[float, ...]]:
         entry = self._entries.get(self.key(source_text))
         if entry is None:
             self.misses += 1
@@ -98,8 +90,8 @@ class EvaluationCache:
             self.hits += 1
         return entry
 
-    def put(self, source_text: str, entry: CachedEvaluation) -> None:
-        self._entries[self.key(source_text)] = entry
+    def put(self, source_text: str, measurements: Sequence[float]) -> None:
+        self._entries[self.key(source_text)] = tuple(measurements)
 
     # -- persistence (resumed runs skip the pipeline model) -----------------
 
@@ -111,11 +103,8 @@ class EvaluationCache:
             "version": _VERSION,
             "fingerprint": self.fingerprint,
             "entries": {
-                key: {
-                    "measurements": list(entry.measurements),
-                    "compile_failed": entry.compile_failed,
-                }
-                for key, entry in sorted(self._entries.items())
+                key: {"measurements": list(measurements)}
+                for key, measurements in sorted(self._entries.items())
             },
         }
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -135,6 +124,8 @@ class EvaluationCache:
         Likewise a corrupt or truncated cache file (a run killed during
         an old non-atomic write, a bad disk) costs only re-measurement:
         the load warns and starts empty instead of refusing to run.
+        Entries an older build flagged ``compile_failed`` are skipped:
+        this build stores measurements only.
         """
         path = Path(path)
         if not path.exists():
@@ -159,9 +150,7 @@ class EvaluationCache:
         if payload.get("fingerprint") != fingerprint:
             return cache
         for key, raw in payload.get("entries", {}).items():
-            cache._entries[key] = CachedEvaluation(
-                measurements=tuple(float(m)
-                                   for m in raw.get("measurements", [])),
-                compile_failed=bool(raw.get("compile_failed", False)),
-            )
+            if not raw.get("compile_failed", False):
+                cache._entries[key] = tuple(
+                    float(m) for m in raw.get("measurements", []))
         return cache

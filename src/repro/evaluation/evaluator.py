@@ -15,10 +15,10 @@ and run histories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .backends import AutoSelectBackend, ExecutorBackend, Job
-from .cache import CachedEvaluation, EvaluationCache
+from .cache import EvaluationCache
 from .pipeline import EmptyMeasurementError, EvaluationPipeline, \
     EvaluationResult, StageTimings
 
@@ -52,7 +52,11 @@ class GenerationOutcome:
 
 
 class StagedEvaluator:
-    """Evaluates populations through cache → backend → uid-order merge."""
+    """Evaluates populations through cache → backend → uid-order merge.
+
+    Only a result that produced measurements is stored in the cache; a
+    compile or screen failure goes through the pipeline again, so the
+    failing stage is always the replaying run's own."""
 
     def __init__(self, pipeline: EvaluationPipeline,
                  backend: Optional[ExecutorBackend] = None,
@@ -88,15 +92,8 @@ class StagedEvaluator:
             outcome.timings.add(item.timings)
             outcome.compile_cache_hits += item.compile_cache_hits
             outcome.compile_cache_misses += item.compile_cache_misses
-            # Store only what _replay reproduces: not a screen's verdict
-            # on a compiled program (the cache address does not cover
-            # the screen), nor a compile failure the measurement raised
-            # after the screen passed the program.
-            if self.cache is not None and item.screen_failed == (
-                    item.compile_failed and self.pipeline.screen is not None):
-                self.cache.put(item.source, CachedEvaluation(
-                    measurements=tuple(item.measurements),
-                    compile_failed=item.compile_failed))
+            if self.cache is not None and item.measured:
+                self.cache.put(item.source, item.measurements)
 
         self._sync_counters(outcome)
         outcome.backend = self.backend.name
@@ -110,30 +107,23 @@ class StagedEvaluator:
 
     # -- internals ----------------------------------------------------------
 
-    def _replay(self, individual, source: str, cached: CachedEvaluation,
+    def _replay(self, individual, source: str,
+                measurements: Tuple[float, ...],
                 timings: StageTimings) -> EvaluationResult:
-        """Reconstruct a result from a cache entry (score re-runs).  A
-        compile failure is a screen failure exactly when this run
-        screens, as the compile stage would record it."""
-        if cached.compile_failed:
-            return EvaluationResult(
-                uid=individual.uid, source=source,
-                measurements=list(cached.measurements), fitness=0.0,
-                compile_failed=True,
-                screen_failed=self.pipeline.screen is not None,
-                cache_hit=True)
+        """Reconstruct a result from cached measurements (score
+        re-runs)."""
         with timings.stage("score"):
-            fitness = self.pipeline.score(cached.measurements, individual)
+            fitness = self.pipeline.score(measurements, individual)
         return EvaluationResult(
             uid=individual.uid, source=source,
-            measurements=list(cached.measurements), fitness=fitness,
+            measurements=list(measurements), fitness=fitness,
             cache_hit=True)
 
     def _sync_counters(self, outcome: GenerationOutcome) -> None:
-        """Count the pass's fresh results: ``measured`` (passed the
-        screen) and, with a screen, ``screened``.  Derived from the
-        results alone, so every executor reports the same counts."""
+        """Count the pass's fresh results: ``measured`` (produced
+        measurements) and, with a screen, ``screened``.  Derived from
+        the results alone, so every executor reports the same counts."""
         fresh = [r for r in outcome.results if not r.cache_hit]
-        outcome.measured = sum(1 for r in fresh if not r.screen_failed)
+        outcome.measured = sum(1 for r in fresh if r.measured)
         if self.pipeline.screen is not None:
             outcome.screened = len(fresh)

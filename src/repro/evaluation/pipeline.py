@@ -159,6 +159,11 @@ class EvaluationResult:
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
 
+    @property
+    def measured(self) -> bool:
+        """Whether the measure stage produced ``measurements``."""
+        return not (self.compile_failed or self.screen_failed)
+
 
 class EmptyMeasurementError(ConfigError):
     """A measurement plug-in returned no values at all — a plug-in bug

@@ -76,7 +76,7 @@ def execute_run(store_path: Union[str, Path], run_id: str,
         measurement = instantiate(config.measurement_class, Measurement,
                                   target, config.measurement_params)
         fitness = load_class(config.fitness_class)()
-        screen = StaticScreen.for_machine(machine)
+        screen = StaticScreen()
         cache = SharedEvaluationCache(
             store_path, cache_fingerprint(measurement, config.ga.seed or 0),
             run_id=run_id)

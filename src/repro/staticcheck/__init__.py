@@ -16,7 +16,8 @@ model:
   port and energy tables (``SC3xx``), yielding sound IPC bounds and
   the static fitness proxy the ``static_rank`` search strategy uses;
 * :mod:`~repro.staticcheck.screen` — the engine's pre-measurement
-  gate: statically invalid individuals never enter the pipeline model;
+  gate: a program with an empty measured loop never enters the
+  pipeline model;
 * :mod:`~repro.staticcheck.selflint` — an AST determinism lint over
   the framework's own sources (``SC4xx``), guarding the
   checkpoint/resume bit-identical-replay promise.

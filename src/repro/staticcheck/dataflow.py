@@ -11,9 +11,11 @@ the pipeline model:
   geometry (``SC104``).
 
 The derived features are exposed as a :class:`StaticProfile` so the
-analysis layer and fitness predictors can consume them; the engine's
-pre-measurement screen (:mod:`repro.staticcheck.screen`) uses the
-diagnostics as its gate.
+analysis layer and fitness predictors can consume them; ``gest check``
+prints them with the diagnostics.  Of those diagnostics only the empty
+measured loop (``SC103``) is an error, and it is the one rule the
+engine's pre-measurement screen (:mod:`repro.staticcheck.screen`)
+enforces, without running this pass.
 
 The footprint bound is *static*: it assumes base registers keep their
 init-section values.  Loops that advance a base register (the cache
@@ -30,7 +32,8 @@ from ..isa.model import DecodedInstruction, InstrClass, Program
 from .diagnostics import Diagnostic, make_diagnostic
 
 __all__ = ["StaticProfile", "DataflowReport", "analyze_program",
-           "DEFAULT_LINE_BYTES", "DEFAULT_L1_BYTES", "DEFAULT_L2_BYTES"]
+           "empty_loop_diagnostic", "DEFAULT_LINE_BYTES",
+           "DEFAULT_L1_BYTES", "DEFAULT_L2_BYTES"]
 
 #: Geometry defaults matching :mod:`repro.cpu.cache`'s stock hierarchy.
 DEFAULT_LINE_BYTES = 64
@@ -173,6 +176,14 @@ def _footprint(program: Program,
     return len(lines), len(lines) * line_bytes, mem_count
 
 
+def empty_loop_diagnostic(source_file: Optional[str] = None) -> Diagnostic:
+    """SC103 for a program whose measured loop body is empty."""
+    return make_diagnostic(
+        "SC103", "the measured loop body contains no instructions — "
+        "every measurement of this program is meaningless",
+        file=source_file)
+
+
 def analyze_program(program: Program,
                     l1_bytes: Optional[int] = DEFAULT_L1_BYTES,
                     l2_bytes: Optional[int] = DEFAULT_L2_BYTES,
@@ -183,10 +194,7 @@ def analyze_program(program: Program,
     loop = program.loop
 
     if not loop:
-        diagnostics.append(make_diagnostic(
-            "SC103", "the measured loop body contains no instructions — "
-            "every measurement of this program is meaningless",
-            file=source_file))
+        diagnostics.append(empty_loop_diagnostic(source_file))
 
     # -- uninitialised reads ---------------------------------------------
     defined = _initialised_registers(program)

@@ -103,10 +103,10 @@ CREATE TABLE IF NOT EXISTS cache_entries (
     fingerprint    TEXT NOT NULL,
     key            TEXT NOT NULL,
     measurements   TEXT NOT NULL,
-    compile_failed INTEGER NOT NULL DEFAULT 0,
+    compile_failed INTEGER NOT NULL DEFAULT 0,  -- unwritten; 1 = ignored
     screen_failed  INTEGER NOT NULL DEFAULT 0,  -- unread (verdicts not cached)
     created_by     TEXT,
-    hits           INTEGER NOT NULL DEFAULT 0,
+    hits           INTEGER NOT NULL DEFAULT 0,  -- unwritten (lookups read)
     PRIMARY KEY (fingerprint, key)
 );
 CREATE TABLE IF NOT EXISTS cache_activity (

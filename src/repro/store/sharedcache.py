@@ -8,14 +8,19 @@ result store's ``cache_entries`` table (same addressing:
 ``sha256(fingerprint ‖ rendered source)``) so every run against the
 same platform/measurement setup reads and writes one pool.
 
-Concurrency is delegated to sqlite's file locking: a ``put`` is a
-single ``INSERT ... ON CONFLICT DO NOTHING`` — first writer wins, and
-because evaluations are pure functions of the key (the determinism
-contract of :mod:`repro.evaluation.pipeline`), racing writers carry
-identical values, so "lost" duplicate writes lose nothing.  Hits are
-accounted twice: per entry (``hits`` column) and per run
-(``cache_activity`` table, flushed on :meth:`close`), so operators can
-see exactly how much measurement each run saved.
+An entry is a measurement tuple, as in the JSON cache.  Concurrency
+is delegated to sqlite's file locking: a ``put`` is a single
+``INSERT ... ON CONFLICT DO NOTHING`` — first writer wins, and because
+evaluations are pure functions of the key (the determinism contract of
+:mod:`repro.evaluation.pipeline`), racing writers carry identical
+values, so "lost" duplicate writes lose nothing.  A ``get`` only reads,
+so concurrent runs never queue on sqlite's write lock to look an entry
+up.  Hits are accounted per run (``cache_activity`` table, flushed on
+:meth:`close`), so operators can see exactly how much measurement each
+run saved.  The table's ``compile_failed`` and ``hits`` columns are
+not written: every row this build puts has ``compile_failed = 0``,
+lookups and counts skip a row an older build flagged 1, and ``hits``
+keeps its default.
 
 The driver-side cache protocol (``get``/``put``/``hits``/``misses``)
 is inherited from :class:`EvaluationCache`, so a
@@ -28,10 +33,10 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from ..core.errors import ConfigError
-from ..evaluation.cache import CachedEvaluation, EvaluationCache
+from ..evaluation.cache import EvaluationCache
 from .runstore import open_store_connection
 
 __all__ = ["SharedEvaluationCache"]
@@ -85,41 +90,31 @@ class SharedEvaluationCache(EvaluationCache):
 
     def __len__(self) -> int:
         raw = self._connection().execute(
-            "SELECT COUNT(*) FROM cache_entries WHERE fingerprint = ?",
+            "SELECT COUNT(*) FROM cache_entries "
+            "WHERE fingerprint = ? AND compile_failed = 0",
             (self.fingerprint,)).fetchone()
         return int(raw[0])
 
-    def get(self, source_text: str) -> Optional[CachedEvaluation]:
-        key = self.key(source_text)
-        conn = self._connection()
-        raw = conn.execute(
-            "SELECT measurements, compile_failed "
-            "FROM cache_entries WHERE fingerprint = ? AND key = ?",
-            (self.fingerprint, key)).fetchone()
+    def get(self, source_text: str) -> Optional[Tuple[float, ...]]:
+        raw = self._connection().execute(
+            "SELECT measurements FROM cache_entries "
+            "WHERE fingerprint = ? AND key = ? AND compile_failed = 0",
+            (self.fingerprint, self.key(source_text))).fetchone()
         if raw is None:
             self.misses += 1
             return None
         self.hits += 1
-        with conn:
-            conn.execute(
-                "UPDATE cache_entries SET hits = hits + 1 "
-                "WHERE fingerprint = ? AND key = ?",
-                (self.fingerprint, key))
-        return CachedEvaluation(
-            measurements=tuple(float(m) for m in json.loads(raw[0])),
-            compile_failed=bool(raw[1]))
+        return tuple(float(m) for m in json.loads(raw[0]))
 
-    def put(self, source_text: str, entry: CachedEvaluation) -> None:
+    def put(self, source_text: str, measurements: Sequence[float]) -> None:
         conn = self._connection()
         with conn:
             conn.execute(
                 "INSERT INTO cache_entries (fingerprint, key, "
-                "measurements, compile_failed, created_by) "
-                "VALUES (?, ?, ?, ?, ?) "
+                "measurements, created_by) VALUES (?, ?, ?, ?) "
                 "ON CONFLICT (fingerprint, key) DO NOTHING",
                 (self.fingerprint, self.key(source_text),
-                 json.dumps(list(entry.measurements)),
-                 int(entry.compile_failed), self.run_id))
+                 json.dumps(list(measurements)), self.run_id))
 
     # -- accounting ---------------------------------------------------------
 

@@ -32,7 +32,7 @@ from repro.isa import ArmAssembler, X86Assembler, arm_library, \
     arm_template, clike_library, clike_template, compile_clike
 from repro.measurement import PowerMeasurement
 from repro.search import STRATEGIES, make_strategy
-from repro.staticcheck import (StaticScreen, analyze_cost,
+from repro.staticcheck import (StaticScreen, analyze_cost, analyze_program,
                                render_cost_table, sort_diagnostics,
                                spearman, static_score)
 from repro.staticcheck.costmodel import INTENT_PORTS
@@ -340,7 +340,10 @@ class TestCliAnalyze:
 # ---------------------------------------------------------------------------
 
 class TestScreenStaticRankMode:
-    def test_for_machine_threads_configured_geometry(self):
+    def test_for_machine_ignores_configured_geometry(self):
+        # A footprint that fits the stock 32 KiB L1 but not this 1 KiB
+        # one draws SC104 against the configured geometry, a note that
+        # never decides a verdict: the screen reads no geometry.
         from repro.cpu.cache import CacheConfig, MemoryHierarchy
         hierarchy = MemoryHierarchy(
             l1_config=CacheConfig("L1", size_bytes=1024, line_bytes=64,
@@ -350,21 +353,20 @@ class TestScreenStaticRankMode:
                                   ways=4, hit_latency=8,
                                   hit_energy_pj=120.0))
         machine = SimulatedMachine("cortex_a15", hierarchy=hierarchy)
-        screen = StaticScreen.for_machine(machine)
-        assert screen.l1_bytes == 1024
-        assert screen.l2_bytes == 4096
-        assert screen.line_bytes == 64
-        # A footprint that fits the stock 32 KiB L1 but not this 1 KiB
-        # one: SC104 must fire against the *configured* geometry.
         body = "\n".join(f"ldr x1, [x10, #{offset * 64}]"
                          for offset in range(32))
-        report = screen.screen(arm_program(body))
-        assert "SC104" in codes_of(report.diagnostics)
+        program = arm_program(body)
+        assert "SC104" in codes_of(analyze_program(
+            program, l1_bytes=1024, l2_bytes=4096).diagnostics)
+        screen = StaticScreen.for_machine(machine)
+        assert type(screen) is StaticScreen
+        report = screen.screen(program)
+        assert report.passed and report.diagnostics == []
 
     def test_for_machine_defaults_without_hierarchy(self):
-        machine = SimulatedMachine("cortex_a15")
-        screen = StaticScreen.for_machine(machine)
-        assert screen.l1_bytes is None and screen.l2_bytes is None
+        screen = StaticScreen.for_machine(SimulatedMachine("cortex_a15"))
+        assert type(screen) is StaticScreen
+        assert not screen.screen(arm_program("")).passed
 
 
 # ---------------------------------------------------------------------------

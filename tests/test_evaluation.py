@@ -8,6 +8,7 @@ contracts: the one measurement contract, ragged-repeat rejection, partial
 generation resume, cache persistence, and per-stage observability.
 """
 
+import json
 import os
 import pickle
 
@@ -28,8 +29,7 @@ from repro.core.population import load_population
 from repro.core.rng import make_rng
 from repro.core.template import Template
 from repro.cpu import SimulatedMachine, SimulatedTarget
-from repro.evaluation import (CachedEvaluation, EvaluationCache,
-                              EvaluationPipeline, ProcessPoolBackend,
+from repro.evaluation import (EvaluationCache, EvaluationPipeline, ProcessPoolBackend,
                               SerialBackend, StageTimings, noise_key)
 from repro.evaluation.backends import AutoSelectBackend, BatchedBackend
 from repro.fitness.default_fitness import DefaultFitness
@@ -65,6 +65,15 @@ def _power_measurement(seed=99, measurement_cls=PowerMeasurement):
     target = SimulatedTarget(machine)
     target.connect()
     return measurement_cls(target, {"samples": "2"})
+
+
+def _with_unassemblable_src(config):
+    """Extend ``config``'s ``src`` operand by ``x99``, which never
+    assembles, so the run has compile failures."""
+    operands = dict(config.library.operands, src=RegisterOperand(
+        "src", ["x1", "x2", "x3", "x99"]))
+    config.library = InstructionLibrary(
+        list(operands.values()), list(config.library.instructions.values()))
 
 
 def _run(config, tmp_path=None, name="run",
@@ -322,11 +331,7 @@ class TestCacheEquivalence:
         # failures as screen failures too, an unscreened run does not,
         # and a run over the other's cache records them as a fresh run
         # of its own setting would.
-        operands = dict(tiny_config.library.operands, src=RegisterOperand(
-            "src", ["x1", "x2", "x3", "x99"]))
-        tiny_config.library = InstructionLibrary(
-            list(operands.values()),
-            list(tiny_config.library.instructions.values()))
+        _with_unassemblable_src(tiny_config)
 
         def search(screened, cache=None):
             measurement = _power_measurement(tiny_config.ga.seed)
@@ -360,6 +365,41 @@ class TestCacheEquivalence:
         second = search(cache)
         assert sum(g.cache_hits for g in second.generations) > 0
         assert second.generations == first.generations
+
+    def test_measurement_compile_failures_follow_the_replaying_run(
+            self, tiny_config):
+        # A cache stores only measurements: a compile failure the
+        # measurement raised in an unscreened run is evaluated again in
+        # a screened run over that cache, which then records no screen
+        # failures, as a fresh screened run does.
+        def search(screen, cache=None):
+            return GeneticEngine(tiny_config, ScriptedMeasurement(nop_fails),
+                                 DefaultFitness(), screen=screen,
+                                 cache=cache).run()
+
+        cache = EvaluationCache("test")
+        filled = search(None, cache)
+        assert sum(g.compile_failures for g in filled.generations) > 0
+        fresh = search(StaticScreen())
+        replayed = search(StaticScreen(), cache)
+        assert sum(g.cache_hits for g in replayed.generations) > 0
+        assert [g.screen_failures for g in replayed.generations] == \
+            [g.screen_failures for g in fresh.generations] == [0, 0, 0]
+        assert replayed.generations == fresh.generations
+
+    def test_measured_counts_only_results_with_measurements(self,
+                                                            tiny_config):
+        # Every individual is fresh each generation, so what was not
+        # measured is exactly the compile failures, screened or not.
+        _with_unassemblable_src(tiny_config)
+        size = tiny_config.ga.population_size
+        for screen in (None, StaticScreen()):
+            history = GeneticEngine(
+                tiny_config, _power_measurement(tiny_config.ga.seed),
+                DefaultFitness(), screen=screen).run()
+            assert sum(g.compile_failures for g in history.generations) > 0
+            assert [g.measured for g in history.generations] == \
+                [size - g.compile_failures for g in history.generations]
 
     def test_cache_with_pool_backend(self, tiny_config):
         plain, _ = _run(tiny_config)
@@ -400,17 +440,37 @@ class TestCacheEquivalence:
 class TestCachePersistence:
     def test_save_load_round_trip(self, tmp_path):
         cache = EvaluationCache("fp")
-        cache.put("src-a", CachedEvaluation((1.0, 2.0)))
-        cache.put("src-b", CachedEvaluation((0.0,), compile_failed=True))
+        cache.put("src-a", [1.0, 2.0])
+        cache.put("src-b", (0.5,))
         path = cache.save(tmp_path / "cache.json")
         loaded = EvaluationCache.load(path, "fp")
         assert len(loaded) == 2
-        assert loaded.get("src-a") == CachedEvaluation((1.0, 2.0))
-        assert loaded.get("src-b").compile_failed
+        assert loaded.get("src-a") == (1.0, 2.0)
+        assert loaded.get("src-b") == (0.5,)
+        assert "compile_failed" not in path.read_text()
+
+    def test_older_compile_failure_entries_skipped(self, tmp_path):
+        # An older build also stored compile failures, flagged in the
+        # same file layout; this build loads only the measurements.
+        cache = EvaluationCache("fp")
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "format": "gest-repro-evaluation-cache", "version": 1,
+            "fingerprint": "fp",
+            "entries": {
+                cache.key("src-a"): {"measurements": [1.0, 2.0],
+                                     "compile_failed": False},
+                cache.key("src-b"): {"measurements": [0.0],
+                                     "compile_failed": True},
+            }}))
+        loaded = EvaluationCache.load(path, "fp")
+        assert len(loaded) == 1
+        assert loaded.get("src-a") == (1.0, 2.0)
+        assert loaded.get("src-b") is None
 
     def test_fingerprint_mismatch_yields_empty_cache(self, tmp_path):
         cache = EvaluationCache("platform-a")
-        cache.put("src", CachedEvaluation((1.0,)))
+        cache.put("src", (1.0,))
         path = cache.save(tmp_path / "cache.json")
         loaded = EvaluationCache.load(path, "platform-b")
         assert len(loaded) == 0
@@ -438,7 +498,7 @@ class TestCachePersistence:
         """A cache file torn mid-write (killed run, full disk) is
         treated the same as corrupt: warn, start empty."""
         cache = EvaluationCache("fp")
-        cache.put("src-a", CachedEvaluation((1.0, 2.0)))
+        cache.put("src-a", (1.0, 2.0))
         path = cache.save(tmp_path / "cache.json")
         intact = path.read_text()
         path.write_text(intact[:len(intact) // 2])

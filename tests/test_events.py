@@ -17,9 +17,8 @@ import pytest
 from repro.cli import main
 from repro.core.engine import GeneticEngine, derive_run_id
 from repro.core.events import (CheckpointWritten, GenerationCompleted,
-                               IndividualEvaluated, RecorderSet, RunFinished,
-                               RunRecorder, RunStarted, STATS_SCHEMA_VERSION,
-                               as_recorders)
+                               IndividualEvaluated, RunFinished, RunRecorder,
+                               RunStarted, STATS_SCHEMA_VERSION, as_recorders)
 from repro.core.output import FileRecorder, read_stats
 from repro.fitness.default_fitness import DefaultFitness
 
@@ -33,14 +32,10 @@ class EventLog(RunRecorder):
 
     def __init__(self):
         self.events = []
-        self.closed = False
 
     def handle(self, event):
         self.events.append(event)
         super().handle(event)
-
-    def close(self):
-        self.closed = True
 
     def of_type(self, cls):
         return [e for e in self.events if isinstance(e, cls)]
@@ -123,15 +118,6 @@ class TestEventStream:
         a, b = EventLog(), EventLog()
         _engine(tiny_config, recorder=[a, b]).run()
         assert [type(e) for e in a.events] == [type(e) for e in b.events]
-
-    def test_recorder_set_fans_out_and_closes(self, tiny_config):
-        a, b = EventLog(), EventLog()
-        group = RecorderSet([a, b])
-        group.handle(RunStarted(run_id="run-x", config=tiny_config,
-                                strategy="classic", seed=1))
-        group.close()
-        assert len(a.events) == len(b.events) == 1
-        assert a.closed and b.closed
 
     def test_as_recorders_normalization(self):
         single = RunRecorder()

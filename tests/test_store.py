@@ -19,7 +19,6 @@ from repro.core.engine import GeneticEngine
 from repro.core.errors import ConfigError
 from repro.core.instruction import InstructionLibrary, InstructionSpec
 from repro.core.operand import ImmediateOperand, RegisterOperand
-from repro.evaluation import CachedEvaluation
 from repro.fitness.default_fitness import DefaultFitness
 from repro.store import (RunStore, SCHEMA_VERSION, SharedEvaluationCache,
                          StoreRecorder, open_store_connection)
@@ -253,21 +252,48 @@ class TestStoreRecorder:
 class TestSharedEvaluationCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = SharedEvaluationCache(tmp_path / "s.sqlite", "fp")
-        entry = CachedEvaluation((1.5, 2.0), compile_failed=True)
-        cache.put("some source", entry)
+        cache.put("some source", [1.5, 2.0])
         assert len(cache) == 1
         got = cache.get("some source")
-        assert got == entry
+        assert got == (1.5, 2.0)
         assert cache.get("other source") is None
         assert cache.hits == 1
         assert cache.misses == 1
+        cache.close()
+
+    def test_lookups_only_read(self, tmp_path):
+        # A hit takes no write lock, so concurrent runs never queue on
+        # each other to read the shared pool.
+        cache = SharedEvaluationCache(tmp_path / "s.sqlite", "fp")
+        cache.put("src", (1.0,))
+        connection = cache._connection()
+        before = connection.total_changes
+        assert cache.get("src") == (1.0,)
+        assert cache.get("src") == (1.0,)
+        assert cache.get("missing") is None
+        assert connection.total_changes == before
+        cache.close()
+
+    def test_older_compile_failure_rows_ignored(self, tmp_path):
+        # An older build also stored compile failures; this build
+        # replays measurements only.
+        cache = SharedEvaluationCache(tmp_path / "s.sqlite", "fp")
+        connection = cache._connection()
+        with connection:
+            connection.execute(
+                "INSERT INTO cache_entries (fingerprint, key, "
+                "measurements, compile_failed) VALUES (?, ?, ?, 1)",
+                ("fp", cache.key("src"), "[0.0]"))
+        assert cache.get("src") is None
+        assert cache.misses == 1
+        assert len(cache) == 0
         cache.close()
 
     def test_fingerprint_isolation(self, tmp_path):
         path = tmp_path / "s.sqlite"
         a = SharedEvaluationCache(path, "fp-a")
         b = SharedEvaluationCache(path, "fp-b")
-        a.put("src", CachedEvaluation((1.0,)))
+        a.put("src", (1.0,))
         assert b.get("src") is None
         assert len(b) == 0
         a.close()
@@ -277,17 +303,17 @@ class TestSharedEvaluationCache:
         path = tmp_path / "s.sqlite"
         a = SharedEvaluationCache(path, "fp", run_id="run-a")
         b = SharedEvaluationCache(path, "fp", run_id="run-b")
-        a.put("src", CachedEvaluation((1.0,)))
-        b.put("src", CachedEvaluation((1.0,)))
+        a.put("src", (1.0,))
+        b.put("src", (1.0,))
         assert len(a) == 1
-        assert b.get("src").measurements == (1.0,)
+        assert b.get("src") == (1.0,)
         a.close()
         b.close()
 
     def test_activity_flushed_per_run(self, tmp_path):
         path = tmp_path / "s.sqlite"
         cache = SharedEvaluationCache(path, "fp", run_id="run-000001")
-        cache.put("src", CachedEvaluation((1.0,)))
+        cache.put("src", (1.0,))
         cache.get("src")
         cache.get("missing")
         cache.flush_activity()
@@ -310,11 +336,10 @@ def _hammer_worker(store_path, worker, count, out_path):
     cache = SharedEvaluationCache(store_path, "fp",
                                   run_id=f"run-{worker:06d}")
     for i in range(count):
-        cache.put(f"source {i}", CachedEvaluation((float(i), float(i) + 1)))
+        cache.put(f"source {i}", (float(i), float(i) + 1))
     bad = 0
     for i in range(count):
-        entry = cache.get(f"source {i}")
-        if entry is None or entry.measurements != (float(i), float(i) + 1):
+        if cache.get(f"source {i}") != (float(i), float(i) + 1):
             bad += 1
     cache.close()
     Path(out_path).write_text(str(bad))
