@@ -13,17 +13,16 @@ measurement, fitness and evaluation budget.
 * The **instruction-level** search (GeST's choice) evolves the source
   code directly.
 
+Both run on the same ``GeneticEngine`` generation loop; the abstract
+search is a strategy on it, handed to the same ``make_engine`` call.
+
 Run with::
 
     python examples/abstract_vs_instruction_level.py
 """
 
-from repro.abstractmodel import AbstractEngine
-from repro.cpu import SimulatedMachine, SimulatedTarget
-from repro.experiments import GAScale, evolve_virus
-from repro.fitness import DefaultFitness
-from repro.isa import arm_template
-from repro.measurement import PowerMeasurement
+from repro.abstractmodel import AbstractProfileStrategy
+from repro.experiments import GAScale, evolve_virus, make_engine, make_machine
 
 SCALE = GAScale(population_size=16, generations=18)
 
@@ -39,16 +38,10 @@ def main() -> None:
     print(f"  mix:  {instruction_level.individual.instruction_mix()}")
 
     print("\n[abstract model] evolving a workload-parameter vector...")
-    machine = SimulatedMachine("cortex_a15", seed=61)
-    target = SimulatedTarget(machine)
-    target.connect()
-    abstract = AbstractEngine(
-        PowerMeasurement(target, {"samples": str(SCALE.samples)}),
-        DefaultFitness(), arm_template(),
-        loop_size=SCALE.individual_size,
-        population_size=SCALE.population_size,
-        generations=SCALE.generations, seed=61)
-    best = abstract.run()
+    abstract = make_engine(make_machine("cortex_a15", seed=61), "power",
+                           seed=61, scale=SCALE,
+                           strategy=AbstractProfileStrategy()).run()
+    best = abstract.best_individual
     print(f"  best: {best.fitness:.3f} W (single core)")
     print(f"  winning profile: {best.profile.describe()}")
 

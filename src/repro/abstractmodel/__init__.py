@@ -1,14 +1,15 @@
 """Abstract-workload-model GA — the competing framework style of the
-paper's Table V (MAMPO / SYMPO / Joshi et al.), implemented so the
-instruction-level-vs-abstract comparison can be run head to head."""
+paper's Table V (MAMPO / SYMPO / Joshi et al.), implemented as a
+:class:`~repro.core.engine.GeneticEngine` strategy so the
+instruction-level-vs-abstract comparison runs both searches through
+one generation loop."""
 
-from .engine import (AbstractEngine, AbstractGenerationStats,
-                     AbstractIndividual)
 from .generator import generate_loop
 from .profile import CATEGORIES, WorkloadProfile
+from .strategy import AbstractProfileStrategy, ProfileIndividual
 
 __all__ = [
-    "AbstractEngine", "AbstractGenerationStats", "AbstractIndividual",
+    "AbstractProfileStrategy", "ProfileIndividual",
     "generate_loop",
     "CATEGORIES", "WorkloadProfile",
 ]

@@ -49,10 +49,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .analysis.postprocess import run_statistics
-from .core.config import parse_config_file
+from .core.config import RunConfig, parse_config_file
 from .core.engine import GeneticEngine
 from .core.errors import GestError
 from .core.loader import instantiate, load_class
@@ -61,6 +61,7 @@ from .cpu.machine import SimulatedMachine
 from .cpu.microarch import preset_names
 from .cpu.target import SimulatedTarget
 from .evaluation import EvaluationCache, StageTimings, cache_fingerprint
+from .isa.model import Program
 from .measurement.base import Measurement
 from .search import STRATEGIES
 from .staticcheck import (StaticScreen, analyze_cost, analyze_program,
@@ -233,25 +234,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fails_lint(config: RunConfig, args: argparse.Namespace) -> bool:
+    """The eager lint of ``run`` and ``submit``: a malformed library
+    means generations of zero-fitness individuals, so fail at load time
+    instead.  Prints the diagnostics when the config has errors and
+    ``--no-lint`` is not given."""
+    if args.no_lint:
+        return False
+    diagnostics = lint_config(config, file=str(args.config))
+    if not has_errors(diagnostics):
+        return False
+    for diag in diagnostics:
+        print(diag.format(), file=sys.stderr)
+    print(f"error: configuration {args.config} failed the static "
+          "lint; fix the diagnostics above or re-run with "
+          "--no-lint", file=sys.stderr)
+    return True
+
+
+def _source_missing(source: Path) -> bool:
+    if source.exists():
+        return False
+    print(f"error: source file {source} does not exist", file=sys.stderr)
+    return True
+
+
+def _compiled_source(args: argparse.Namespace
+                     ) -> Optional[Tuple[SimulatedMachine, Program]]:
+    """``args.source`` assembled for ``args.platform``, or None after
+    reporting a missing file or an assembly error (as JSON under
+    ``--json``)."""
+    if _source_missing(args.source):
+        return None
+    machine = SimulatedMachine(args.platform)
+    try:
+        program = machine.compile(args.source.read_text(),
+                                  name=args.source.name)
+    except GestError as exc:
+        if args.as_json:
+            print(diagnostics_to_json([], file=str(args.source),
+                                      assembly_error=str(exc)))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return None
+    return machine, program
+
+
 def _command_run(args: argparse.Namespace) -> int:
     config = parse_config_file(args.config)
-    if not args.no_lint:
-        # Eager lint: a malformed library means generations of
-        # zero-fitness individuals — fail at load time instead.
-        diagnostics = lint_config(config, file=str(args.config))
-        if has_errors(diagnostics):
-            for diag in diagnostics:
-                print(diag.format(), file=sys.stderr)
-            print(f"error: configuration {args.config} failed the static "
-                  "lint; fix the diagnostics above or re-run with "
-                  "--no-lint", file=sys.stderr)
-            return 1
+    if _fails_lint(config, args):
+        return 1
     if args.seed is not None:
         config.ga.seed = args.seed
-    machine = SimulatedMachine(args.platform,
-                               seed=config.ga.seed or 0)
-    target = SimulatedTarget(machine)
-    target.connect()
+    target = SimulatedTarget(SimulatedMachine(args.platform,
+                                              seed=config.ga.seed or 0))
     measurement = instantiate(config.measurement_class, Measurement,
                               target, config.measurement_params)
     fitness = load_class(config.fitness_class)()
@@ -311,9 +347,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_measure(args: argparse.Namespace) -> int:
-    if not args.source.exists():
-        print(f"error: source file {args.source} does not exist",
-              file=sys.stderr)
+    if _source_missing(args.source):
         return 1
     machine = SimulatedMachine(args.platform, seed=args.seed)
     cores = args.cores if args.cores is not None \
@@ -345,21 +379,10 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _command_check(args: argparse.Namespace) -> int:
-    if not args.source.exists():
-        print(f"error: source file {args.source} does not exist",
-              file=sys.stderr)
+    compiled = _compiled_source(args)
+    if compiled is None:
         return 1
-    machine = SimulatedMachine(args.platform)
-    try:
-        program = machine.compile(args.source.read_text(),
-                                  name=args.source.name)
-    except GestError as exc:
-        if args.as_json:
-            print(diagnostics_to_json([], file=str(args.source),
-                                      assembly_error=str(exc)))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+    machine, program = compiled
     report = analyze_program(program, source_file=str(args.source))
     report.diagnostics = sort_diagnostics(report.diagnostics)
     profile = report.profile
@@ -395,21 +418,10 @@ def _command_check(args: argparse.Namespace) -> int:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
-    if not args.source.exists():
-        print(f"error: source file {args.source} does not exist",
-              file=sys.stderr)
+    compiled = _compiled_source(args)
+    if compiled is None:
         return 1
-    machine = SimulatedMachine(args.platform)
-    try:
-        program = machine.compile(args.source.read_text(),
-                                  name=args.source.name)
-    except GestError as exc:
-        if args.as_json:
-            print(diagnostics_to_json([], file=str(args.source),
-                                      assembly_error=str(exc)))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+    machine, program = compiled
     report = analyze_cost(program, machine.arch,
                           source_file=str(args.source),
                           intent=args.intent,
@@ -495,15 +507,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _command_submit(args: argparse.Namespace) -> int:
     from .store import RunStore
     config = parse_config_file(args.config)
-    if not args.no_lint:
-        diagnostics = lint_config(config, file=str(args.config))
-        if has_errors(diagnostics):
-            for diag in diagnostics:
-                print(diag.format(), file=sys.stderr)
-            print(f"error: configuration {args.config} failed the static "
-                  "lint; fix the diagnostics above or re-run with "
-                  "--no-lint", file=sys.stderr)
-            return 1
+    if _fails_lint(config, args):
+        return 1
     with RunStore(args.db) as store:
         run_id = store.submit_run(config, platform=args.platform,
                                   strategy=args.strategy, seed=args.seed,

@@ -6,7 +6,10 @@ the abstract model "fails in optimizing the instruction order and the
 instruction opcodes simply because these parameters are out of GA
 control".  This experiment runs both framework styles against the same
 platform, measurement, fitness and evaluation budget and compares the
-best power each finds.
+best power each finds.  The abstract search is
+:class:`~repro.abstractmodel.AbstractProfileStrategy`, run through the
+same :func:`~repro.experiments.common.make_engine` call as the
+instruction-level search.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..abstractmodel.engine import AbstractEngine, AbstractIndividual
-from ..cpu.machine import SimulatedMachine
-from ..cpu.target import SimulatedTarget
-from ..fitness.default_fitness import DefaultFitness
-from ..isa.catalogs import arm_template
-from ..measurement.power import PowerMeasurement
-from .common import GAScale, VirusResult, evolve_virus
+from ..abstractmodel import AbstractProfileStrategy, ProfileIndividual
+from .common import (GAScale, VirusResult, evolve_virus, make_engine,
+                     make_machine)
 
 __all__ = ["AbstractComparisonResult", "abstract_comparison"]
 
@@ -32,7 +31,7 @@ class AbstractComparisonResult:
     """Same budget, two framework styles."""
 
     instruction_level: VirusResult
-    abstract_best: AbstractIndividual
+    abstract_best: ProfileIndividual
     abstract_series: List[float]
 
     @property
@@ -70,19 +69,10 @@ def abstract_comparison(platform: str = "cortex_a15",
 
     instruction_level = evolve_virus(platform, "power", seed, scale=scale)
 
-    machine = SimulatedMachine(platform, seed=seed)
-    target = SimulatedTarget(machine)
-    target.connect()
-    abstract = AbstractEngine(
-        PowerMeasurement(target, {"samples": str(scale.samples)}),
-        DefaultFitness(),
-        template_text=arm_template(),
-        loop_size=scale.individual_size,
-        population_size=scale.population_size,
-        generations=scale.generations,
-        seed=seed)
-    best = abstract.run()
+    abstract = make_engine(make_machine(platform, seed=seed), "power",
+                           seed, scale,
+                           strategy=AbstractProfileStrategy()).run()
     return AbstractComparisonResult(
         instruction_level=instruction_level,
-        abstract_best=best,
+        abstract_best=abstract.best_individual,
         abstract_series=abstract.best_fitness_series())

@@ -70,6 +70,14 @@ class GAScale:
             return self.mutation_rate
         return max(0.02, round(1.0 / self.individual_size, 4))
 
+    def ga_parameters(self, seed: int) -> GAParameters:
+        """The ``<ga>`` block of a search at this scale; the settings a
+        scale does not name keep their Table I defaults."""
+        return GAParameters(population_size=self.population_size,
+                            individual_size=self.individual_size,
+                            mutation_rate=self.effective_mutation_rate(),
+                            generations=self.generations, seed=seed)
+
 
 @dataclass
 class VirusResult:
@@ -108,27 +116,20 @@ def make_engine(machine: SimulatedMachine, metric: str, seed: int,
     GA); passing ``"random"`` gives the paper's baseline search over
     the identical configuration and seed, and a ready
     :class:`~repro.search.SearchStrategy` instance runs as-is (how the
-    comparison experiment wires the ``static_rank`` wrapper).
+    search comparison wires the ``static_rank`` wrapper and the
+    abstract comparison its abstract-workload search).
     """
     if metric not in MEASUREMENTS:
         raise ValueError(
             f"unknown metric {metric!r}; expected one of "
             f"{sorted(MEASUREMENTS)}")
     isa = machine.arch.isa
-    ga = GAParameters(
-        population_size=scale.population_size,
-        individual_size=scale.individual_size,
-        mutation_rate=scale.effective_mutation_rate(),
-        generations=scale.generations,
-        seed=seed,
-    )
-    config = RunConfig(ga=ga, library=library_for(isa),
+    config = RunConfig(ga=scale.ga_parameters(seed),
+                       library=library_for(isa),
                        template_text=template_for(isa))
     if measurement is None:
-        target = SimulatedTarget(machine)
-        target.connect()
         measurement = MEASUREMENTS[metric](
-            target, {"samples": str(scale.samples)})
+            SimulatedTarget(machine), {"samples": str(scale.samples)})
     if fitness is None:
         fitness = DefaultFitness()
     return GeneticEngine(config, measurement, fitness, recorder=recorder,

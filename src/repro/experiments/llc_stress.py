@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.config import GAParameters, RunConfig
+from ..core.config import RunConfig
 from ..core.engine import GeneticEngine, RunHistory
 from ..core.individual import Individual
 from ..cpu.cache import MemoryHierarchy
@@ -46,18 +46,13 @@ def evolve_llc_virus(seed: int = CACHE_SEED,
     """Evolve a loop maximising LLC misses per kilo-instruction."""
     scale = scale or GAScale(population_size=20, generations=25,
                              individual_size=30)
-    machine = cache_machine(seed)
-    target = SimulatedTarget(machine)
-    target.connect()
-    ga = GAParameters(population_size=scale.population_size,
-                      individual_size=scale.individual_size,
-                      mutation_rate=scale.effective_mutation_rate(),
-                      generations=scale.generations, seed=seed)
-    config = RunConfig(ga=ga, library=arm_cache_stress_library(),
+    config = RunConfig(ga=scale.ga_parameters(seed),
+                       library=arm_cache_stress_library(),
                        template_text=arm_template())
     engine = GeneticEngine(
         config,
-        CacheMissMeasurement(target, {"samples": str(scale.samples)}),
+        CacheMissMeasurement(SimulatedTarget(cache_machine(seed)),
+                             {"samples": str(scale.samples)}),
         DefaultFitness())
     history = engine.run()
     return engine, history

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.config import GAParameters, RunConfig
+from ..core.config import RunConfig
 from ..core.engine import GeneticEngine
 from ..core.individual import Individual
 from ..cpu.machine import RunResult, SimulatedMachine
@@ -69,20 +69,14 @@ class SharedMemoryResult:
 def _evolve(template_text: str, seed: int,
             scale: GAScale) -> tuple:
     machine = SimulatedMachine("xgene2", environment="os", seed=seed)
-    target = SimulatedTarget(machine)
-    target.connect()
-    ga = GAParameters(population_size=scale.population_size,
-                      individual_size=scale.individual_size,
-                      mutation_rate=scale.effective_mutation_rate(),
-                      generations=scale.generations, seed=seed)
-    config = RunConfig(ga=ga, library=arm_library(),
+    config = RunConfig(ga=scale.ga_parameters(seed), library=arm_library(),
                        template_text=template_text)
     # Power measured with all 8 instances so the GA can feel the NoC
     # contribution (single-core shared traffic barely engages it).
     engine = GeneticEngine(
         config,
-        PowerMeasurement(target, {"samples": str(scale.samples),
-                                  "cores": "8"}),
+        PowerMeasurement(SimulatedTarget(machine),
+                         {"samples": str(scale.samples), "cores": "8"}),
         DefaultFitness())
     history = engine.run()
     return engine, history.best_individual

@@ -70,9 +70,8 @@ def execute_run(store_path: Union[str, Path], run_id: str,
         total = row.generations if row.generations is not None \
             else config.ga.generations
 
-        machine = SimulatedMachine(row.platform, seed=config.ga.seed or 0)
-        target = SimulatedTarget(machine)
-        target.connect()
+        target = SimulatedTarget(
+            SimulatedMachine(row.platform, seed=config.ga.seed or 0))
         measurement = instantiate(config.measurement_class, Measurement,
                                   target, config.measurement_params)
         fitness = load_class(config.fitness_class)()

@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro.abstractmodel import (AbstractEngine, CATEGORIES,
-                                 WorkloadProfile, generate_loop)
+from repro.abstractmodel import (CATEGORIES, AbstractProfileStrategy,
+                                 ProfileIndividual, WorkloadProfile,
+                                 generate_loop)
+from repro.core import GAParameters, RunConfig, Template
+from repro.core.engine import GeneticEngine
 from repro.core.errors import ConfigError
+from repro.core.output import FileRecorder
+from repro.core.population import load_population
 from repro.core.rng import make_rng
 from repro.cpu import SimulatedMachine, SimulatedTarget
+from repro.evaluation import (EvaluationCache, EvaluationPipeline,
+                              ProcessPoolBackend, SerialBackend)
+from repro.experiments import (GAScale, abstract_comparison, evolve_virus,
+                               make_engine, make_machine)
 from repro.fitness import DefaultFitness
-from repro.isa import ArmAssembler, arm_template
+from repro.isa import ArmAssembler, arm_library, arm_template, x86_library
 from repro.isa.model import InstrClass
 from repro.measurement import PowerMeasurement
 
@@ -131,62 +140,170 @@ class TestGenerator:
             generate_loop(WorkloadProfile(), 0, make_rng(0))
 
 
+def _config(**ga):
+    """The abstract search's settings as a ``<ga>`` block: population
+    8, 5 generations, 20-instruction loops, tournaments of 3."""
+    settings = dict(population_size=8, individual_size=20, generations=5,
+                    tournament_size=3, seed=8)
+    settings.update(ga)
+    return RunConfig(ga=GAParameters(**settings), library=arm_library(),
+                     template_text=arm_template())
+
+
+def _measurement(platform="cortex_a15"):
+    machine = SimulatedMachine(platform, seed=8, sim_cycles=600)
+    return PowerMeasurement(SimulatedTarget(machine), {"samples": "2"})
+
+
+def _engine(measurement=None, config=None, **kwargs):
+    """The abstract search on :class:`GeneticEngine`; ``<ga>`` settings
+    among ``kwargs`` go to :func:`_config`, the rest to the engine."""
+    ga = {key: kwargs.pop(key) for key in list(kwargs)
+          if key in GAParameters.__dataclass_fields__}
+    if measurement is None:
+        measurement = _measurement()
+    return GeneticEngine(config or _config(**ga), measurement,
+                         DefaultFitness(),
+                         strategy=AbstractProfileStrategy(), **kwargs)
+
+
+def _trajectory(history):
+    """Everything a run decides: its generations and every final
+    genome with its measurements."""
+    return (history.generations,
+            [(i.uid, i.parent_ids, i.genome_key(), i.measurements)
+             for i in history.final_population])
+
+
 class TestAbstractEngine:
-    def _engine(self, **kwargs):
-        machine = SimulatedMachine("cortex_a15", seed=8, sim_cycles=600)
-        target = SimulatedTarget(machine)
-        target.connect()
-        defaults = dict(population_size=8, generations=5, loop_size=20,
-                        tournament_size=3, seed=8)
-        defaults.update(kwargs)
-        return AbstractEngine(
-            PowerMeasurement(target, {"samples": "2"}),
-            DefaultFitness(), arm_template(), **defaults)
+    """The abstract-workload search, run as a strategy on
+    :class:`GeneticEngine`."""
 
     def test_search_improves(self):
-        engine = self._engine(generations=8)
-        best = engine.run()
-        series = engine.best_fitness_series()
-        assert best.fitness >= series[0]
+        history = _engine(generations=8).run()
+        series = history.best_fitness_series()
+        assert history.best_individual.fitness >= series[0]
         assert series[-1] >= series[0]
 
     def test_history_length(self):
-        engine = self._engine()
-        engine.run()
-        assert len(engine.history) == 5
+        assert len(_engine().run().generations) == 5
 
     def test_best_individual_has_realisation(self):
-        engine = self._engine()
-        best = engine.run()
-        assert best.loop_body
+        best = _engine().run().best_individual
+        assert best.render_body()
         assert best.measurements
-        ArmAssembler().assemble(best.loop_body)
+        ArmAssembler().assemble(best.render_body())
 
     def test_deterministic_per_seed(self):
-        a = self._engine().run()
-        b = self._engine().run()
+        a = _engine().run().best_individual
+        b = _engine().run().best_individual
         assert a.fitness == b.fitness
         assert a.profile == b.profile
 
     def test_elitism_keeps_best_monotone(self):
-        engine = self._engine(generations=8)
-        engine.run()
-        series = engine.best_fitness_series()
+        series = _engine(generations=8).run().best_fitness_series()
         assert all(b >= a - 0.02 * series[-1]
                    for a, b in zip(series, series[1:]))
 
+    @pytest.mark.serial_evaluation
     def test_each_evaluation_follows_the_repeat_policy(self):
         # As in the instruction-level engine, an evaluation samples a
         # repeats="3" measurement three times.
         measurement = ScriptedMeasurement(lambda individual: [1.0],
                                           {"repeats": "3"})
-        AbstractEngine(measurement, DefaultFitness(), arm_template(),
-                       loop_size=20, population_size=4, generations=1,
-                       seed=8).run()
+        _engine(measurement, population_size=4, generations=1).run()
         assert measurement.calls == 3 * 4
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):
-            self._engine(population_size=1)
+            _engine(population_size=1)
         with pytest.raises(ConfigError):
-            self._engine(generations=0)
+            _engine(generations=0)
+
+
+class TestAbstractSearchContract:
+    """The engine's guarantees hold for the abstract search: one noise
+    key per source, P x G measurements, any executor or cache, exact
+    resume, readable population binaries."""
+
+    @pytest.mark.parametrize("platform", ["cortex_a15", "xgene2"])
+    def test_comparison_winner_remeasures_bit_for_bit(self, platform):
+        result = abstract_comparison(platform, seed=61,
+                                     scale=GAScale(6, 3, samples=4))
+        best = result.abstract_best
+        pipeline = EvaluationPipeline(
+            template=Template(arm_template()),
+            measurement=PowerMeasurement(
+                SimulatedTarget(make_machine(platform, seed=61)),
+                {"samples": "4"}),
+            fitness=DefaultFitness(), noise_seed=61)
+        again = pipeline.evaluate(best)
+        assert again.fitness == best.fitness
+        assert list(again.measurements) == best.measurements
+
+    def test_both_sides_measure_population_times_generations(self):
+        scale = GAScale(population_size=6, generations=4,
+                        individual_size=20, samples=2)
+        abstract = make_engine(make_machine("cortex_a15", seed=3), "power",
+                               3, scale,
+                               strategy=AbstractProfileStrategy()).run()
+        instruction_level = evolve_virus("cortex_a15", "power", 3,
+                                         scale=scale, use_cache=False)
+        assert sum(g.measured for g in abstract.generations) == 6 * 4
+        assert sum(g.measured for g in
+                   instruction_level.history.generations) == 6 * 4
+
+    def test_executors_and_cache_give_equal_histories(self):
+        serial = _engine(backend=SerialBackend()).run()
+        pooled = _engine(backend=ProcessPoolBackend(2)).run()
+        cached = _engine(backend=SerialBackend(),
+                         cache=EvaluationCache("test")).run()
+        assert _trajectory(serial) == _trajectory(pooled) == \
+            _trajectory(cached)
+
+    def test_resume_continues_the_uninterrupted_run(self, tmp_path):
+        uninterrupted = _engine().run()
+        checkpoint = tmp_path / "run.ckpt"
+        _engine(checkpoint_path=checkpoint).run(generations=3)
+        resumed = GeneticEngine.resume(
+            _config(), _measurement(), DefaultFitness(), checkpoint,
+            strategy=AbstractProfileStrategy()).run()
+        assert [g.number for g in resumed.generations] == [3, 4]
+        assert resumed.generations == uninterrupted.generations[3:]
+        assert _trajectory(resumed)[1] == _trajectory(uninterrupted)[1]
+
+    def test_population_binaries_load_as_profiles(self, tmp_path):
+        history = _engine(recorder=FileRecorder(tmp_path)).run()
+        loaded = load_population(tmp_path / "populations" /
+                                 "population_2.bin")
+        assert len(loaded) == 8
+        assert all(isinstance(i, ProfileIndividual) for i in loaded)
+        assert all(isinstance(i.profile, WorkloadProfile) for i in loaded)
+        final = load_population(tmp_path / "populations" /
+                                "population_4.bin")
+        assert [i.genome_key() for i in final] == \
+            [i.genome_key() for i in history.final_population]
+
+    def test_x86_machine_refused_at_bind(self):
+        config = _config()
+        config.library = x86_library()
+        with pytest.raises(ConfigError, match="ARM"):
+            _engine(_measurement("athlon_x4"), config)
+
+    def test_instruction_level_seed_population_refused(self, tmp_path):
+        GeneticEngine(_config(generations=1), _measurement(),
+                      DefaultFitness(), recorder=FileRecorder(tmp_path)).run()
+        config = _config()
+        config.seed_population_file = \
+            tmp_path / "populations" / "population_0.bin"
+        with pytest.raises(ConfigError, match="instruction-level"):
+            _engine(config=config).run()
+
+    def test_profile_seed_population_honoured(self, tmp_path):
+        first = _engine(generations=1, recorder=FileRecorder(tmp_path)).run()
+        config = _config()
+        config.seed_population_file = \
+            tmp_path / "populations" / "population_0.bin"
+        seeded = _engine(config=config).run(generations=1)
+        assert [i.genome_key() for i in seeded.final_population] == \
+            [i.genome_key() for i in first.final_population]
