@@ -1,12 +1,12 @@
 """Learned surrogate vs plain GA: simulated-evaluation reduction.
 
-The ``surrogate`` wrapper only earns its keep if it reaches the plain
-GA's best fitness while paying for far fewer full simulated
-evaluations.  This benchmark runs the same search twice — once with the
-stock genetic strategy, once wrapped in ``surrogate(genetic)`` with
-shipped defaults — on the identical (platform, metric, seed), then
-compares simulated-evaluation counts, wall-clock, best fitness and the
-model's per-generation Spearman rank correlation.
+The ``surrogate`` strategy (the GA with a learned pruning ranker) only
+earns its keep if it reaches the plain GA's best fitness while paying
+for far fewer full simulated evaluations.  This benchmark runs the same
+search twice — once with the stock genetic strategy, once under
+``surrogate`` with its shipped constants — on the identical (platform,
+metric, seed), then compares simulated-evaluation counts, wall-clock,
+best fitness and the model's per-generation Spearman rank correlation.
 
 Writes ``BENCH_surrogate.json`` at the repo root.
 
@@ -57,8 +57,8 @@ def _run(strategy):
 
 def test_bench_surrogate(benchmark):
     genetic = _run("genetic")
-    surrogate = run_once(benchmark, lambda: _run(make_strategy(
-        "surrogate", {"base": "genetic"})))
+    surrogate = run_once(benchmark,
+                         lambda: _run(make_strategy("surrogate")))
 
     rhos = [g.surrogate["spearman"]
             for g in surrogate["history"].generations
@@ -99,7 +99,7 @@ def test_bench_surrogate(benchmark):
         f"ridge model must rank usefully (mean rho >= 0.5): {results}"
 
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nwrote {OUTPUT.name}: surrogate(genetic) matched best "
+    print(f"\nwrote {OUTPUT.name}: surrogate matched best "
           f"fitness {results['surrogate']['best_fitness']} with "
           f"{surrogate['simulated']}/{genetic['simulated']} simulated "
           f"evaluations ({results['simulated_fraction']}x), mean "

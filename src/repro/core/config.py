@@ -59,7 +59,13 @@ __all__ = [
     "parse_config_text",
     "parse_measurement_config",
     "config_to_xml",
+    "measurement_config_to_xml",
+    "MEASUREMENT_CONFIG_FILENAME",
 ]
+
+#: The measurement parameter file :func:`config_to_xml` references and
+#: the recorders write next to a serialised configuration.
+MEASUREMENT_CONFIG_FILENAME = "measurement.xml"
 
 
 @dataclass
@@ -146,13 +152,14 @@ class SearchParameters:
     """Which search strategy proposes populations (:mod:`repro.search`).
 
     ``strategy`` names a registered :class:`~repro.search.SearchStrategy`
-    (``genetic`` — the paper's GA and the default — ``random``,
-    ``hill_climb``, ``simulated_annealing``); ``params`` carries the
-    strategy's own tunables from the ``<search>`` block's remaining
-    attributes (e.g. ``initial_temperature`` for the annealer).  Values
-    stay as strings here — the strategy's declared parsers normalise
-    them, so validation instantiates the strategy once and lets it
-    reject unknown names or bad values with the full choice list.
+    (``genetic`` — the paper's GA and the default — ``static_rank``,
+    ``surrogate``, ``random``, ``hill_climb``, ``simulated_annealing``);
+    ``params`` carries the strategy's own parameters from the
+    ``<search>`` block's remaining attributes (the one stock parameter
+    is ``static_rank``'s ``metric``).  Values stay as strings here — the
+    strategy's declared parsers normalise them, so validation
+    instantiates the strategy once and lets it reject unknown names or
+    bad values with the full choice list.
     """
 
     strategy: str = "genetic"
@@ -428,14 +435,28 @@ def parse_measurement_config(path: Union[str, Path]) -> Dict[str, str]:
 # XML writing (round-trip support for record keeping, paper III.D)
 # ---------------------------------------------------------------------------
 
+def measurement_config_to_xml(params: Dict[str, str]) -> str:
+    """Serialise measurement parameters to the measurement XML file
+    format; the inverse of :func:`parse_measurement_config`."""
+    root = ET.Element("measurement_config")
+    for name, value in params.items():
+        ET.SubElement(root, "param", {"name": str(name), "value": str(value)})
+    ET.indent(root)
+    # ElementTree escapes ">" in attribute values, so " />" only ever
+    # closes an empty element.
+    return ET.tostring(root, encoding="unicode").replace(" />", "/>") + "\n"
+
+
 def config_to_xml(config: RunConfig, template_filename: str = "template.s",
                   results_dir: str = "results") -> str:
     """Serialise a RunConfig back to the XML document format.
 
     Used by the output recorder to keep an exact copy of the
     configuration with each run's results, and by tests to check
-    round-tripping.  The template itself is referenced by file name (the
-    recorder writes it alongside).
+    round-tripping.  The template and, when the run has measurement
+    parameters, :data:`MEASUREMENT_CONFIG_FILENAME` (see
+    :func:`measurement_config_to_xml`) are referenced by file name; the
+    recorder writes both alongside.
     """
     root = ET.Element("gest_config")
     ga = config.ga
@@ -455,7 +476,10 @@ def config_to_xml(config: RunConfig, template_filename: str = "template.s",
         "results_dir": results_dir,
         "template": template_filename,
     })
-    ET.SubElement(root, "measurement", {"class": config.measurement_class})
+    measurement = {"class": config.measurement_class}
+    if config.measurement_params:
+        measurement["config"] = MEASUREMENT_CONFIG_FILENAME
+    ET.SubElement(root, "measurement", measurement)
     ET.SubElement(root, "fitness", {"class": config.fitness_class})
     ET.SubElement(root, "evaluation", {
         "workers": str(config.evaluation.workers),

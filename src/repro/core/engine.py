@@ -3,8 +3,10 @@
 The engine is a thin orchestrator over two pluggable layers.  A
 :class:`~repro.search.SearchStrategy` proposes populations — the
 default ``genetic`` strategy is the paper's GA (selection, crossover,
-mutation, elitism), with ``random`` / ``hill_climb`` /
-``simulated_annealing`` available for the paper's baseline comparisons.
+mutation, elitism); ``static_rank`` and ``surrogate`` are that GA with a
+ranker pruning offspring before measurement, and ``random`` /
+``hill_climb`` / ``simulated_annealing`` serve the paper's baseline
+comparisons.  The run's one RNG stream is seeded from ``<ga seed>``.
 Evaluation — render, compile, screen, measure, score — lives in the staged
 :mod:`repro.evaluation` layer, which the engine drives through a
 :class:`~repro.evaluation.evaluator.StagedEvaluator`: an auto-selecting
@@ -33,7 +35,6 @@ import os
 import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from random import Random
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..evaluation.backends import AutoSelectBackend, ExecutorBackend
@@ -44,7 +45,7 @@ from ..evaluation.pipeline import (EvaluationPipeline, FitnessProtocol,
                                    StageTimings)
 from ..measurement.base import Measurement
 from ..search import SearchStrategy, make_strategy
-from .config import RunConfig, config_to_xml
+from .config import RunConfig, config_to_xml, measurement_config_to_xml
 from .errors import ConfigError
 from .events import (STATS_SCHEMA_VERSION, CheckpointWritten,
                      GenerationCompleted, IndividualEvaluated, RunEvent,
@@ -92,11 +93,13 @@ class GenerationStats:
     strategy: str = "genetic"
     #: Pruning record for this generation, when the strategy publishes
     #: one through ``generation_metrics()``: the ``static_rank`` and
-    #: ``surrogate`` wrappers report their simulated/pruned/replayed
-    #: counts and the Spearman rank correlation between the ranker's
-    #: predictions and the measured fitnesses here, plus ranker fields
-    #: (``metric``; ``explored``/``training_size``/``probe``).  It
-    #: lands in stats.jsonl; excluded from equality like the other
+    #: ``surrogate`` strategies (the GA with a ranker) report their
+    #: simulated/pruned/replayed counts and the Spearman rank
+    #: correlation between the ranker's predictions and the measured
+    #: fitnesses here, plus ranker fields (``metric``;
+    #: ``explored``/``training_size``/``probe``, the probe's cycle
+    #: budget).  ``base`` always reads ``genetic``.  It lands in
+    #: stats.jsonl; excluded from equality like the other
     #: observability fields.
     surrogate: Optional[dict] = field(default=None, compare=False)
     #: Individuals satisfied from the evaluation cache this pass.
@@ -147,16 +150,20 @@ class RunHistory:
 def derive_run_id(config: RunConfig, strategy_name: str) -> str:
     """A stable, content-derived run identifier.
 
-    Hashes the serialized configuration and the strategy name, so the
-    same search is the same run id on every machine and every replay —
-    no wall clock, no hostname.  Services that need *distinct* ids for
-    repeated submissions of one config assign their own
-    (:meth:`repro.store.RunStore.submit_run`) and pass it to the engine
-    instead.
+    Hashes the serialized configuration, its measurement parameters and
+    the strategy name, so the same search is the same run id on every
+    machine and every replay — no wall clock, no hostname.  Services
+    that need *distinct* ids for repeated submissions of one config
+    assign their own (:meth:`repro.store.RunStore.submit_run`) and pass
+    it to the engine instead.
     """
     digest = hashlib.sha256()
     digest.update(config_to_xml(config, template_filename="template.s",
                                 results_dir="results").encode("utf-8"))
+    if config.measurement_params:
+        digest.update(b"\x00")
+        digest.update(measurement_config_to_xml(
+            config.measurement_params).encode("utf-8"))
     digest.update(b"\x00")
     digest.update(strategy_name.encode("utf-8"))
     return "run-" + digest.hexdigest()[:12]
@@ -212,9 +219,6 @@ class GeneticEngine:
         paper's results-directory layout; a
         :class:`~repro.store.StoreRecorder` persists the run into the
         sqlite result store; both at once tee the stream.
-    rng:
-        Optional explicit random stream; defaults to one seeded from
-        ``config.ga.seed``.
     checkpoint_path:
         Optional file updated after every generation with the full
         engine state (population, RNG stream, uid counter).  A run of
@@ -251,9 +255,11 @@ class GeneticEngine:
         a ready :class:`~repro.search.SearchStrategy` instance, or
         ``None`` for the config's ``<search>`` block (default
         ``genetic`` — the paper's GA).  A name matching the config's
-        strategy picks up the config's strategy parameters; a different
-        name runs with that strategy's defaults.  The strategy is bound
-        to the measured machine's microarchitecture and compile.
+        strategy picks up the config's strategy parameters (the one
+        there is: ``static_rank``'s ``metric``); a different name runs
+        with that strategy's defaults.  The strategy is bound to the
+        measured machine's microarchitecture and compile, and draws
+        from the run's RNG stream, seeded from ``config.ga.seed``.
     run_id:
         Explicit run identity stamped into every stats record and
         event; defaults to the content-derived :func:`derive_run_id`.
@@ -264,7 +270,6 @@ class GeneticEngine:
                  fitness: FitnessProtocol,
                  recorder: Union[None, RunRecorder,
                                  Sequence[RunRecorder]] = None,
-                 rng: Optional[Random] = None,
                  checkpoint_path: Optional[Union[str, Path]] = None,
                  screen: Optional[ScreenProtocol] = None,
                  backend: Optional[ExecutorBackend] = None,
@@ -278,7 +283,7 @@ class GeneticEngine:
         self.measurement = measurement
         self.fitness = fitness
         self.recorders = as_recorders(recorder)
-        self.rng = rng if rng is not None else make_rng(config.ga.seed)
+        self.rng = make_rng(config.ga.seed)
         self.screen = screen
         self.template = Template(config.template_text)
         self._next_uid = 0

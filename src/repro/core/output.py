@@ -29,7 +29,8 @@ import warnings
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
-from .config import RunConfig, config_to_xml
+from .config import (MEASUREMENT_CONFIG_FILENAME, RunConfig,
+                     config_to_xml, measurement_config_to_xml)
 from .events import (GenerationCompleted, IndividualEvaluated, RunRecorder,
                      RunStarted)
 from .individual import Individual
@@ -114,8 +115,12 @@ class FileRecorder(RunRecorder):
     # -- low-level writers --------------------------------------------------
 
     def record_provenance(self, config: RunConfig) -> None:
-        """Save the configuration and template used for the run."""
+        """Save the configuration, template and measurement parameters
+        used for the run, so the recorded ``config.xml`` re-runs it."""
         (self.results_dir / "template.s").write_text(config.template_text)
+        if config.measurement_params:
+            (self.results_dir / MEASUREMENT_CONFIG_FILENAME).write_text(
+                measurement_config_to_xml(config.measurement_params))
         (self.results_dir / "config.xml").write_text(
             config_to_xml(config, template_filename="template.s",
                           results_dir=str(self.results_dir)))

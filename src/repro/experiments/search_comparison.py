@@ -11,25 +11,22 @@ The expected ordering on the simulated substrate mirrors the paper:
 ``genetic`` ≥ ``simulated_annealing``/``hill_climb`` ≥ ``random``,
 with the GA's margin growing with generations (random search's best is
 a max over i.i.d. samples and improves only logarithmically).
+``static_rank`` and ``surrogate`` run the same GA with a pruning
+ranker, so they compare with ``genetic`` on best fitness per simulated
+evaluation.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..core.engine import RunHistory
-from ..search import SearchStrategy, make_strategy
+from ..search import make_strategy
 from .common import GAScale, make_engine, make_machine
 
 __all__ = ["SearchComparisonResult", "search_comparison",
            "COMPARISON_SEED"]
-
-#: ``static_rank(<base>)`` / ``surrogate(<base>)`` pseudo-names select
-#: a pruning wrapper around a base strategy, priced on the experiment's
-#: measured machine (and, for static_rank, against its metric).
-_WRAPPER_PATTERN = re.compile(r"(static_rank|surrogate)\((\w+)\)")
 
 #: One fixed seed for the whole comparison: every strategy starts from
 #: the identical generation-0 population.  With the default scale this
@@ -54,7 +51,7 @@ class SearchComparisonResult:
 
     def simulated_evaluations(self, strategy: str) -> int:
         """Full simulated measurements the strategy paid for — what the
-        ``static_rank`` wrapper economises on."""
+        pruning strategies economise on."""
         return sum(g.measured
                    for g in self.histories[strategy].generations)
 
@@ -74,30 +71,12 @@ class SearchComparisonResult:
         return "\n".join(lines)
 
 
-def _resolve_strategy(name: str, metric: str) -> Union[str, SearchStrategy]:
-    """Map a strategy label to what the engine accepts.
-
-    Plain registered names pass through; a ``static_rank(<base>)`` or
-    ``surrogate(<base>)`` pseudo-name builds the wrapper over
-    ``<base>`` (the learned surrogate predicts the configured fitness
-    directly, so only static_rank needs the metric name).
-    """
-    match = _WRAPPER_PATTERN.fullmatch(name)
-    if match is None:
-        return name
-    wrapper, base = match.group(1), match.group(2)
-    params = {"base": base}
-    if wrapper == "static_rank":
-        params["metric"] = metric
-    return make_strategy(wrapper, params)
-
-
 def search_comparison(platform: str = "xgene2", metric: str = "ipc",
                       seed: int = COMPARISON_SEED,
                       strategies: Sequence[str] = ("genetic",
-                                                   "static_rank(genetic)",
-                                                   "surrogate(genetic)",
-                                                   "random", "hill_climb",
+                                                   "static_rank",
+                                                   "surrogate", "random",
+                                                   "hill_climb",
                                                    "simulated_annealing"),
                       scale: Optional[GAScale] = None
                       ) -> SearchComparisonResult:
@@ -106,11 +85,12 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
     Each strategy gets a fresh machine and engine built from the same
     seed, so generation 0 and the measurement noise stream are
     identical across strategies; the trajectories diverge only through
-    the strategies' proposals.  Besides registered names, a
-    ``static_rank(<base>)`` pseudo-name runs the surrogate wrapper
-    around ``<base>`` — same configuration and seed, but only the
-    statically top-ranked fraction of each generation is simulated
-    (compare with :meth:`SearchComparisonResult.simulated_evaluations`).
+    the strategies' proposals.  ``strategies`` are registered names;
+    ``static_rank`` ranks by the comparison's ``metric`` (the learned
+    ``surrogate`` predicts the configured fitness directly).  Both
+    pruning strategies simulate only the top-ranked fraction of each
+    generation (compare with
+    :meth:`SearchComparisonResult.simulated_evaluations`).
     """
     scale = scale or GAScale(population_size=10, generations=8,
                              individual_size=20, samples=2)
@@ -118,7 +98,9 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
                                     seed=seed)
     for name in strategies:
         machine = make_machine(platform, seed=seed)
+        strategy = make_strategy(name, {"metric": metric}) \
+            if name == "static_rank" else name
         engine = make_engine(machine, metric, seed, scale,
-                             strategy=_resolve_strategy(name, metric))
+                             strategy=strategy)
         result.histories[name] = engine.run()
     return result

@@ -291,7 +291,9 @@ def write_stock_config(directory, isa: str = "arm",
     """
     from pathlib import Path
 
-    from ..core.config import GAParameters, RunConfig, config_to_xml
+    from ..core.config import (MEASUREMENT_CONFIG_FILENAME, GAParameters,
+                               RunConfig, config_to_xml,
+                               measurement_config_to_xml)
 
     measurement_classes = {
         "power": "repro.measurement.power.PowerMeasurement",
@@ -307,30 +309,21 @@ def write_stock_config(directory, isa: str = "arm",
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     template_text = template_for(isa)
-    (directory / "template.s").write_text(template_text)
-    (directory / "measurement.xml").write_text(
-        '<measurement_config>\n'
-        '  <param name="duration" value="5"/>\n'
-        '  <param name="samples" value="5"/>\n'
-        '  <param name="cores" value="1"/>\n'
-        '</measurement_config>\n')
-
     ga = GAParameters(population_size=population_size,
                       individual_size=individual_size,
                       mutation_rate=max(0.02, round(1.0 / individual_size, 4)),
                       generations=generations, seed=seed)
     config = RunConfig(ga=ga, library=library_for(isa),
                        template_text=template_text,
-                       measurement_class=measurement_classes[metric])
-    xml = config_to_xml(config, template_filename="template.s",
-                        results_dir="results")
-    # Reference the measurement parameter file from the main config.
-    xml = xml.replace(
-        f'<measurement class="{measurement_classes[metric]}" />',
-        f'<measurement class="{measurement_classes[metric]}" '
-        'config="measurement.xml" />')
+                       measurement_class=measurement_classes[metric],
+                       measurement_params={"duration": "5", "samples": "5",
+                                           "cores": "1"})
+    (directory / "template.s").write_text(template_text)
+    (directory / MEASUREMENT_CONFIG_FILENAME).write_text(
+        measurement_config_to_xml(config.measurement_params))
     config_path = directory / "config.xml"
-    config_path.write_text(xml)
+    config_path.write_text(config_to_xml(
+        config, template_filename="template.s", results_dir="results"))
     return config_path
 
 

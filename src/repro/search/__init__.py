@@ -15,11 +15,14 @@ MicroGrad centralises tuning mechanisms over a fixed evaluation core:
   the strategy registry;
 * strategies: ``genetic`` (the paper's GA, bit-identical to the
   pre-refactor engine), ``random`` (the paper's baseline),
-  ``hill_climb``, ``simulated_annealing``, and two pruning wrappers
-  over any base strategy (:mod:`repro.search.pruning`):
-  ``static_rank`` ranks offspring by static predicted fitness,
-  ``surrogate`` by an online-learned ridge model (see
-  :mod:`repro.surrogate`).
+  ``hill_climb``, ``simulated_annealing``, and the GA with a pruning
+  ranker (:mod:`repro.search.pruning`): ``static_rank`` ranks
+  offspring by static predicted fitness, ``surrogate`` by an
+  online-learned ridge model (see :mod:`repro.surrogate`).
+
+Every GA setting lives in the config's ``<ga>`` block.  The one
+per-search strategy parameter is ``static_rank``'s ``metric``; every
+other strategy setting is a class constant.
 
 Importing this package registers every built-in operator and strategy.
 """
@@ -54,8 +57,8 @@ def make_strategy(name: str,
     """Instantiate a registered strategy by name.
 
     ``params`` are the strategy's own parameters (the ``<search>``
-    block attributes / ``<param>`` children); unknown names and bad
-    values raise :class:`~repro.core.errors.ConfigError` with the valid
+    block attributes); unknown names and bad values raise
+    :class:`~repro.core.errors.ConfigError` (SC210) with the valid
     choices listed.
     """
     cls = STRATEGIES.get(name)

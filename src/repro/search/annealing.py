@@ -26,55 +26,35 @@ from .hill_climb import HillClimbStrategy
 __all__ = ["SimulatedAnnealingStrategy"]
 
 
-def _positive_float(value) -> float:
-    number = float(value)
-    if number <= 0.0:
-        raise ValueError("must be > 0")
-    return number
-
-
-def _cooling_factor(value) -> float:
-    number = float(value)
-    if not 0.0 < number <= 1.0:
-        raise ValueError("must be within (0, 1]")
-    return number
-
-
 @STRATEGIES.register("simulated_annealing")
 class SimulatedAnnealingStrategy(HillClimbStrategy):
     """Metropolis walk with geometric cooling.
 
     Neighbours are proposed exactly as by :class:`HillClimbStrategy`
-    (the ``<ga>`` block's mutation and elitism settings).  Parameters:
-
-    * ``initial_temperature`` (default 1.0) — the starting ``T``; set
-      it near the typical fitness delta between neighbours so early
-      acceptance of worse moves is likely but not certain.
-    * ``cooling`` (default 0.95) — per-generation decay factor,
-      ``T ← max(min_temperature, T × cooling)``.
-    * ``min_temperature`` (default 1e-3) — cooling floor; keeps the
-      acceptance probability well-defined and leaves a trickle of
-      exploration even in long runs.
+    (the ``<ga>`` block's mutation and elitism settings).  Takes no
+    parameters; the schedule is three class constants.
     """
 
     name = "simulated_annealing"
-    PARAMS = {
-        "initial_temperature": (_positive_float, 1.0),
-        "cooling": (_cooling_factor, 0.95),
-        "min_temperature": (_positive_float, 1e-3),
-    }
+    #: The starting ``T``, near the typical fitness delta between
+    #: neighbours so early acceptance of worse moves is likely but not
+    #: certain.
+    INITIAL_TEMPERATURE = 1.0
+    #: Per-generation decay, ``T ← max(MIN_TEMPERATURE, T × COOLING)``.
+    COOLING = 0.95
+    #: Cooling floor; keeps the acceptance probability well-defined and
+    #: leaves a trickle of exploration even in long runs.
+    MIN_TEMPERATURE = 1e-3
 
     def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
         super().__init__(params)
-        self._temperature: float = self.params["initial_temperature"]
+        self._temperature: float = self.INITIAL_TEMPERATURE
 
     def observe(self, population: Population) -> None:
         """Metropolis-walk the evaluated candidates in population order,
         then cool once for the generation."""
         for candidate in population:
-            if candidate.fitness is None:
-                continue
-            if self._current is None or self._current.fitness is None:
+            if self._current is None:
                 self._current = candidate
                 continue
             delta = candidate.fitness - self._current.fitness
@@ -82,8 +62,8 @@ class SimulatedAnnealingStrategy(HillClimbStrategy):
                 self._current = candidate
             elif self.rng.random() < math.exp(delta / self._temperature):
                 self._current = candidate
-        self._temperature = max(self.params["min_temperature"],
-                                self._temperature * self.params["cooling"])
+        self._temperature = max(self.MIN_TEMPERATURE,
+                                self._temperature * self.COOLING)
 
     # -- checkpoint support -------------------------------------------------
 
@@ -93,10 +73,10 @@ class SimulatedAnnealingStrategy(HillClimbStrategy):
     def load_state(self, state: Dict[str, Any]) -> None:
         super().load_state(state)
         if "temperature" in state:
-            try:
-                self._temperature = _positive_float(state["temperature"])
-            except (TypeError, ValueError):
+            temperature = state["temperature"]
+            if not isinstance(temperature, (int, float)) or \
+                    not temperature > 0.0:
                 raise ConfigError(
                     "simulated_annealing checkpoint state has a "
-                    f"non-positive temperature "
-                    f"{state.get('temperature')!r}") from None
+                    f"non-positive temperature {temperature!r}")
+            self._temperature = temperature

@@ -54,13 +54,15 @@ STRATEGIES = Registry("search strategy", diagnostic_code="SC210")
 class SearchStrategy:
     """Base class for search strategies.
 
-    Subclasses set :attr:`name` (the registry key) and :attr:`PARAMS` —
-    an ordered mapping ``param name → (parser, default)`` declaring the
-    strategy's tunables.  Parameters arrive as strings from the XML
-    ``<search>`` block or as already-typed values from code; the parser
-    callable normalises either.  Unknown parameter names are rejected
-    here with the valid names listed, mirroring the operator
-    registries' behaviour.
+    Subclasses set :attr:`name` (the registry key) and, for a setting
+    whose right value differs from one search to the next,
+    :attr:`PARAMS` — an ordered mapping ``param name → (parser,
+    default)``.  Parameters arrive as strings from the XML ``<search>``
+    block or as already-typed values from code; the parser callable
+    normalises either.  Unknown parameter names are rejected here with
+    the valid names listed, mirroring the operator registries'
+    behaviour.  A setting no search needs to change is a class
+    constant instead, which a test overrides by subclassing.
     """
 
     #: Registry key; subclasses override.
@@ -187,7 +189,7 @@ class SearchStrategy:
 
     def random_population(self, number: int) -> Population:
         """``population_size`` fresh random individuals (the paper's
-        random baseline; also the annealer/climber restart move)."""
+        random baseline)."""
         ga = self.config.ga
         individuals = [
             random_individual(self.config.library, ga.individual_size,

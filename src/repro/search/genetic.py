@@ -27,7 +27,8 @@ class GeneticStrategy(SearchStrategy):
 
     Takes no parameters: every setting comes from the ``<ga>`` block
     (``parent_selection_method``, ``crossover_operator``,
-    ``mutation_rate``, ``operand_mutation_share``, ``elitism``).
+    ``mutation_rate``, ``operand_mutation_share``, ``elitism``).  The
+    pruning strategies (:mod:`repro.search.pruning`) subclass it.
     """
 
     name = "genetic"

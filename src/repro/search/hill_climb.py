@@ -33,9 +33,12 @@ class HillClimbStrategy(SearchStrategy):
     ``operand_mutation_share``, and with ``elitism`` set every
     neighbourhood also re-measures an unchanged copy of the incumbent.
 
-    The incumbent is strategy state: it survives checkpoints via
-    ``state_dict`` so a resumed climb continues from the same point in
-    the landscape.
+    Every neighbour is measured (pruning is the GA's alone), so the
+    incumbent always carries a fitness.  It is strategy state: it
+    survives checkpoints via ``state_dict`` so a resumed climb
+    continues from the same point in the landscape.  A checkpoint
+    written before generation 0 finished holds no incumbent yet;
+    ``observe`` sets one before the next neighbourhood is proposed.
     """
 
     name = "hill_climb"
@@ -46,18 +49,11 @@ class HillClimbStrategy(SearchStrategy):
 
     def observe(self, population: Population) -> None:
         fittest = population.fittest()
-        if fittest.fitness is None:
-            return
-        if self._current is None or self._current.fitness is None or \
-                fittest.fitness > self._current.fitness:
+        if self._current is None or fittest.fitness > self._current.fitness:
             self._current = fittest
 
     def next_population(self, population: Population,
                         next_number: int) -> Population:
-        if self._current is None:
-            # Every individual failed to evaluate; restart randomly
-            # rather than climbing from nothing.
-            return self.random_population(next_number)
         ga = self.config.ga
         current = self._current
         children = []

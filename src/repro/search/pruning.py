@@ -1,22 +1,22 @@
-"""Pruning wrappers: a ranker in front of any search strategy.
+"""Pruning: the paper's GA with a ranker in front of the measurement.
 
 GeST pays one board measurement per individual per generation.  A
-pruning wrapper composes with any registered base strategy (default:
-the paper's GA) and spends that budget where a ranker expects it to
-matter.  The ranker prices the program the measurement compiles on the
-machine the run measures: the engine binds the measurement's compile
-and that machine's :class:`~repro.cpu.microarch.MicroArch` into the
-strategy.  Per generation:
+pruning strategy is the ``genetic`` strategy (same operators, same RNG
+stream, same uid allocation) that spends that budget where a ranker
+expects it to matter.  The ranker prices the program the measurement
+compiles on the machine the run measures: the engine binds the
+measurement's compile and that machine's
+:class:`~repro.cpu.microarch.MicroArch` into the strategy.  Per
+generation:
 
-1. the base strategy proposes offspring as usual (same RNG stream,
-   same uid allocation);
+1. the GA proposes offspring as usual;
 2. offspring whose exact genome was already measured replay the
    recorded measurements (the per-source noise substream makes a
    re-measurement bit-identical, so the replay is exact, not an
    approximation);
 3. the ranker orders the remaining fresh offspring by predicted
-   fitness, and only the top ``top_fraction`` enter the measurement
-   path;
+   fitness, and only the top :attr:`PruningStrategy.TOP_FRACTION`
+   enter the measurement path;
 4. the rest are marked pruned (:meth:`Individual.mark_pruned`): no
    fitness, no measurements, only their place in the ranker's order.
    :func:`~repro.core.individual.selection_key` ranks them below every
@@ -27,7 +27,7 @@ Generation 0 is never pruned: it anchors the search.  The decision
 reads only the run itself (its offspring, its measurements so far and
 the measured machine), never an evaluation cache, so a cache replays
 measurements without changing what gets measured.  Every generation
-the wrapper records how well the ranker's predictions ordered the
+the strategy records how well the ranker's predictions ordered the
 measured fitnesses (Spearman rank correlation); the engine attaches the
 record to :class:`~repro.core.engine.GenerationStats` and it lands in
 ``stats.jsonl``.
@@ -41,46 +41,35 @@ ridge model (:mod:`repro.search.surrogate`).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigError
 from ..core.individual import Individual
 from ..core.population import Population
 from ..staticcheck.costmodel import spearman
-from .base import STRATEGIES, SearchStrategy
+from .genetic import GeneticStrategy
 
 __all__ = ["PruningStrategy"]
 
 
-def _fraction(value) -> float:
-    fraction = float(value)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("top_fraction must be in (0, 1]")
-    return fraction
-
-
-class PruningStrategy(SearchStrategy):
-    """A base strategy whose fresh offspring a ranker prunes.
+class PruningStrategy(GeneticStrategy):
+    """The GA whose fresh offspring a ranker prunes.
 
     The ranker compiles with the bound :attr:`compile`, the pipeline's,
     and prices and probes on the bound :attr:`arch`, the measured
-    machine's.  Subclasses declare ``base`` and ``top_fraction`` among
-    their :attr:`PARAMS`, implement :meth:`_predict`, and may override
-    :meth:`_explore`; ranker state rides along by extending ``_bound``,
-    ``observe``, ``state_dict`` and ``load_state``.
+    machine's.  Subclasses set :attr:`TOP_FRACTION`, implement
+    :meth:`_predict`, and may override :meth:`_explore`; ranker state
+    rides along by extending ``_bound``, ``observe``, ``state_dict``
+    and ``load_state``.  A test that needs another constant overrides
+    it in a subclass.
     """
 
-    def _bound(self) -> None:
-        base_name = self.params["base"]
-        if base_name == self.name:
-            raise ConfigError(
-                f"search strategy {self.name!r} cannot wrap itself; "
-                "pick a concrete base strategy (e.g. base=\"genetic\")",
-                diagnostic_code="SC210")
-        self._base: SearchStrategy = STRATEGIES.get(base_name)(None)
-        self._base.bind(self.config, self.rng, self._take_uid, self.arch,
-                        self.compile)
+    #: Fraction of each generation's fresh offspring sent to
+    #: measurement once the ranker ranks; the rest are pruned.
+    TOP_FRACTION: float = 1.0
 
+    def _bound(self) -> None:
+        super()._bound()
         # Checkpointed via state_dict:
         #: genome key -> (measurements, fitness, compile_failed,
         #: screen_failed) of every measured individual seen so far.
@@ -91,9 +80,6 @@ class PruningStrategy(SearchStrategy):
         self._simulated = 0
         self._pruned = 0
         self._replayed = 0
-        #: uids a checkpoint from before pruned individuals had a
-        #: status of their own lists as pruned (see load_state).
-        self._legacy_pruned: Set[int] = set()
         self._last_metrics: Optional[Dict[str, Any]] = None
 
     # -- the ranker ---------------------------------------------------------
@@ -114,14 +100,13 @@ class PruningStrategy(SearchStrategy):
     # -- the search contract ------------------------------------------------
 
     def initial_population(self) -> Population:
-        population = self._base.initial_population()
+        population = super().initial_population()
         self._prune(population)
         return population
 
     def next_population(self, population: Population,
                         next_number: int) -> Population:
-        self._settle_legacy_pruned(population)
-        children = self._base.next_population(population, next_number)
+        children = super().next_population(population, next_number)
         self._prune(children)
         return children
 
@@ -147,7 +132,7 @@ class PruningStrategy(SearchStrategy):
         if predictions is not None and population.number > 0:
             ranked = sorted(fresh, key=lambda c: (
                 -predictions.get(c.uid, float("-inf")), c.uid))
-            cut = math.ceil(self.params["top_fraction"] * len(ranked))
+            cut = math.ceil(self.TOP_FRACTION * len(ranked))
         promoted = self._explore(ranked[cut:], population.number)
         pruned = 0
         for position, child in enumerate(ranked[cut:], start=cut):
@@ -160,21 +145,7 @@ class PruningStrategy(SearchStrategy):
         self._pruned = pruned
         self._replayed = len(replayed)
 
-    def _settle_legacy_pruned(self, population: Population) -> None:
-        """Mark the placeholder-fitness individuals of a resumed legacy
-        checkpoint pruned, keeping their placeholder order."""
-        if not self._legacy_pruned:
-            return
-        legacy = sorted((i for i in population
-                         if i.uid in self._legacy_pruned),
-                        key=lambda i: i.fitness, reverse=True)
-        for position, individual in enumerate(legacy):
-            individual.mark_pruned(position)
-        self._legacy_pruned = set()
-
     def observe(self, population: Population) -> None:
-        self._settle_legacy_pruned(population)
-        self._base.observe(population)
         pairs = []
         for individual in population:
             if individual.fitness is None:
@@ -187,7 +158,7 @@ class PruningStrategy(SearchStrategy):
             if prediction is not None:
                 pairs.append((prediction, individual.fitness))
         self._last_metrics = {
-            "base": self._base.name,
+            "base": GeneticStrategy.name,
             "platform": self.arch.name,
             "simulated": self._simulated,
             "pruned": self._pruned,
@@ -205,7 +176,6 @@ class PruningStrategy(SearchStrategy):
 
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "base_state": self._base.state_dict(),
             "memo": dict(self._memo),
             "predictions": dict(self._predictions),
             "simulated": self._simulated,
@@ -214,14 +184,19 @@ class PruningStrategy(SearchStrategy):
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        self._base.load_state(state.get("base_state") or {})
+        # Checkpoints from before pruned individuals had a status of
+        # their own list them under "pruned_uids" with placeholder
+        # fitnesses; checkpoints from when the ranker wrapped any
+        # strategy carry the wrapped one's state under "base_state",
+        # which is empty for the GA and so resumes.
+        for key in ("pruned_uids", "base_state"):
+            if state.get(key):
+                raise ConfigError(
+                    f"{self.name} checkpoint state carries {key!r}, "
+                    "written by a version whose pruning this build no "
+                    "longer resumes; re-run the search from generation 0")
         self._memo = dict(state.get("memo") or {})
         self._predictions = dict(state.get("predictions") or {})
         self._simulated = state.get("simulated", 0)
         self._pruned = state.get("pruned", 0)
         self._replayed = state.get("replayed", 0)
-        # Checkpoints written before pruned individuals had a status of
-        # their own gave them placeholder fitnesses below every measured
-        # one and listed their uids under "pruned_uids"; the population
-        # is marked when the wrapper next sees it.
-        self._legacy_pruned = set(state.get("pruned_uids") or ())

@@ -1,13 +1,13 @@
-"""Static-cost-model pruning: the ``static_rank`` wrapper.
+"""Static-cost-model pruning: the ``static_rank`` strategy.
 
 The static cost model prices a candidate for far less than one
 simulated measurement, so a whole generation can be ranked before any
-of it is measured.  This wrapper ranks any base strategy's fresh
-offspring by :func:`repro.staticcheck.costmodel.static_score` of their
-compiled programs on the measured machine's microarchitecture and
-measures only the top ``top_fraction``; the shared machinery (replay
-memo, cut, pruned status, Spearman record, checkpoint state) lives in
-:mod:`repro.search.pruning`.  The wrapper draws no randomness.
+of it is measured.  This strategy ranks the GA's fresh offspring by
+:func:`repro.staticcheck.costmodel.static_score` of their compiled
+programs on the measured machine's microarchitecture and measures only
+the top half; the shared machinery (replay memo, cut, pruned status,
+Spearman record, checkpoint state) lives in
+:mod:`repro.search.pruning`.  The ranker draws no randomness.
 """
 
 from __future__ import annotations
@@ -20,36 +20,26 @@ from ..core.population import Population
 from ..core.template import Template
 from ..staticcheck.costmodel import static_score
 from .base import STRATEGIES
-from .pruning import PruningStrategy, _fraction
+from .pruning import PruningStrategy
 
 __all__ = ["StaticRankStrategy"]
 
 
 @STRATEGIES.register("static_rank")
 class StaticRankStrategy(PruningStrategy):
-    """Static-cost-model pruning wrapped around a base strategy.
+    """The GA with static-cost-model pruning.
 
-    Parameters
-    ----------
-    base:
-        Registered name of the wrapped strategy (default ``genetic``).
-    metric:
-        What :func:`static_score` predicts — ``ipc`` or one of the
-        power-family metrics (``power``/``energy``/``temperature``/
-        ``didt``).  Default ``ipc``.
-    top_fraction:
-        Fraction of each generation's fresh offspring sent to full
-        simulation (default 0.5); the rest are pruned.  Generation 0 is
-        always fully measured — it anchors the search and the first
-        Spearman record.
+    Its one parameter, ``metric``, is what :func:`static_score`
+    predicts — ``ipc`` (the default) or one of the power-family metrics
+    (``power``/``energy``/``temperature``/``didt``) — so a power search
+    ranks by ``metric="power"``.  Half of each generation's fresh
+    offspring go to full simulation; generation 0 is always fully
+    measured — it anchors the search and the first Spearman record.
     """
 
     name = "static_rank"
-    PARAMS = {
-        "base": (str, "genetic"),
-        "metric": (str, "ipc"),
-        "top_fraction": (_fraction, 0.5),
-    }
+    PARAMS = {"metric": (str, "ipc")}
+    TOP_FRACTION = 0.5
 
     def _bound(self) -> None:
         super()._bound()

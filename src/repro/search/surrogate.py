@@ -1,10 +1,10 @@
-"""Surrogate-assisted search: an online-learned fitness model in front
-of any strategy.
+"""Surrogate-assisted search: the GA with an online-learned fitness
+model in front of the measurement.
 
 ``static_rank`` prunes offspring with a *fixed* analytical proxy; this
-wrapper learns the proxy instead, the NeuroScalar way: a ridge
+strategy learns the proxy instead, the NeuroScalar way: a ridge
 regression (:class:`~repro.surrogate.model.RidgeModel`) over static
-cost-model features plus an optional short-probe vector
+cost-model features plus a short-probe vector
 (:class:`~repro.surrogate.features.SurrogateFeaturizer`), refit every
 generation from the fitnesses the run has actually observed.  The
 model keeps improving as the search runs — MicroGrad's metric-driven
@@ -17,9 +17,9 @@ per generation:
    featurized in one batch on the measured machine's microarchitecture
    (static features priced on its tables, one probe pass on a private
    copy of it for the whole pool; rows are memoised per genome);
-2. once the model has seen ``min_train`` rows it ranks them by
-   predicted fitness, and an ε-draw promotes a few candidates below
-   the cut for unbiased training data;
+2. once the model has seen :attr:`SurrogateStrategy.MIN_TRAIN` rows it
+   ranks them by predicted fitness, and an ε-draw promotes a few
+   candidates below the cut for unbiased training data;
 3. ``observe`` feeds the new (features, fitness) pairs back into the
    model.
 
@@ -38,7 +38,7 @@ from ..core.individual import Individual
 from ..core.population import Population
 from ..surrogate import RidgeModel, SurrogateFeaturizer
 from .base import STRATEGIES
-from .pruning import PruningStrategy, _fraction
+from .pruning import PruningStrategy
 
 __all__ = ["SurrogateStrategy"]
 
@@ -47,80 +47,39 @@ __all__ = ["SurrogateStrategy"]
 _EXPLORE_MIX = 0x9E3779B97F4A7C15
 
 
-def _probability(value) -> float:
-    probability = float(value)
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    return probability
-
-
-def _non_negative_int(value) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError("must be >= 0")
-    return count
-
-
-def _positive_int(value) -> int:
-    count = int(value)
-    if count < 1:
-        raise ValueError("must be >= 1")
-    return count
-
-
-def _positive_float(value) -> float:
-    number = float(value)
-    if not number > 0.0:
-        raise ValueError("must be > 0")
-    return number
-
-
 @STRATEGIES.register("surrogate")
 class SurrogateStrategy(PruningStrategy):
-    """Learned-model pruning wrapped around a base strategy.
+    """The GA with learned-model pruning.
 
-    Parameters
-    ----------
-    base:
-        Registered name of the wrapped strategy (default ``genetic``).
-    top_fraction:
-        Fraction of each generation's fresh offspring sent to full
-        simulation once the model is trained (default 0.4).
-    epsilon:
-        Per-candidate probability that a pruned offspring is promoted
-        to simulation anyway (default 0.1) — exploration keeps the
-        training set unbiased at the cheap end of the ranking.  Drawn
-        from a dedicated generation-keyed stream so the base strategy's
-        RNG draws stay untouched.
-    probe:
-        Short-probe cycle budget per fresh candidate (0 = static
-        features only).  The default 400 keeps the probe a quarter of
-        the default full-measurement budget while roughly tripling the
-        rank correlation over static-only features; whole generations
-        probe in one batched pass either way.
-    l2:
-        Ridge penalty of the model (default 1.0).
-    min_train:
-        Observed rows required before the model starts pruning
-        (default 8); until then every candidate is simulated.
+    Takes no parameters; its settings are class constants, which a
+    test overrides in a subclass.
     """
 
     name = "surrogate"
-    PARAMS = {
-        "base": (str, "genetic"),
-        "top_fraction": (_fraction, 0.4),
-        "epsilon": (_probability, 0.1),
-        "probe": (_non_negative_int, 400),
-        "l2": (_positive_float, 1.0),
-        "min_train": (_positive_int, 8),
-    }
+    #: Fraction of each generation's fresh offspring sent to full
+    #: simulation once the model is trained.
+    TOP_FRACTION = 0.4
+    #: Per-candidate probability that a pruned offspring is promoted to
+    #: simulation anyway — exploration keeps the training set unbiased
+    #: at the cheap end of the ranking.  Drawn from a dedicated
+    #: generation-keyed stream so the GA's RNG draws stay untouched.
+    EPSILON = 0.1
+    #: Short-probe cycle budget per fresh candidate (0 = static
+    #: features only).  400 keeps the probe a quarter of the default
+    #: full-measurement budget while roughly tripling the rank
+    #: correlation over static-only features; whole generations probe
+    #: in one batched pass either way.
+    PROBE_CYCLES = 400
+    #: Observed rows required before the model starts pruning; until
+    #: then every candidate is simulated.
+    MIN_TRAIN = 8
 
     def _bound(self) -> None:
         super()._bound()
         self._featurizer = SurrogateFeaturizer(
             self.config.template_text, self.arch, self.compile,
-            probe_cycles=self.params["probe"])
-        self._model = RidgeModel(l2=self.params["l2"])
+            probe_cycles=self.PROBE_CYCLES)
+        self._model = RidgeModel()
 
         # Checkpointed via state_dict:
         #: genome key -> feature row, so replayed clones never
@@ -163,13 +122,11 @@ class SurrogateStrategy(PruningStrategy):
                  number: int) -> List[Individual]:
         """ε-exploration: each candidate below the cut may be promoted
         anyway.  The draws come from a generation-keyed stream —
-        deterministic, resume-exact, and invisible to the base
-        strategy's RNG."""
+        deterministic, resume-exact, and invisible to the GA's RNG."""
         seed = self.config.ga.seed or 0
         explore_rng = Random((seed * _EXPLORE_MIX + number) & (2 ** 64 - 1))
-        epsilon = self.params["epsilon"]
         promoted = [child for child in below_cut
-                    if epsilon and explore_rng.random() < epsilon]
+                    if self.EPSILON and explore_rng.random() < self.EPSILON]
         self._explored = len(promoted)
         return promoted
 
@@ -184,12 +141,12 @@ class SurrogateStrategy(PruningStrategy):
                 self._trained_keys.add(key)
                 self._train_rows.append(row)
                 self._train_targets.append(individual.fitness)
-        if len(self._train_rows) >= self.params["min_train"]:
+        if len(self._train_rows) >= self.MIN_TRAIN:
             self._model.fit(self._train_rows, self._train_targets)
         self._last_metrics.update(
             explored=self._explored,
             training_size=len(self._train_rows),
-            probe=self.params["probe"])
+            probe=self.PROBE_CYCLES)
 
     # -- checkpoint support -------------------------------------------------
 

@@ -9,10 +9,17 @@ quality, is what unit tests check (the benchmarks cover search quality).
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import (GAParameters, RunConfig, Template, make_rng,
                         random_individual)
 from repro.core.engine import WORKERS_ENV_VAR
+
+#: The deeper run of the reference-scheduler property
+#: (tests/test_reference_scheduler.py), which CI's test-parallel job
+#: selects with ``--hypothesis-profile=scheduler-deep``: this many random
+#: bodies per (library, preset) pair instead of tier-1's few.
+settings.register_profile("scheduler-deep", max_examples=60, deadline=None)
 
 
 @pytest.fixture(autouse=True)

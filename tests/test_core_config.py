@@ -1,10 +1,13 @@
 """Unit tests for configuration parsing (repro.core.config)."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.core.config import (GAParameters, RunConfig, config_to_xml,
-                               parse_config_file, parse_config_text,
-                               parse_measurement_config)
+                               measurement_config_to_xml, parse_config_file,
+                               parse_config_text, parse_measurement_config)
 from repro.core.errors import ConfigError
 from repro.isa.catalogs import write_stock_config
 
@@ -238,6 +241,36 @@ class TestRoundTrip:
         for name in original.library.names:
             assert reparsed.library.variant_count(name) == \
                 original.library.variant_count(name)
+
+    def test_measurement_config_round_trips(self, tmp_path):
+        params = {"cores": "8", "label": 'a "quoted" <value> & more'}
+        path = tmp_path / "measurement.xml"
+        path.write_text(measurement_config_to_xml(params))
+        assert parse_measurement_config(path) == params
+
+    def test_recorded_config_reproduces_its_run(self, tmp_path):
+        bundle = write_stock_config(tmp_path / "bundle", "arm", "power",
+                                    population_size=4, individual_size=8,
+                                    generations=2)
+        (tmp_path / "bundle" / "measurement.xml").write_text(
+            measurement_config_to_xml({"duration": "5", "samples": "3",
+                                       "cores": "1"}))
+
+        def run(config_path, results):
+            rc = main(["run", str(config_path), "--platform", "cortex_a7",
+                       "--generations", "1", "--seed", "7",
+                       "--results", str(tmp_path / results), "--quiet"])
+            assert rc == 0
+            return tmp_path / results
+
+        first = run(bundle, "first")
+        recorded = parse_config_file(first / "config.xml")
+        assert recorded.measurement_params == \
+            parse_config_file(bundle).measurement_params
+        second = run(first / "config.xml", "second")
+        population = Path("populations") / "population_0.bin"
+        assert (second / population).read_bytes() == \
+            (first / population).read_bytes()
 
     def test_stock_config_round_trips(self, tmp_path):
         config_path = write_stock_config(tmp_path, "x86", "didt")

@@ -31,7 +31,7 @@ from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler, X86Assembler, arm_library, \
     arm_template, clike_library, clike_template, compile_clike
 from repro.measurement import PowerMeasurement
-from repro.search import STRATEGIES, make_strategy
+from repro.search import STRATEGIES, StaticRankStrategy, make_strategy
 from repro.staticcheck import (StaticScreen, analyze_cost, analyze_program,
                                render_cost_table, sort_diagnostics,
                                spearman, static_score)
@@ -370,7 +370,7 @@ class TestScreenStaticRankMode:
 
 
 # ---------------------------------------------------------------------------
-# the static_rank wrapper strategy
+# the static_rank strategy
 # ---------------------------------------------------------------------------
 
 def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
@@ -395,13 +395,6 @@ def _measurement(seed=17, platform="cortex_a15"):
 class TestStaticRankStrategy:
     def test_registered(self):
         assert "static_rank" in STRATEGIES
-
-    def test_rejects_self_wrap(self, tiny_config):
-        strategy = make_strategy("static_rank", {"base": "static_rank"})
-        machine = SimulatedMachine("cortex_a15")
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            strategy.bind(tiny_config, make_rng(0), lambda: 0, machine.arch,
-                          machine.compile)
 
     def test_rejects_bad_top_fraction(self):
         with pytest.raises(ConfigError, match="top_fraction"):
@@ -451,8 +444,7 @@ class TestStaticRankStrategy:
     def test_prunes_and_records_surrogate(self, tiny_library,
                                           tiny_template):
         config = _strategy_config(tiny_library, tiny_template,
-                                  params={"top_fraction": "0.5",
-                                          "metric": "power"})
+                                  params={"metric": "power"})
         engine = GeneticEngine(config, _measurement(), DefaultFitness())
         history = engine.run()
         gen0 = history.generations[0].surrogate
@@ -467,9 +459,12 @@ class TestStaticRankStrategy:
             history.generations[1].surrogate["simulated"]
 
     def test_pruned_never_win(self, tiny_library, tiny_template):
-        config = _strategy_config(tiny_library, tiny_template,
-                                  params={"top_fraction": "0.34"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+        class TopThird(StaticRankStrategy):
+            TOP_FRACTION = 0.34
+
+        config = _strategy_config(tiny_library, tiny_template)
+        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
+                               strategy=TopThird())
         history = engine.run()
         # The run's best individual always comes from a real simulation.
         assert history.best_individual.measurements
@@ -513,7 +508,7 @@ class TestStaticRankStrategy:
         # Regression: replayed genomes (elitism clones) used to re-price
         # every generation; the score memo must hold each genome's
         # static_score to exactly one computation — including in the
-        # no-prune top_fraction=1.0 case.
+        # no-prune TOP_FRACTION = 1.0 case.
         import repro.search.static_rank as static_rank_module
         calls = []
         real = static_rank_module.static_score
@@ -522,11 +517,14 @@ class TestStaticRankStrategy:
             calls.append(1)
             return real(*args, **kwargs)
 
+        class NoPruning(StaticRankStrategy):
+            TOP_FRACTION = 1.0
+
         monkeypatch.setattr(static_rank_module, "static_score", counting)
         config = _strategy_config(tiny_library, tiny_template,
-                                  generations=5,
-                                  params={"top_fraction": "1.0"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+                                  generations=5)
+        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
+                               strategy=NoPruning())
         history = engine.run()
         # the memo was actually exercised: clones were replayed
         assert any(g.surrogate["replayed"] > 0
@@ -568,15 +566,17 @@ class TestSearchComparisonAcceptance:
         from repro.experiments.search_comparison import search_comparison
         result = search_comparison(
             platform="cortex_a15", metric="power",
-            strategies=("genetic", "static_rank(genetic)"))
+            strategies=("genetic", "static_rank"))
         plain = result.best_fitness("genetic")
-        wrapped = result.best_fitness("static_rank(genetic)")
-        assert wrapped >= plain - 1e-9
+        ranked = result.best_fitness("static_rank")
+        assert ranked >= plain - 1e-9
         full = result.simulated_evaluations("genetic")
-        pruned = result.simulated_evaluations("static_rank(genetic)")
+        pruned = result.simulated_evaluations("static_rank")
         assert pruned <= 0.7 * full
-        history = result.histories["static_rank(genetic)"]
+        history = result.histories["static_rank"]
         assert all(g.surrogate is not None for g in history.generations)
+        assert all(g.surrogate["metric"] == "power"
+                   for g in history.generations)
         rhos = [g.surrogate["spearman"] for g in history.generations]
         assert all(rho is not None for rho in rhos)
         assert "simulated" in result.render()

@@ -10,6 +10,7 @@ configuration bundles.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,16 @@ class TestRunIdentity:
     def test_derive_run_id_varies_with_strategy(self, tiny_config):
         assert derive_run_id(tiny_config, "classic") != \
             derive_run_id(tiny_config, "random")
+
+    def test_derive_run_id_varies_with_measurement_params(self,
+                                                          tiny_config):
+        shipped = replace(tiny_config, measurement_params={
+            "duration": "5", "samples": "5", "cores": "1"})
+        heavier = replace(tiny_config, measurement_params={
+            "duration": "5", "samples": "10", "cores": "1",
+            "repeats": "3"})
+        assert derive_run_id(shipped, "genetic") != \
+            derive_run_id(heavier, "genetic")
 
     def test_explicit_run_id_wins(self, tiny_config):
         engine = _engine(tiny_config, run_id="run-000042")

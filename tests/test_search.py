@@ -9,12 +9,10 @@ mid-run checkpoint/resume with its state intact, and is name-resolvable
 from the config, the CLI and the lint, all against the same registries.
 """
 
-import copy
 import json
 import pickle
 import shutil
 from pathlib import Path
-from random import Random
 
 import pytest
 
@@ -25,16 +23,20 @@ from repro.core.config import (SearchParameters, config_to_xml,
                                parse_config_text)
 from repro.core.errors import ConfigError
 from repro.core.individual import Individual
-from repro.core.population import Population, load_population
+from repro.core.population import load_population
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.evaluation import ProcessPoolBackend, SerialBackend
 from repro.fitness import DefaultFitness
 from repro.measurement import PowerMeasurement
 from repro.search import (CROSSOVER_OPERATORS, SELECTION_OPERATORS,
-                          STRATEGIES, SearchStrategy, make_strategy)
+                          STRATEGIES, SearchStrategy,
+                          SimulatedAnnealingStrategy, SurrogateStrategy,
+                          make_strategy)
 from repro.search.operators import rank_select, roulette_select
 from repro.search.registry import Registry, suggest
+from repro.service import execute_run
 from repro.staticcheck import lint_config, lint_config_file, lint_search
+from repro.store import RunStore
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -242,16 +244,16 @@ class TestStrategyParams:
         assert "did you mean 'genetic'?" in message
 
     def test_unknown_parameter_lists_valid_names(self):
-        with pytest.raises(ConfigError, match="valid parameters: "
-                                              "initial_temperature, "
-                                              "cooling, min_temperature"):
-            make_strategy("simulated_annealing", {"bogus": "1"})
+        with pytest.raises(ConfigError, match="valid parameters: metric"):
+            make_strategy("static_rank", {"bogus": "1"})
 
     def test_parameterless_strategy_says_none(self):
         with pytest.raises(ConfigError, match=r"valid parameters: "
                                               r"\(none\)"):
             make_strategy("random", {"anything": "1"})
 
+    # The annealing schedule is three class constants; every value the
+    # three former parameters took, valid or not, is refused.
     @pytest.mark.parametrize("params", [
         {"cooling": "1.5"},
         {"cooling": "0"},
@@ -260,19 +262,34 @@ class TestStrategyParams:
         {"min_temperature": "0"},
     ])
     def test_bad_annealing_values_rejected(self, params):
-        with pytest.raises(ConfigError, match="invalid value"):
+        with pytest.raises(ConfigError) as excinfo:
             make_strategy("simulated_annealing", params)
+        assert excinfo.value.diagnostic_code == "SC210"
+        assert f"does not accept parameter(s) {next(iter(params))}; " \
+            "valid parameters: (none)" in str(excinfo.value)
 
     def test_annealing_defaults(self):
         strategy = make_strategy("simulated_annealing")
-        assert strategy.params["initial_temperature"] == 1.0
-        assert strategy.params["cooling"] == pytest.approx(0.95)
-        assert strategy.params["min_temperature"] == pytest.approx(1e-3)
+        assert strategy.params == {}
+        assert strategy._temperature == 1.0
+        assert SimulatedAnnealingStrategy.INITIAL_TEMPERATURE == 1.0
+        assert SimulatedAnnealingStrategy.COOLING == pytest.approx(0.95)
+        assert SimulatedAnnealingStrategy.MIN_TEMPERATURE == \
+            pytest.approx(1e-3)
 
     def test_string_params_are_parsed(self):
-        strategy = make_strategy("simulated_annealing",
-                                 {"initial_temperature": "2.5"})
-        assert strategy.params["initial_temperature"] == 2.5
+        strategy = make_strategy("static_rank", {"metric": "power"})
+        assert strategy.params["metric"] == "power"
+        assert make_strategy("static_rank").params["metric"] == "ipc"
+
+    def test_bad_param_value_names_the_parameter(self):
+        class Sized(SearchStrategy):
+            name = "sized"
+            PARAMS = {"width": (int, 1)}
+
+        with pytest.raises(ConfigError, match="invalid value 'wide' for "
+                                              "parameter 'width'"):
+            Sized({"width": "wide"})
 
     def test_unbound_strategy_cannot_allocate_uids(self):
         with pytest.raises(ConfigError, match="not bound"):
@@ -293,24 +310,26 @@ class TestEngineStrategySelection:
     def test_config_search_block_selects_strategy(self, tiny_library,
                                                   tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="simulated_annealing",
-                         params={"initial_temperature": "2.5"})
+                         strategy="static_rank",
+                         params={"metric": "power"})
         engine = GeneticEngine(config, _power_measurement(),
                                DefaultFitness())
-        assert engine.strategy.name == "simulated_annealing"
-        assert engine.strategy.params["initial_temperature"] == 2.5
+        assert engine.strategy.name == "static_rank"
+        assert engine.strategy.params["metric"] == "power"
         engine.evaluator.close()
 
     def test_explicit_name_overrides_config(self, tiny_library,
                                             tiny_template):
         # A different explicit name runs with that strategy's own
-        # defaults; the config's annealer parameters must not leak.
+        # defaults; the config's static_rank metric must not leak into
+        # a strategy that refuses it.
         config = _config(tiny_library, tiny_template,
-                         strategy="simulated_annealing",
-                         params={"initial_temperature": "2.5"})
+                         strategy="static_rank",
+                         params={"metric": "power"})
         engine = GeneticEngine(config, _power_measurement(),
-                               DefaultFitness(), strategy="hill_climb")
-        assert engine.strategy.name == "hill_climb"
+                               DefaultFitness(), strategy="surrogate")
+        assert engine.strategy.name == "surrogate"
+        assert engine.strategy.params == {}
         engine.evaluator.close()
 
     def test_strategy_instance_used_verbatim(self, tiny_config):
@@ -453,14 +472,17 @@ class TestStrategyStateResume:
     def test_annealer_temperature_survives_resume(self, tiny_library,
                                                   tiny_template,
                                                   tmp_path):
+        class FastCooling(SimulatedAnnealingStrategy):
+            INITIAL_TEMPERATURE = 2.0
+            COOLING = 0.5
+
         checkpoint = tmp_path / "sa.ckpt"
         config = _config(tiny_library, tiny_template, generations=6,
-                         strategy="simulated_annealing",
-                         params={"initial_temperature": "2.0",
-                                 "cooling": "0.5"})
+                         strategy="simulated_annealing")
         first = GeneticEngine(config, _power_measurement(),
                               DefaultFitness(),
-                              checkpoint_path=checkpoint)
+                              checkpoint_path=checkpoint,
+                              strategy=FastCooling())
         first.run(generations=3)
         # Three generations of cooling: 2.0 -> 1.0 -> 0.5 -> 0.25.
         assert first.strategy._temperature == pytest.approx(0.25)
@@ -508,80 +530,32 @@ class TestStrategyStateResume:
             strategy.load_state({"current": 42})
 
 
-class _CountingRandom(Random):
-    """A run RNG that counts its ``random()`` draws."""
-
-    draws = 0
-
-    def random(self):
-        self.draws += 1
-        return super().random()
-
-
-class TestWrappedLocalSearch:
-    """Hill climbing and annealing under a pruning wrapper walk only
-    the measured candidates."""
-
-    @pytest.mark.parametrize("base", ["hill_climb", "simulated_annealing"])
-    @pytest.mark.parametrize("wrapper", ["static_rank", "surrogate"])
-    def test_incumbent_measured_and_no_draw_for_pruned(
-            self, tiny_library, tiny_template, wrapper, base):
-        config = _config(tiny_library, tiny_template, generations=6,
-                         strategy=wrapper, params={"base": base})
-        rng = _CountingRandom(config.ga.seed)
-        engine = GeneticEngine(config, _power_measurement(),
-                               DefaultFitness(), rng=rng)
-        local = engine.strategy._base
-        walk = local.observe
-        pruned_seen = []
-
-        def observe(population):
-            pruned_seen.extend(i for i in population if i.pruned)
-            # The same walk over the measured candidates alone, from the
-            # same state, on a copy of the stream.
-            twin = copy.copy(local)
-            twin.rng = _CountingRandom()
-            twin.rng.setstate(rng.getstate())
-            measured = [i for i in population if not i.pruned]
-            type(local).observe(
-                twin, Population(measured, number=population.number))
-            before = rng.draws
-            walk(population)
-            assert local._current.measurements
-            assert local._current is twin._current
-            assert rng.draws - before == twin.rng.draws
-
-        local.observe = observe
-        engine.run()
-        assert pruned_seen
-
-
 class TestPruningSelectionMatrix:
-    """Every pruning wrapper over every base under every selection
-    operator runs, and its statistics count only real fitnesses."""
+    """Both pruning strategies under every selection operator run, and
+    their statistics count only real fitnesses."""
 
     @pytest.mark.parametrize("selection", ["tournament", "roulette",
                                            "rank"])
-    @pytest.mark.parametrize("base", ["genetic", "hill_climb",
-                                      "simulated_annealing"])
-    @pytest.mark.parametrize("wrapper", ["static_rank", "surrogate"])
+    @pytest.mark.parametrize("name", ["static_rank", "surrogate"])
     def test_run_completes_with_honest_statistics(
-            self, tiny_library, tiny_template, tmp_path, wrapper, base,
-            selection):
-        # Both wrappers prune from generation 1 on, so generation 2 is
+            self, tiny_library, tiny_template, tmp_path, name, selection):
+        # Both strategies prune from generation 1 on, so generation 2 is
         # bred from a population holding pruned individuals: the
         # surrogate trains on generation 0 alone, and a high mutation
-        # rate keeps the local searches' neighbours fresh.
-        params = {"base": base}
-        if wrapper == "surrogate":
-            params["min_train"] = "6"
+        # rate keeps the offspring fresh.
+        class EarlySurrogate(SurrogateStrategy):
+            MIN_TRAIN = 6
+
+        strategy = EarlySurrogate() if name == "surrogate" \
+            else make_strategy(name)
         config = _config(tiny_library, tiny_template, generations=3,
-                         strategy=wrapper, params=params)
+                         strategy=name)
         config.ga.parent_selection_method = selection
         config.ga.mutation_rate = 0.5
         recorder = OutputRecorder(tmp_path / "run")
         history = GeneticEngine(config, _power_measurement(),
-                                DefaultFitness(), recorder=recorder).run()
+                                DefaultFitness(), recorder=recorder,
+                                strategy=strategy).run()
         assert len(history.generations) == 3
         assert all(g.surrogate["pruned"] for g in history.generations[1:])
         assert history.best_individual.measurements
@@ -699,47 +673,62 @@ class TestCheckpointMigration:
 
 
 class TestLegacyPruningCheckpoints:
-    """Checkpoints written while pruned offspring still carried
-    placeholder fitnesses below a ``floor`` keep resuming.
+    """Which pruning checkpoints of earlier versions resume.
 
-    ``tests/data/legacy_<wrapper>.ckpt`` are such v2 checkpoints: the
+    ``tests/data/legacy_<name>.ckpt`` are v2 checkpoints written while
+    pruned offspring still carried placeholder fitnesses below a
+    ``floor`` and their uids were listed under ``pruned_uids``: the
     ``_config`` tiny search (6 generations, seed 99) stopped after
-    generation 2, in which the wrapper pruned.
+    generation 2, in which the strategy pruned.  Checkpoints written
+    while the ranker wrapped any base strategy carry that base's state
+    under ``base_state``, empty for the GA.
     """
 
     @pytest.mark.parametrize("name", ["static_rank", "surrogate"])
-    def test_placeholders_resume_as_pruned(self, tiny_library,
-                                           tiny_template, tmp_path, name):
+    def test_placeholder_checkpoints_refused(self, tiny_library,
+                                             tiny_template, tmp_path, name):
         checkpoint = tmp_path / "legacy.ckpt"
         shutil.copyfile(DATA / f"legacy_{name}.ckpt", checkpoint)
         payload = pickle.loads(checkpoint.read_bytes())
-        assert "floor" in payload["strategy_state"]
-        placeholders = sorted(
-            (i for i in payload["population"]
-             if i.fitness is not None and i.fitness < 0.0),
-            key=lambda i: i.fitness, reverse=True)
-        assert placeholders
+        assert payload["strategy_state"]["pruned_uids"]
 
+        config = _config(tiny_library, tiny_template, generations=6,
+                         strategy=name)
+        with pytest.raises(ConfigError, match="'pruned_uids'"):
+            GeneticEngine.resume(config, _power_measurement(),
+                                 DefaultFitness(), checkpoint)
+
+    @pytest.mark.parametrize("name", ["static_rank", "surrogate"])
+    def test_wrapper_layout_checkpoints_resume(self, tiny_library,
+                                               tiny_template, tmp_path,
+                                               name):
         config = _config(tiny_library, tiny_template, generations=6,
                          strategy=name)
         full = GeneticEngine(config, _power_measurement(),
                              DefaultFitness()).run()
+        checkpoint = tmp_path / "run.ckpt"
+        GeneticEngine(config, _power_measurement(), DefaultFitness(),
+                      checkpoint_path=checkpoint).run(generations=3)
+        payload = pickle.loads(checkpoint.read_bytes())
+        _rewrite_checkpoint(checkpoint, strategy_state={
+            **payload["strategy_state"], "base_state": {}})
+
         resumed = GeneticEngine.resume(config, _power_measurement(),
                                        DefaultFitness(), checkpoint)
-        population = resumed._resume_state["population"]
         history = resumed.run(generations=6)
-
-        by_uid = {i.uid: i for i in population}
-        assert {i.uid for i in population if i.pruned} == \
-            {i.uid for i in placeholders}
-        assert [by_uid[i.uid].pruned_rank for i in placeholders] == \
-            list(range(len(placeholders)))
-        assert all(by_uid[i.uid].fitness is None for i in placeholders)
         assert history.best_fitness_series() == \
             full.best_fitness_series()[3:]
         assert history.generations == full.generations[3:]
         assert [g.surrogate for g in history.generations] == \
             [g.surrogate for g in full.generations[3:]]
+
+        # A wrapped base other than the GA left state of its own.
+        _rewrite_checkpoint(checkpoint, strategy_state={
+            **payload["strategy_state"],
+            "base_state": {"current": None, "temperature": 1.0}})
+        with pytest.raises(ConfigError, match="'base_state'"):
+            GeneticEngine.resume(config, _power_measurement(),
+                                 DefaultFitness(), checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +764,10 @@ class TestSearchConfigBlock:
     def test_strategy_and_params_parsed(self, tmp_path):
         xml = _minimal_xml(
             tmp_path,
-            extra='<search strategy="simulated_annealing" '
-                  'initial_temperature="2.0" cooling="0.9"/>')
+            extra='<search strategy="static_rank" metric="power"/>')
         config = parse_config_text(xml, base_dir=tmp_path)
-        assert config.search.strategy == "simulated_annealing"
-        assert config.search.params == {"initial_temperature": "2.0",
-                                        "cooling": "0.9"}
+        assert config.search.strategy == "static_rank"
+        assert config.search.params == {"metric": "power"}
 
     def test_unknown_strategy_rejected_with_suggestion(self, tmp_path):
         xml = _minimal_xml(
@@ -793,20 +780,21 @@ class TestSearchConfigBlock:
         xml = _minimal_xml(
             tmp_path,
             extra='<search strategy="simulated_annealing" cooling="2"/>')
-        with pytest.raises(ConfigError, match="invalid value '2'"):
+        with pytest.raises(ConfigError, match="does not accept "
+                                              r"parameter\(s\) cooling"):
             parse_config_text(xml, base_dir=tmp_path)
 
     def test_round_trip_through_xml(self, tmp_path, tiny_library,
                                     tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="simulated_annealing",
-                         params={"cooling": "0.9"})
+                         strategy="static_rank",
+                         params={"metric": "power"})
         xml = config_to_xml(config, template_filename="template.s",
                             results_dir="results")
         (tmp_path / "template.s").write_text(config.template_text)
         reparsed = parse_config_text(xml, base_dir=tmp_path)
-        assert reparsed.search.strategy == "simulated_annealing"
-        assert reparsed.search.params == {"cooling": "0.9"}
+        assert reparsed.search.strategy == "static_rank"
+        assert reparsed.search.params == {"metric": "power"}
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +830,8 @@ class TestLintSearch:
     def test_clean_config_has_no_findings(self, tiny_library,
                                           tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="simulated_annealing",
-                         params={"cooling": "0.9"})
+                         strategy="static_rank",
+                         params={"metric": "power"})
         assert lint_search(config) == []
 
     def test_unknown_selection_is_sc209(self, tiny_library,
@@ -874,7 +862,7 @@ class TestLintSearch:
     # GA operators are named only in the <ga> block: a <search>
     # parameter that re-spells one is refused like any other unknown
     # strategy parameter.
-    # The pruning wrappers price on the measured machine and have no
+    # The pruning strategies price on the measured machine and have no
     # residual boost, so `platform` and `boost` are refused the same way.
     @pytest.mark.parametrize("strategy,param,value,valid", [
         ("genetic", "selection", "rank", "(none)"),
@@ -882,14 +870,10 @@ class TestLintSearch:
         ("genetic", "mutation", "operand_only", "(none)"),
         ("genetic", "replacement", "generational", "(none)"),
         ("hill_climb", "mutation", "operand_only", "(none)"),
-        ("simulated_annealing", "mutation", "instruction_only",
-         "initial_temperature, cooling, min_temperature"),
-        ("static_rank", "platform", "cortex_a15",
-         "base, metric, top_fraction"),
-        ("surrogate", "platform", "cortex_a15",
-         "base, top_fraction, epsilon, probe, l2, min_train"),
-        ("surrogate", "boost", "2",
-         "base, top_fraction, epsilon, probe, l2, min_train"),
+        ("simulated_annealing", "mutation", "instruction_only", "(none)"),
+        ("static_rank", "platform", "cortex_a15", "metric"),
+        ("surrogate", "platform", "cortex_a15", "(none)"),
+        ("surrogate", "boost", "2", "(none)"),
     ], ids=["genetic-selection", "genetic-crossover", "genetic-mutation",
             "genetic-replacement", "hill_climb-mutation",
             "simulated_annealing-mutation", "static_rank-platform",
@@ -957,6 +941,82 @@ class TestLintSearch:
         (tmp_path / "config.xml").write_text(xml)
         diagnostics = lint_config_file(tmp_path / "config.xml")
         assert [d.code for d in diagnostics] == ["SC210"]
+
+
+#: Every strategy setting that became a class constant, with a value
+#: the strategy once accepted, and the parameters it still declares.
+REMOVED_PARAMS = [
+    ("static_rank", "base", "genetic", "metric"),
+    ("static_rank", "top_fraction", "0.5", "metric"),
+    ("surrogate", "base", "genetic", "(none)"),
+    ("surrogate", "top_fraction", "0.4", "(none)"),
+    ("surrogate", "epsilon", "0.1", "(none)"),
+    ("surrogate", "probe", "0", "(none)"),
+    ("surrogate", "l2", "1.0", "(none)"),
+    ("surrogate", "min_train", "8", "(none)"),
+    ("simulated_annealing", "initial_temperature", "1.0", "(none)"),
+    ("simulated_annealing", "cooling", "0.95", "(none)"),
+    ("simulated_annealing", "min_temperature", "0.001", "(none)"),
+]
+
+removed_params = pytest.mark.parametrize(
+    "strategy,param,value,valid", REMOVED_PARAMS,
+    ids=[f"{strategy}-{param}" for strategy, param, _, _ in REMOVED_PARAMS])
+
+
+def _refusal(param, valid):
+    return f"does not accept parameter(s) {param}; valid parameters: {valid}"
+
+
+class TestRemovedStrategyParams:
+    """A strategy setting that became a class constant is refused with
+    SC210 wherever a strategy parameter can arrive."""
+
+    @removed_params
+    def test_make_strategy_refuses(self, strategy, param, value, valid):
+        with pytest.raises(ConfigError) as excinfo:
+            make_strategy(strategy, {param: value})
+        assert excinfo.value.diagnostic_code == "SC210"
+        assert _refusal(param, valid) in str(excinfo.value)
+
+    @removed_params
+    def test_search_block_refused_at_parse(self, tmp_path, strategy, param,
+                                           value, valid):
+        xml = _minimal_xml(
+            tmp_path,
+            extra=f'<search strategy="{strategy}" {param}="{value}"/>')
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(xml, base_dir=tmp_path)
+        assert excinfo.value.diagnostic_code == "SC210"
+        assert _refusal(param, valid) in str(excinfo.value)
+
+    @removed_params
+    def test_cli_lint_json_refuses(self, tmp_path, capsys, strategy, param,
+                                   value, valid):
+        config = tmp_path / "config.xml"
+        config.write_text(_minimal_xml(
+            tmp_path,
+            extra=f'<search strategy="{strategy}" {param}="{value}"/>'))
+        rc = main(["lint", "--json", str(config)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert [d["code"] for d in payload["diagnostics"]] == ["SC210"]
+        assert _refusal(param, valid) in \
+            payload["diagnostics"][0]["message"]
+
+    @removed_params
+    def test_stored_run_fails(self, tiny_library, tiny_template, tmp_path,
+                              strategy, param, value, valid):
+        config = _config(tiny_library, tiny_template, strategy=strategy,
+                         params={param: value})
+        store_path = tmp_path / "gest.sqlite"
+        with RunStore(store_path) as store:
+            run_id = store.submit_run(config, platform="cortex_a15")
+        assert execute_run(store_path, run_id) == "failed"
+        with RunStore(store_path) as store:
+            row = store.get_run(run_id)
+        assert row.status == "failed"
+        assert _refusal(param, valid) in row.error
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Bottom-up: the :class:`RidgeModel` regressor (closed-form fit,
 checkpointable state); the :class:`ShortProbe` batched dynamic features
-and the :class:`SurrogateFeaturizer` rows; the ``surrogate`` wrapper
-strategy (warm-up, learned pruning, ε exploration, memo replay, pricing
+and the :class:`SurrogateFeaturizer` rows; the ``surrogate`` strategy
+(warm-up, learned pruning, ε exploration, memo replay, pricing
 on the measured machine, stats plumbing, state round-trip); and the
 acceptance experiment — equal-or-better best fitness than the plain GA
 on the comparison seed at ≤ 50% of its simulated evaluations with mean
@@ -27,7 +27,7 @@ from repro.evaluation.probe import PROBE_FEATURE_NAMES, ShortProbe
 from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler
 from repro.measurement import PowerMeasurement
-from repro.search import STRATEGIES, make_strategy
+from repro.search import STRATEGIES, SurrogateStrategy, make_strategy
 from repro.surrogate import RidgeModel, SurrogateFeaturizer
 
 
@@ -184,12 +184,6 @@ class TestSurrogateStrategy:
     def test_registered(self):
         assert "surrogate" in STRATEGIES
 
-    def test_rejects_self_wrap(self, tiny_config):
-        strategy = make_strategy("surrogate", {"base": "surrogate"})
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            strategy.bind(tiny_config, make_rng(0), lambda: 0, CORTEX_A15,
-                          _a15_compile())
-
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError, match="epsilon"):
             make_strategy("surrogate", {"epsilon": "1.5"})
@@ -216,23 +210,16 @@ class TestSurrogateStrategy:
         assert [row["surrogate"]["platform"] for row in rows] == \
             ["cortex_a7", "cortex_a7"]
 
-    def test_can_wrap_static_rank(self, tiny_config):
-        strategy = make_strategy("surrogate", {"base": "static_rank"})
-        compile_program = _a15_compile()
-        strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__, CORTEX_A15,
-                      compile_program)
-        assert strategy._base.name == "static_rank"
-        assert strategy._base.arch is CORTEX_A15
-        assert strategy._base.compile is compile_program
-
     def test_warmup_then_learned_pruning(self, tiny_library,
                                          tiny_template):
-        config = _strategy_config(
-            tiny_library, tiny_template, generations=5,
-            params={"probe": "0", "min_train": "8",
-                    "top_fraction": "0.5"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+        class StaticFeatures(SurrogateStrategy):
+            PROBE_CYCLES = 0
+            TOP_FRACTION = 0.5
+
+        config = _strategy_config(tiny_library, tiny_template,
+                                  generations=5)
+        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
+                               strategy=StaticFeatures())
         history = engine.run()
         gen0 = history.generations[0].surrogate
         # Warm-up: everything simulated, model untrained, no Spearman.
@@ -249,10 +236,14 @@ class TestSurrogateStrategy:
                 assert stats.measured == stats.surrogate["simulated"]
 
     def test_pruned_never_win(self, tiny_library, tiny_template):
-        config = _strategy_config(
-            tiny_library, tiny_template, generations=5,
-            params={"top_fraction": "0.34", "epsilon": "0"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+        class TopThird(SurrogateStrategy):
+            TOP_FRACTION = 0.34
+            EPSILON = 0.0
+
+        config = _strategy_config(tiny_library, tiny_template,
+                                  generations=5)
+        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
+                               strategy=TopThird())
         history = engine.run()
         assert history.best_individual.measurements
         final = history.final_population
@@ -275,12 +266,15 @@ class TestSurrogateStrategy:
 
     def test_epsilon_exploration_is_deterministic(self, tiny_library,
                                                   tiny_template):
+        class Exploring(SurrogateStrategy):
+            EPSILON = 0.5
+            TOP_FRACTION = 0.25
+
         def explored_series():
-            config = _strategy_config(
-                tiny_library, tiny_template, generations=5,
-                params={"epsilon": "0.5", "top_fraction": "0.25"})
+            config = _strategy_config(tiny_library, tiny_template,
+                                      generations=5)
             engine = GeneticEngine(config, _measurement(),
-                                   DefaultFitness())
+                                   DefaultFitness(), strategy=Exploring())
             history = engine.run()
             return [g.surrogate["explored"]
                     for g in history.generations]
@@ -353,14 +347,14 @@ class TestSurrogateAcceptance:
         from repro.experiments.search_comparison import search_comparison
         result = search_comparison(
             platform="cortex_a15", metric="power",
-            strategies=("genetic", "surrogate(genetic)"))
+            strategies=("genetic", "surrogate"))
         plain = result.best_fitness("genetic")
-        learned = result.best_fitness("surrogate(genetic)")
+        learned = result.best_fitness("surrogate")
         assert learned >= plain - 1e-9
         full = result.simulated_evaluations("genetic")
-        pruned = result.simulated_evaluations("surrogate(genetic)")
+        pruned = result.simulated_evaluations("surrogate")
         assert pruned <= 0.5 * full
-        history = result.histories["surrogate(genetic)"]
+        history = result.histories["surrogate"]
         rhos = [g.surrogate["spearman"] for g in history.generations
                 if g.surrogate["spearman"] is not None]
         assert rhos and sum(rhos) / len(rhos) >= 0.5
