@@ -27,8 +27,14 @@ strategy (default ``genetic``) — the determinism contract is
 backend-independent for every strategy, not just the GA, and CI's
 strategy matrix exercises each one.
 
+``--repeats N`` overrides the measurement's ``repeats`` in every
+variant.  With detection on, a program's repeats after the first are
+re-tiled from its kept schedule segment, while the untiled variant
+schedules every repeat afresh, so the untiled comparison checks the
+schedule memo end to end.
+
 Usage: PYTHONPATH=src python scripts/check_parallel_determinism.py \
-           [--strategy NAME]
+           [--strategy NAME] [--backend NAME] [--repeats N]
 """
 
 import argparse
@@ -55,10 +61,14 @@ GENERATIONS = 4
 
 def run_variant(workdir: Path, name: str, backend, cache,
                 steady_state_detection: bool = True,
-                strategy: str = "genetic", screened: bool = False):
+                strategy: str = "genetic", screened: bool = False,
+                repeats=None):
     config = parse_config_file(CONFIG)
     config.ga.generations = GENERATIONS
     config.ga.population_size = 10
+    if repeats is not None:
+        config.measurement_params = {**config.measurement_params,
+                                     "repeats": str(repeats)}
     machine = SimulatedMachine("cortex_a15", seed=config.ga.seed or 0,
                                sim_cycles=600,
                                steady_state_detection=steady_state_detection)
@@ -89,7 +99,12 @@ def main() -> int:
                              "(default: serial); 'batched' checks the "
                              "population-vectorized pass against the "
                              "serial reference")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="override the measurement's repeats in "
+                             "every variant (default: the config's)")
     args = parser.parse_args()
+    if args.repeats is not None and args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     challenger = {
         "serial": SerialBackend,
         "batched": BatchedBackend,
@@ -122,7 +137,8 @@ def main() -> int:
             histories[name], recorders[name] = run_variant(
                 workdir, name, backend, cache,
                 steady_state_detection=detection,
-                strategy=args.strategy, screened=name == "screened")
+                strategy=args.strategy, screened=name == "screened",
+                repeats=args.repeats)
 
         reference = histories["serial"]
         for name, _, _ in variants[1:]:

@@ -115,6 +115,12 @@ class GenerationStats:
     #: read hits.
     compile_cache_hits: int = field(default=0, compare=False)
     compile_cache_misses: int = field(default=0, compare=False)
+    #: Measure-stage schedules re-tiled from a program's kept segment
+    #: (hits) and scheduled by the pipeline (misses) on the measured
+    #: machine; both stay 0 with steady-state detection off or a
+    #: memory hierarchy, where the memo is not used.
+    schedule_memo_hits: int = field(default=0, compare=False)
+    schedule_memo_misses: int = field(default=0, compare=False)
     #: Cumulative per-stage evaluation seconds for this generation.
     timings: StageTimings = field(default_factory=StageTimings,
                                   compare=False)
@@ -191,6 +197,25 @@ def _pool_workers(workers: Optional[int], config: RunConfig) -> int:
         raise ConfigError(
             f"evaluation workers must be >= 0 (0 = auto), got {workers}")
     return workers or os.cpu_count() or 1
+
+
+class _UidCounter:
+    """The run's uid allocator.  The strategy calls it; the engine
+    checkpoints and restores :attr:`next`.  It is bound into the
+    strategy instead of an engine method, so the strategy holds no
+    reference back to the engine and a finished engine (with its
+    pipeline, machine and compile cache) is freed when dropped, not
+    when the cyclic collector next runs."""
+
+    __slots__ = ("next",)
+
+    def __init__(self) -> None:
+        self.next = 0
+
+    def __call__(self) -> int:
+        uid = self.next
+        self.next += 1
+        return uid
 
 
 class GeneticEngine:
@@ -286,7 +311,7 @@ class GeneticEngine:
         self.rng = make_rng(config.ga.seed)
         self.screen = screen
         self.template = Template(config.template_text)
-        self._next_uid = 0
+        self._uids = _UidCounter()
         self._best: Optional[Individual] = None
         self.checkpoint_path = Path(checkpoint_path) \
             if checkpoint_path is not None else None
@@ -308,7 +333,7 @@ class GeneticEngine:
             noise_seed=config.ga.seed if config.ga.seed is not None else 0)
         # Strategies that price offspring (the pruning wrappers) do so
         # on the program this run measures, on the machine it measures.
-        self.strategy.bind(config, self.rng, self._take_uid,
+        self.strategy.bind(config, self.rng, self._uids,
                            pipeline.machine.arch, pipeline.compile)
         if backend is None:
             backend = AutoSelectBackend(_pool_workers(workers, config))
@@ -352,7 +377,7 @@ class GeneticEngine:
             state = self._resume_state
             self._resume_state = None
             population = state["population"]
-            self._next_uid = state["next_uid"]
+            self._uids.next = state["next_uid"]
             self._best = state["best"]
             self.rng.setstate(state["rng_state"])
             if any(not individual.evaluated for individual in population):
@@ -437,11 +462,6 @@ class GeneticEngine:
         for recorder in self.recorders:
             recorder.handle(event)
 
-    def _take_uid(self) -> int:
-        uid = self._next_uid
-        self._next_uid += 1
-        return uid
-
     def _update_best(self, individual: Individual) -> None:
         if individual.fitness is None:
             return
@@ -466,7 +486,7 @@ class GeneticEngine:
             "version": 2,
             "generation": population.number,
             "population": population,
-            "next_uid": self._next_uid,
+            "next_uid": self._uids.next,
             "best": self._best,
             "rng_state": self.rng.getstate(),
             "strategy": self.strategy.name,
@@ -584,6 +604,8 @@ class GeneticEngine:
             stats.screened = outcome.screened
             stats.compile_cache_hits = outcome.compile_cache_hits
             stats.compile_cache_misses = outcome.compile_cache_misses
+            stats.schedule_memo_hits = outcome.schedule_memo_hits
+            stats.schedule_memo_misses = outcome.schedule_memo_misses
             stats.timings = outcome.timings
             stats.backend = outcome.backend
             stats.backend_reason = outcome.backend_reason

@@ -172,6 +172,12 @@ class SimulatedMachine:
         #: :class:`repro.core.engine.GenerationStats`.
         self.compile_cache_hits = 0
         self.compile_cache_misses = 0
+        #: Schedule-memo counters of :meth:`_schedule` (detection on,
+        #: no hierarchy): runs re-tiled from a program's kept segment
+        #: and runs that scheduled it.  Surfaced per generation like
+        #: the compile-cache counters.
+        self.schedule_memo_hits = 0
+        self.schedule_memo_misses = 0
 
     #: Entries kept in the compile cache; enough for several
     #: generations of distinct sources at paper-scale populations.
@@ -273,8 +279,7 @@ class SimulatedMachine:
         """
         cores, supply = self._run_arguments(duration_s, cores,
                                             power_sample_count, supply_v)
-        trace = self.pipeline.execute(program, max_cycles=self.sim_cycles,
-                                      hierarchy=self.hierarchy)
+        trace = self._schedule(program)
         physics = self._physics(program, trace, cores, supply)
         return self._observe(physics, duration_s, power_sample_count)
 
@@ -370,6 +375,55 @@ class SimulatedMachine:
                 f"cores={cores} outside 1..{self.arch.core_count}")
         return cores, supply_v if supply_v is not None else self.supply_v
 
+    def _schedule(self, program: Program) -> ExecutionTrace:
+        """The pipeline's trace of ``program`` at :attr:`sim_cycles`,
+        scheduling each distinct program once.
+
+        With steady-state detection on and no hierarchy, a schedule is
+        a pure function of the loop and the microarchitecture, and a
+        run of ``M`` cycles simulates the same segment as any longer
+        run until detection fires.  So the segment is kept on the
+        program as ``(arch, trace)`` — its lifetime is the compile
+        cache's, and since the memo holds ``arch`` itself no other
+        microarchitecture can take its identity — and a later run on
+        that ``arch`` (this machine, or another built on the same
+        object, such as the surrogate's probe) re-tiles it with
+        ``_build_trace`` instead of scheduling again.  A segment
+        with a kernel serves ``M`` only when ``M`` exceeds prefix plus
+        period (at ``M`` equal to it a fresh run stops untiled); one
+        without a kernel serves only its own length.  Detection off
+        (the validation setting) and a hierarchy (the trace depends on
+        cache state) neither read nor fill the memo.
+        """
+        pipeline = self.pipeline
+        cycles = self.sim_cycles
+        if self.hierarchy is not None or not pipeline.detect_steady_state:
+            return pipeline.execute(program, max_cycles=cycles,
+                                    hierarchy=self.hierarchy)
+        arch = pipeline.arch
+        memo = program._schedule_memo
+        if memo is not None and memo[0] is arch:
+            segment = memo[1]
+            prefix, period = segment.prefix_cycles, segment.period_cycles
+            serves = cycles > prefix + period if period \
+                else cycles == segment.cycles
+            if serves:
+                self.schedule_memo_hits += 1
+                return PipelineSimulator._build_trace(
+                    [instr.group or instr.iclass.value
+                     for instr in program.loop],
+                    len(program.loop), cycles, prefix, period,
+                    segment.issue_slots, segment.issue_offsets,
+                    segment.occupancy_counts, None, None)
+        self.schedule_memo_misses += 1
+        trace = pipeline.execute(program, max_cycles=cycles)
+        # Every trace the segment serves shares these arrays.
+        for array in (trace.issue_slots, trace.issue_offsets,
+                      trace.occupancy_counts):
+            array.flags.writeable = False
+        program._schedule_memo = (arch, trace)
+        return trace
+
     def _physics(self, program: Program, trace: ExecutionTrace,
                  cores: int, supply: float) -> _Physics:
         """The noise-free part of a run, derived from one energy trace:
@@ -446,8 +500,9 @@ class BatchedMachine:
 
     :meth:`run_batch` evaluates a whole generation's programs in one
     call.  With steady-state detection on, each program is scheduled by
-    the machine's own :class:`~repro.cpu.pipeline.PipelineSimulator`,
-    so its trace — tiled kernel included — is exactly the one
+    the machine's own :class:`~repro.cpu.pipeline.PipelineSimulator`
+    through the same schedule memo as :meth:`SimulatedMachine.run`, so
+    its trace — tiled kernel included — is exactly the one
     :meth:`SimulatedMachine.run` sees.  With detection off (the
     full-simulation validation setting) and no memory hierarchy, the
     whole population is scheduled as one lockstep array simulation
@@ -497,9 +552,7 @@ class BatchedMachine:
             traces = simulate_population(
                 programs, machine.arch, max_cycles=machine.sim_cycles)
         else:
-            traces = [machine.pipeline.execute(
-                program, max_cycles=machine.sim_cycles,
-                hierarchy=machine.hierarchy) for program in programs]
+            traces = [machine._schedule(program) for program in programs]
 
         results: List[List[RunResult]] = []
         for index, (program, trace) in enumerate(zip(programs, traces)):

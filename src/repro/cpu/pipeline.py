@@ -488,40 +488,62 @@ class PipelineSimulator:
                    unit_free: Dict[str, List[int]],
                    completion: Dict[int, int],
                    last_writer: Dict[str, int],
-                   next_dyn_id: int, cycle: int) -> tuple:
+                   next_dyn_id: int, cycle: int) -> Tuple[int, ...]:
         """Canonical scheduler state, relative to the current cycle and
-        fetch position.
+        fetch position, as one flat tuple of integers.
 
         Dynamic instruction ids are renamed to their offset from
         ``next_dyn_id`` and completion times to their delta from
         ``cycle``; two states with equal keys are related by exactly
         that renaming, and the scheduler is equivariant under it — so
-        equal keys guarantee bit-identical futures.  Completed sources
-        collapse to a single ``ready`` marker (delta 0) because their
-        actual finish time can never matter again; completions not
-        referenced by the window or a pending writer are unreachable
-        and omitted entirely.
-        """
-        def norm(dyn: int) -> Tuple[int, int]:
-            done = completion.get(dyn)
-            if done is None:
-                return (dyn - next_dyn_id, -1)      # not yet issued
-            delta = done - cycle
-            return (dyn - next_dyn_id, delta if delta > 0 else 0)
+        equal keys guarantee bit-identical futures.  Each id is paired
+        with its state: -1 not yet issued, else the cycles left until
+        its result is ready (completed sources collapse to 0, because
+        their actual finish time can never matter again); completions
+        not referenced by the window or a pending writer are
+        unreachable and omitted entirely.
 
-        window_key = tuple(
-            (entry[0] - next_dyn_id, entry[1].index,
-             tuple(norm(src) for src in entry[2]))
-            for entry in window)
-        units_key = tuple(
-            tuple(free - cycle if free > cycle else 0 for free in units)
-            for units in unit_free.values())
-        # Dict insertion order is part of the key; it stabilises once
-        # the loop has written each destination register once, and an
-        # order mismatch merely makes the key over-strict (safe).
-        writers_key = tuple(
-            (reg, norm(dyn)) for reg, dyn in last_writer.items())
-        return (fetch_index, window_key, units_key, writers_key)
+        The layout is ``fetch_index, len(window)``, then per window
+        entry its id, its source count and an ``(id, state)`` pair per
+        source, then every unit's busy cycles in port order, then an
+        ``(id, state)`` pair per ``last_writer`` entry.  It leaves out
+        what the rest determines, within one :meth:`execute` call:
+
+        * an entry's loop slot: dynamic ids are handed out in fetch
+          order, so an entry ``k`` ids before ``next_dyn_id`` holds slot
+          ``(fetch_index - k) mod loop_len``;
+        * the writer registers: snapshots are taken only after fetch
+          has wrapped the loop start, when ``last_writer`` already
+          holds every register the loop writes, and a dict keeps its
+          insertion order, so every snapshot lists the same registers
+          in the same order.
+
+        Every field's length is fixed by the machine, the run or an
+        earlier field (the source count), so the flat tuple decodes
+        back to one state: two keys are equal exactly when the nested
+        window/units/writers snapshots they flatten are, and detection
+        fires on the same cycles.
+        """
+        key = [fetch_index, len(window)]
+        append = key.append
+        done_at = completion.get
+        for dyn, _, sources in window:
+            append(dyn - next_dyn_id)
+            append(len(sources))
+            for src in sources:
+                append(src - next_dyn_id)
+                done = done_at(src)
+                append(-1 if done is None
+                       else done - cycle if done > cycle else 0)
+        for units in unit_free.values():
+            for free in units:
+                append(free - cycle if free > cycle else 0)
+        for dyn in last_writer.values():
+            append(dyn - next_dyn_id)
+            done = done_at(dyn)
+            append(-1 if done is None
+                   else done - cycle if done > cycle else 0)
+        return tuple(key)
 
     @staticmethod
     def _track_value(slot: "_StaticSlot", reg_values: Dict[str, int]) -> None:

@@ -141,6 +141,9 @@ class BatchedBackend(ExecutorBackend):
                 batch.append((len(results), program))
             results.append(result)
 
+        machine = pipeline.machine
+        hits, misses = machine.schedule_memo_hits, \
+            machine.schedule_memo_misses
         run = StageTimings()
         with run.stage("measure"):
             values = pipeline.measurement.measure_batch(
@@ -150,6 +153,11 @@ class BatchedBackend(ExecutorBackend):
                  for index, _ in batch])
         for index, _ in batch:
             results[index].timings.measure_s += run.measure_s / len(batch)
+        if batch:
+            first = results[batch[0][0]]
+            first.schedule_memo_hits = machine.schedule_memo_hits - hits
+            first.schedule_memo_misses = \
+                machine.schedule_memo_misses - misses
 
         # Score per individual, in job order.
         for (index, _), measurements in zip(batch, values):

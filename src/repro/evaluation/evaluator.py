@@ -45,6 +45,9 @@ class GenerationOutcome:
     #: (non-evaluation-cache-hit) results of this pass.
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
+    #: Schedule-memo traffic summed over the same results.
+    schedule_memo_hits: int = 0
+    schedule_memo_misses: int = 0
     #: Which execution engine ran the generation's misses ("serial",
     #: "batched", "pool") and why the backend picked it.
     backend: str = ""
@@ -92,6 +95,8 @@ class StagedEvaluator:
             outcome.timings.add(item.timings)
             outcome.compile_cache_hits += item.compile_cache_hits
             outcome.compile_cache_misses += item.compile_cache_misses
+            outcome.schedule_memo_hits += item.schedule_memo_hits
+            outcome.schedule_memo_misses += item.schedule_memo_misses
             if self.cache is not None and item.measured:
                 self.cache.put(item.source, item.measurements)
 

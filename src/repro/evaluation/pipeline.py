@@ -158,6 +158,13 @@ class EvaluationResult:
     #: *replica* machines whose counters the driver never sees.
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
+    #: Schedule-memo traffic of this evaluation's measure stage (see
+    #: :meth:`SimulatedMachine._schedule
+    #: <repro.cpu.machine.SimulatedMachine._schedule>`), carried for
+    #: the same reason.  A batch records its whole traffic on its first
+    #: measured row.
+    schedule_memo_hits: int = 0
+    schedule_memo_misses: int = 0
 
     @property
     def measured(self) -> bool:
@@ -331,6 +338,9 @@ class EvaluationPipeline:
         program, result = self.prepare(individual, source, timings)
         if program is None:
             return result
+        machine = self.machine
+        hits, misses = machine.schedule_memo_hits, \
+            machine.schedule_memo_misses
         try:
             with timings.stage("measure"):
                 self.measurement.reseed_noise(
@@ -340,4 +350,6 @@ class EvaluationPipeline:
         except AssemblyError:
             result.compile_failed = True
             return result
+        result.schedule_memo_hits = machine.schedule_memo_hits - hits
+        result.schedule_memo_misses = machine.schedule_memo_misses - misses
         return self.scored(result, individual, measurements)

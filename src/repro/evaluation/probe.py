@@ -8,6 +8,12 @@ measurement's budget) through one
 :meth:`~repro.cpu.machine.BatchedMachine.run_batch` call.  The probe
 machine keeps steady-state detection on, so that call schedules each
 program with the machine's own pipeline, stopping at its tiled kernel.
+The probe machine is built on the measured machine's
+:class:`~repro.cpu.microarch.MicroArch` and probes the programs the
+measurement compiles, so a kernel found within the probe budget is
+re-tiled for the full measurement instead of scheduled again (see
+:meth:`SimulatedMachine._schedule
+<repro.cpu.machine.SimulatedMachine._schedule>`).
 
 Determinism: the probe machine is private (fixed seed, bare-metal
 environment) and every program's noise stream is keyed by its rendered

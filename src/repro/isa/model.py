@@ -170,6 +170,11 @@ class Program:
     #: assembler so every assembled program ships with it.
     _dependence_summary: Optional[DependenceSummary] = field(
         default=None, repr=False, compare=False)
+    #: The simulated machine's schedule memo, ``(arch, trace)``: the
+    #: loop's last steady-state-detecting schedule on ``arch`` (see
+    #: :meth:`repro.cpu.machine.SimulatedMachine._schedule`).
+    _schedule_memo: Optional[tuple] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def loop_length(self) -> int:

@@ -18,11 +18,21 @@ from ..core.errors import AssemblyError
 from ..core.individual import Individual
 from ..core.population import Population
 from ..core.template import Template
-from ..staticcheck.costmodel import static_score
+from ..staticcheck.costmodel import INTENT_PORTS, static_score
 from .base import STRATEGIES
 from .pruning import PruningStrategy
 
 __all__ = ["StaticRankStrategy"]
+
+
+def _metric(value: Any) -> str:
+    """A metric :func:`static_score` prices: ``ipc`` or one of the
+    power family.  Anything else (a typo, ``IPC``) would silently rank
+    by the power proxy, so it is refused."""
+    metric = str(value)
+    if metric not in INTENT_PORTS:
+        raise ValueError(f"expected one of {', '.join(INTENT_PORTS)}")
+    return metric
 
 
 @STRATEGIES.register("static_rank")
@@ -38,7 +48,7 @@ class StaticRankStrategy(PruningStrategy):
     """
 
     name = "static_rank"
-    PARAMS = {"metric": (str, "ipc")}
+    PARAMS = {"metric": (_metric, "ipc")}
     TOP_FRACTION = 0.5
 
     def _bound(self) -> None:

@@ -5,6 +5,9 @@ engine's mechanics (seeding, evaluation, breeding, elitism, recording,
 compile-failure handling) are tested without simulating a pipeline.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import GAParameters, RunConfig
@@ -79,6 +82,27 @@ class TestRunMechanics:
         assert best is not None
         assert best.fitness == max(g.best_fitness
                                    for g in history.generations)
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("strategy",
+                             ["genetic", "static_rank", "surrogate"])
+    def test_dropped_engine_frees_its_machine(self, tiny_config, strategy):
+        """The strategy holds no reference back to the engine, so a
+        finished search's engine, pipeline and machine go as soon as
+        the last reference does, without the cyclic collector."""
+        measurement = ScriptedMeasurement(ldr_pair)
+        machine = weakref.ref(measurement.target.machine)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = GeneticEngine(tiny_config, measurement,
+                                   DefaultFitness(), strategy=strategy)
+            engine.run()
+            del engine, measurement
+            assert machine() is None
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

@@ -10,14 +10,20 @@ checkpoints and shipped config results valid with detection on.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from pathlib import Path
+from typing import Tuple
+
 import numpy as np
 import pytest
 
 from repro.cpu.cache import MemoryHierarchy
-from repro.cpu.machine import SimulatedMachine
+from repro.cpu.machine import BatchedMachine, SimulatedMachine
+from repro.cpu.microarch import microarch_for
 from repro.cpu.pdn import PDNModel
 from repro.cpu.pipeline import PipelineSimulator
 from repro.cpu.power import PowerModel
+from repro.evaluation.probe import ShortProbe
 
 ARM_LOOP = """
 1:
@@ -269,3 +275,153 @@ class TestCompileCache:
             machine.compile(f"1:\nadd x1, x2, x{index % 10}\n"
                             f"mov x3, #{index}\nb 1b\n")
         assert len(machine._compile_cache) == cap
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@lru_cache(maxsize=None)
+def _late_kernel_source() -> Tuple[str, int]:
+    """A shipped ARM winner whose cortex_a15 kernel ends (prefix plus
+    period) between the machine's 100-cycle minimum and the surrogate's
+    400-cycle probe budget, with that cycle."""
+    arch = microarch_for("cortex_a15")
+    for path in sorted(CONFIGS.glob("arm_*/results/individuals/*.txt")):
+        source = path.read_text()
+        trace = PipelineSimulator(arch).execute(
+            SimulatedMachine(arch).compile(source), 1600)
+        end = trace.prefix_cycles + trace.period_cycles
+        if trace.period_cycles and 100 < end < 400:
+            return source, end
+    raise AssertionError("no shipped winner has a kernel ending in "
+                         "(100, 400) cycles on cortex_a15")
+
+
+def _fresh(machine, program, cycles):
+    return PipelineSimulator(machine.arch).execute(program, cycles)
+
+
+def assert_same_geometry(served, fresh):
+    assert_traces_identical(served, fresh)
+    assert (served.prefix_cycles, served.period_cycles,
+            served.simulated_cycles) == \
+        (fresh.prefix_cycles, fresh.period_cycles, fresh.simulated_cycles)
+
+
+class TestScheduleMemo:
+    """Each serve rule of ``SimulatedMachine._schedule``: a program's
+    kept segment serves a later run exactly when a fresh schedule would
+    simulate the same segment."""
+
+    def test_probe_segment_serves_the_measurement(self):
+        source, _ = _late_kernel_source()
+        machine = SimulatedMachine("cortex_a15", seed=5)
+        program = machine.compile(source)
+        probe = ShortProbe(machine.arch, cycles=400)
+        probe.probe_batch([program], [source])
+        assert program._schedule_memo[0] is machine.arch
+        result = machine.run(program)
+        assert (machine.schedule_memo_hits,
+                machine.schedule_memo_misses) == (1, 0)
+        assert_same_geometry(result.trace, _fresh(machine, program, 1600))
+        # Every trace the segment serves shares its arrays, read-only.
+        assert not result.trace.issue_slots.flags.writeable
+        unserved = SimulatedMachine("cortex_a15", seed=5,
+                                    steady_state_detection=False)
+        expected = unserved.run(unserved.compile(source))
+        assert result.power_samples_w == expected.power_samples_w
+        assert np.array_equal(result.voltage.voltage,
+                              expected.voltage.voltage)
+
+    def test_repeated_runs_schedule_once(self):
+        source, _ = _late_kernel_source()
+        machine = SimulatedMachine("cortex_a15", seed=5)
+        program = machine.compile(source)
+        traces = [machine.run(program).trace for _ in range(3)]
+        assert (machine.schedule_memo_hits,
+                machine.schedule_memo_misses) == (2, 1)
+        for trace in traces:
+            assert_same_geometry(trace, _fresh(machine, program, 1600))
+
+    def test_kernel_end_schedules_afresh(self):
+        source, end = _late_kernel_source()
+        arch = microarch_for("cortex_a15")
+        program = SimulatedMachine(arch).compile(source)
+        SimulatedMachine(arch).run(program)
+        past_end = SimulatedMachine(arch, sim_cycles=end + 1)
+        trace = past_end.run(program).trace
+        assert (past_end.schedule_memo_hits,
+                past_end.schedule_memo_misses) == (1, 0)
+        assert trace.period_cycles > 0
+        assert_same_geometry(trace, _fresh(past_end, program, end + 1))
+        at_end = SimulatedMachine(arch, sim_cycles=end)
+        trace = at_end.run(program).trace
+        assert (at_end.schedule_memo_hits,
+                at_end.schedule_memo_misses) == (0, 1)
+        assert trace.period_cycles == 0
+        assert_same_geometry(trace, _fresh(at_end, program, end))
+
+    def test_untiled_segment_serves_only_its_length(self):
+        source, end = _late_kernel_source()
+        arch = microarch_for("cortex_a15")
+        program = SimulatedMachine(arch).compile(source)
+        short = SimulatedMachine(arch, sim_cycles=100)
+        assert short.run(program).trace.period_cycles == 0
+        again = SimulatedMachine(arch, sim_cycles=100)
+        trace = again.run(program).trace
+        assert (again.schedule_memo_hits, again.schedule_memo_misses) == \
+            (1, 0)
+        assert_same_geometry(trace, _fresh(again, program, 100))
+        for cycles in (end - 1, 1600):
+            longer = SimulatedMachine(arch, sim_cycles=cycles)
+            trace = longer.run(program).trace
+            assert (longer.schedule_memo_hits,
+                    longer.schedule_memo_misses) == (0, 1)
+            assert_same_geometry(trace, _fresh(longer, program, cycles))
+
+    def test_another_microarch_misses(self):
+        source, _ = _late_kernel_source()
+        arch = microarch_for("cortex_a15")
+        copy = arch.with_overrides()
+        assert copy == arch and copy is not arch
+        program = SimulatedMachine(arch).compile(source)
+        SimulatedMachine(arch).run(program)
+        other = SimulatedMachine(copy)
+        trace = other.run(program).trace
+        assert (other.schedule_memo_hits, other.schedule_memo_misses) == \
+            (0, 1)
+        assert_same_geometry(trace, _fresh(other, program, 1600))
+        assert program._schedule_memo[0] is copy
+        first = SimulatedMachine(arch)
+        first.run(program)
+        assert (first.schedule_memo_hits, first.schedule_memo_misses) == \
+            (0, 1)
+
+    def test_detection_off_and_hierarchy_bypass_the_memo(self):
+        source, _ = _late_kernel_source()
+        off = SimulatedMachine("cortex_a15", steady_state_detection=False)
+        cached = SimulatedMachine("cortex_a15", hierarchy=MemoryHierarchy())
+        program = SimulatedMachine("cortex_a15").compile(source)
+        off.run(program)
+        cached.run(program)
+        assert program._schedule_memo is None
+        SimulatedMachine("cortex_a15").run(program)
+        assert program._schedule_memo is not None
+        assert off.run(program).trace.period_cycles == 0
+        assert cached.run(program).trace.cache_summary is not None
+        for machine in (off, cached):
+            assert (machine.schedule_memo_hits,
+                    machine.schedule_memo_misses) == (0, 0)
+
+    def test_batched_rows_use_the_memo(self):
+        source, _ = _late_kernel_source()
+        machine = SimulatedMachine("cortex_a15", seed=5)
+        program = machine.compile(source)
+        rows = BatchedMachine(machine).run_batch([program, program],
+                                                 repeats=2)
+        assert (machine.schedule_memo_hits,
+                machine.schedule_memo_misses) == (1, 1)
+        for results in rows:
+            for result in results:
+                assert_same_geometry(result.trace,
+                                     _fresh(machine, program, 1600))

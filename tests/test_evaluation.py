@@ -681,6 +681,39 @@ class TestObservability:
             history.generations[0].best_fitness
         assert "measure_s" in first["timings"]
 
+    @pytest.mark.parametrize("backend,schedules_per_row", [
+        (SerialBackend, 3), (BatchedBackend, 1),
+        (lambda: ProcessPoolBackend(2), 1)],
+        ids=["serial", "batched", "pool"])
+    def test_schedule_memo_counters(self, tiny_config, tmp_path, backend,
+                                    schedules_per_row):
+        """Every measure-stage schedule is a memo hit or a miss: the
+        serial loop schedules each of three repeats, a batch (also
+        inside pool workers, whose counts ride on the results) once
+        per row; only the first schedule of a program misses."""
+        machine = SimulatedMachine("cortex_a15", seed=99, sim_cycles=600)
+        target = SimulatedTarget(machine)
+        target.connect()
+        measurement = PowerMeasurement(target, {"samples": "2",
+                                                "repeats": "3"})
+        recorder = OutputRecorder(tmp_path / "run")
+        history = GeneticEngine(tiny_config, measurement, DefaultFitness(),
+                                recorder=recorder,
+                                backend=backend()).run()
+        for stats in history.generations:
+            assert stats.schedule_memo_hits + stats.schedule_memo_misses \
+                == schedules_per_row * stats.measured
+            assert 0 < stats.schedule_memo_misses <= stats.measured
+        first = history.generations[0]
+        assert first.schedule_memo_misses == first.measured
+        rows = [json.loads(line) for line in
+                (recorder.results_dir / "stats.jsonl").read_text()
+                .splitlines()]
+        assert [(row["schedule_memo_hits"], row["schedule_memo_misses"])
+                for row in rows] == \
+            [(g.schedule_memo_hits, g.schedule_memo_misses)
+             for g in history.generations]
+
     def test_stage_timings_accumulate(self):
         total = StageTimings(render_s=1.0)
         total.add(StageTimings(render_s=0.5, measure_s=2.0))

@@ -443,7 +443,8 @@ class TestCheckpointRoundTrip:
         # stats.jsonl matches line for line once the observability
         # fields (wall-clock timings, cache counters) are dropped.
         observability = {"timings", "cache_hits", "measured", "screened",
-                         "compile_cache_hits", "compile_cache_misses"}
+                         "compile_cache_hits", "compile_cache_misses",
+                         "schedule_memo_hits", "schedule_memo_misses"}
 
         def stats_rows(run):
             lines = (tmp_path / run / "stats.jsonl").read_text() \
@@ -1017,6 +1018,45 @@ class TestRemovedStrategyParams:
             row = store.get_run(run_id)
         assert row.status == "failed"
         assert _refusal(param, valid) in row.error
+
+
+class TestStaticRankMetric:
+    """``metric`` names what :func:`static_score` prices (ipc and the
+    power family); any other value is SC210 rather than a silent
+    ranking by the power proxy."""
+
+    @pytest.mark.parametrize("metric", ["bogus", "IPC"])
+    def test_make_strategy_refuses(self, metric):
+        with pytest.raises(ConfigError) as excinfo:
+            make_strategy("static_rank", {"metric": metric})
+        assert excinfo.value.diagnostic_code == "SC210"
+        assert f"invalid value {metric!r} for parameter 'metric'" in \
+            str(excinfo.value)
+
+    @pytest.mark.parametrize("metric", ["bogus", "IPC"])
+    def test_cli_lint_json_refuses(self, tmp_path, capsys, metric):
+        config = tmp_path / "config.xml"
+        config.write_text(_minimal_xml(
+            tmp_path,
+            extra=f'<search strategy="static_rank" metric="{metric}"/>'))
+        rc = main(["lint", "--json", str(config)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert [d["code"] for d in payload["diagnostics"]] == ["SC210"]
+        assert f"invalid value {metric!r} for parameter 'metric'" in \
+            payload["diagnostics"][0]["message"]
+
+    def test_power_is_accepted(self, tmp_path, capsys):
+        assert make_strategy("static_rank", {"metric": "power"}) \
+            .params["metric"] == "power"
+        config = tmp_path / "config.xml"
+        config.write_text(_minimal_xml(
+            tmp_path,
+            extra='<search strategy="static_rank" metric="power"/>'))
+        rc = main(["lint", "--json", str(config)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert "SC210" not in [d["code"] for d in payload["diagnostics"]]
 
 
 # ---------------------------------------------------------------------------
