@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run ``gest analyze`` and ``gest check`` over every shipped winner.
+"""Run ``gest analyze`` and ``gest check`` over every shipped winner,
+and compile the winners as a search does.
 
 Feeds all ``configs/*/results/individuals/*.txt`` sources through the
 ``analyze`` and ``check`` CLI subcommands (the entry points users hit
@@ -9,8 +10,12 @@ analyzes cleanly: exit code 0, a well-formed cost block with positive
 cycle bounds, a static IPC within the machine's issue width, and
 deterministically ordered diagnostics; and checks cleanly: exit code
 0, no error diagnostic, and a non-empty measured loop in the static
-profile.  Exits non-zero on the first violation; CI runs this as the
-analyze-smoke leg.
+profile.  Then compiles each config's winners, in order, through one
+:class:`~repro.isa.splice.TemplateSplicer` on the platform's assembler
+(a search's compile path, with its memo of decoded lines) and checks
+every program equals a plain ``assemble`` of its source.  Exits
+non-zero on the first violation; CI runs this as the analyze-smoke
+leg.
 
 Usage: PYTHONPATH=src python scripts/analyze_smoke.py
 """
@@ -23,6 +28,8 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.cpu.microarch import microarch_for
+from repro.isa import assembler_for
+from repro.isa.splice import TemplateSplicer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,6 +79,20 @@ def check(path: Path, platform: str) -> None:
         raise SystemExit(f"FAIL {path}: diagnostics not sorted: {keys}")
 
 
+def compile_in_order(winners, platform: str) -> None:
+    """Every winner through one splicer equals a plain assembly, also
+    after the later winners were compiled."""
+    assembler = assembler_for(microarch_for(platform).isa)
+    splicer = TemplateSplicer(assembler)
+    sources = [path.read_text() for path in winners]
+    programs = [splicer.compile(source, path.name)
+                for path, source in zip(winners, sources)]
+    for path, source, program in zip(winners, sources, programs):
+        if program != assembler.assemble(source, path.name):
+            raise SystemExit(f"FAIL {path}: the splicer's program differs "
+                             f"from the assembler's")
+
+
 def run() -> int:
     total = 0
     for config_dir, platform in sorted(CONFIG_PLATFORMS.items()):
@@ -81,10 +102,12 @@ def run() -> int:
             raise SystemExit(f"FAIL: no winners under {config_dir}")
         for path in winners:
             check(path, platform)
+        compile_in_order(winners, platform)
         total += len(winners)
         print(f"analyze-smoke: {config_dir}: {len(winners)} winners OK "
               f"({platform})")
-    print(f"analyze-smoke: {total} sources analyzed and checked cleanly")
+    print(f"analyze-smoke: {total} sources analyzed, checked and "
+          f"compiled cleanly")
     return 0
 
 

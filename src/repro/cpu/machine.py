@@ -195,10 +195,11 @@ class SimulatedMachine:
         :data:`COMPILE_CACHE_CAP` entries.  Failures are not cached.
 
         ``builder`` optionally supplies the Program on a cache miss in
-        place of the full assembler — the batched evaluation path
-        passes a :class:`~repro.isa.splice.TemplateSplicer` here.  The
-        builder must produce exactly what ``assemble`` would (splicers
-        self-validate), so cache content is identical either way.
+        place of ``assembler.assemble`` — the evaluation pipeline
+        passes its :class:`~repro.isa.splice.TemplateSplicer`, which
+        assembles with the run's memo of decoded lines.  The builder
+        must produce exactly what ``assemble`` would, so cache content
+        is identical either way.
         """
         key = (name, source)
         cached = self._compile_cache.get(key)

@@ -246,7 +246,7 @@ class EvaluationPipeline:
         self.noise_seed = noise_seed
         #: The simulated machine the measurement compiles for and runs on.
         self.machine: SimulatedMachine = measurement.target.machine
-        self._splicer = TemplateSplicer(template, self.machine.assembler)
+        self._splicer = TemplateSplicer(self.machine.assembler)
 
     # -- stages -------------------------------------------------------------
 

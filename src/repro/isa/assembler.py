@@ -28,6 +28,7 @@ next instruction.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import AssemblyError
@@ -142,11 +143,22 @@ class BaseAssembler:
 
     # -- assembly ---------------------------------------------------------------
 
-    def assemble(self, source: str, name: str = "<source>") -> Program:
+    def assemble(self, source: str, name: str = "<source>",
+                 memo: Optional[dict] = None) -> Program:
         """Assemble ``source`` into a :class:`Program`.
 
         Raises :class:`AssemblyError` on the first malformed line.
+
+        ``memo`` is an optional dict kept across calls of this
+        assembler, keyed by line number and instruction text: a line
+        decoded before skips :meth:`_decode_line`.  A hit reuses the
+        decoded instruction itself (programs are immutable), or a copy
+        of it when the line names a label, so this program resolves its
+        own branch target.  Directives, labels and every error check
+        run on every source.
         """
+        if memo is None:
+            memo = {}
         sections: Dict[str, List[_PendingInstruction]] = {
             "init": [], "loop": []}
         labels: Dict[str, Tuple[str, int]] = {}
@@ -206,9 +218,13 @@ class BaseAssembler:
                 raise AssemblyError("instruction after .endloop",
                                     line_number, raw)
 
-            decoded, label_ref = self._decode_line(line, line_number)
-            decoded.source_line = line_number
-            decoded.text = line
+            entry = memo.get((line_number, line))
+            if entry is None:
+                entry = memo[line_number, line] = \
+                    self._decode_line(line, line_number)
+            decoded, label_ref = entry
+            if label_ref is not None:
+                decoded = copy.copy(decoded)
             pending = _PendingInstruction(decoded, label_ref,
                                           len(sections[section]), line_number)
             sections[section].append(pending)
@@ -231,10 +247,6 @@ class BaseAssembler:
         program = Program(name=name, init=init, loop=loop,
                           labels={k: v[1] for k, v in labels.items()})
         program.register_values = self.register_values_from_init(init)
-        # Warm the dependence summary here, in the toolchain front-end,
-        # so the static cost model's ranking path never pays a
-        # per-instruction pass (see Program.dependence_summary).
-        program.dependence_summary()
         return program
 
     # -- internals -----------------------------------------------------------------
@@ -250,9 +262,12 @@ class BaseAssembler:
                 f"unknown {self.syntax_name} opcode {opcode!r}",
                 line_number, line)
         try:
-            return handler(split_operands(operand_text))
+            decoded, label_ref = handler(split_operands(operand_text))
         except AssemblyError as exc:
             raise AssemblyError(f"{exc} (in {line!r})", line_number) from None
+        decoded.source_line = line_number
+        decoded.text = line
+        return decoded, label_ref
 
     def _resolve(self, pending: List[_PendingInstruction], section: str,
                  labels: Dict[str, Tuple[str, int]],

@@ -115,13 +115,13 @@ class DecodedInstruction:
 class DependenceSummary:
     """Arch-independent condensation of a loop body's static structure.
 
-    Built once per :class:`Program` (the assembler warms it at the end
-    of ``assemble``) and consumed by the static cost model's ranking
-    fast path (:func:`repro.staticcheck.costmodel.static_score`):
-    pricing the body against *any* microarchitecture then touches only
-    the small group vocabulary and the cycle family — never the
-    instruction list — which is what keeps a static score orders of
-    magnitude cheaper than one simulated evaluation.
+    Built once per :class:`Program`, on first use, and consumed by the
+    static cost model's ranking fast path
+    (:func:`repro.staticcheck.costmodel.static_score`): pricing the
+    body against *any* microarchitecture then touches only the small
+    group vocabulary and the cycle family — never the instruction list
+    — which is what keeps a static score orders of magnitude cheaper
+    than one simulated evaluation.
 
     ``cycle_counts`` holds the loop-carried dependence cycles found by
     *single-predecessor condensation*: one sequential pass over the
@@ -166,8 +166,8 @@ class Program:
     #: name → integer value (used by the power model's toggle factor).
     register_values: Dict[str, int] = field(default_factory=dict)
     labels: Dict[str, int] = field(default_factory=dict)
-    #: Cached :class:`DependenceSummary`; built lazily, warmed by the
-    #: assembler so every assembled program ships with it.
+    #: Cached :class:`DependenceSummary`, built on the first
+    #: :meth:`dependence_summary` call.
     _dependence_summary: Optional[DependenceSummary] = field(
         default=None, repr=False, compare=False)
     #: The simulated machine's schedule memo, ``(arch, trace)``: the

@@ -113,17 +113,6 @@ class StaticCostReport(StaticProfile):
     power_proxy_w_upper: float
     instruction_costs: Tuple[InstructionCost, ...]
 
-    def predicted_metric(self, metric: str) -> float:
-        """The static stand-in for one simulated fitness metric.
-
-        Used by the ``static_rank`` strategy to order candidates; only
-        the ordering matters, so proxies need the right monotony, not
-        the right units.
-        """
-        if metric == "ipc":
-            return self.ipc_upper
-        return self.power_proxy_w_upper
-
     def as_features(self) -> Dict[str, float]:
         features = super().as_features()
         features.update({
@@ -535,14 +524,14 @@ def analyze_cost(program: Program, arch: MicroArch, *,
 def static_score(program: Program, arch: MicroArch, metric: str) -> float:
     """The candidate-ranking fast path: one static fitness proxy.
 
-    Prices the program's cached
+    Prices the program's
     :meth:`~repro.isa.model.Program.dependence_summary` — the group
-    vocabulary and the loop-carried cycle family the assembler
-    condensed out of the body — so scoring touches a handful of table
-    entries instead of the instruction list.  This is the per-candidate
-    cost the ``static_rank`` strategy pays for every pruned simulation,
-    and the quantity BENCH_staticrank gates at ≥100x under one
-    simulated evaluation.
+    vocabulary and the loop-carried cycle family condensed out of the
+    body, built on first use and cached on the program — so scoring
+    touches a handful of table entries instead of the instruction
+    list.  This is the per-candidate cost the ``static_rank`` strategy
+    pays for every pruned simulation, and the quantity BENCH_staticrank
+    gates at ≥100x under one simulated evaluation.
 
     Ordering guarantee: the summary's cycle family is a *subset* of
     the real dependence cycles (single-predecessor condensation), so

@@ -1,7 +1,7 @@
 """Tests for the static cost model and the surrogate search built on it.
 
-Four layers, bottom-up: the :class:`DependenceSummary` condensation the
-assembler warms on every program; the ``analyze_cost`` pass with its
+Four layers, bottom-up: the :class:`DependenceSummary` condensation a
+program builds on first use; the ``analyze_cost`` pass with its
 SC3xx golden diagnostics (per microarchitecture preset) and the
 soundness ordering ``simulated steady IPC ≤ exact ipc_upper ≤
 static_score``; the ``gest analyze`` CLI and the screen's static-rank
@@ -73,14 +73,16 @@ def codes_of(diagnostics):
 
 
 # ---------------------------------------------------------------------------
-# DependenceSummary (the assembler-warmed condensation)
+# DependenceSummary (built on first use, cached on the program)
 # ---------------------------------------------------------------------------
 
 class TestDependenceSummary:
-    def test_assembler_warms_the_summary(self):
+    def test_summary_is_built_on_first_use_then_cached(self):
         program = arm_program("add x1, x1, x2")
-        assert program._dependence_summary is not None
-        assert program.dependence_summary() is program._dependence_summary
+        assert program._dependence_summary is None
+        summary = program.dependence_summary()
+        assert program._dependence_summary is summary
+        assert program.dependence_summary() is summary
 
     def test_vocabulary_counts_cover_the_loop(self):
         program = arm_program("add x1, x2, x3\nadd x4, x5, x6\n"
@@ -150,8 +152,6 @@ class TestAnalyzeCost:
         cost = analyze_cost(program, arch).cost
         assert cost.energy_pj_lower <= cost.energy_pj_upper
         assert cost.power_proxy_w_lower <= cost.power_proxy_w_upper
-        assert cost.predicted_metric("power") == cost.power_proxy_w_upper
-        assert cost.predicted_metric("ipc") == cost.ipc_upper
 
     def test_report_round_trips_to_dict(self):
         arch = microarch_for("xgene2")

@@ -751,10 +751,10 @@ class TestOneCompile:
             finally:
                 depth[0] -= 1
 
-        def recording_assemble(self, source, name="<source>"):
+        def recording_assemble(self, source, name="<source>", memo=None):
             if not depth[0]:
                 outside.append(name)
-            return real_assemble(self, source, name=name)
+            return real_assemble(self, source, name=name, memo=memo)
 
         monkeypatch.setattr(SimulatedMachine, "compile", counting_compile)
         monkeypatch.setattr(BaseAssembler, "assemble", recording_assemble)
