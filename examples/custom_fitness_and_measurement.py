@@ -10,8 +10,9 @@ result with the plain hottest-loop search.
 
 The custom classes below follow exactly the paper's extension recipe:
 
-* the measurement inherits ``Measurement`` and overrides ``init`` and
-  ``measure``;
+* the measurement inherits ``Measurement``, declares the ``metric``
+  its first value measures (which the ``static_rank`` strategy ranks
+  by), and overrides ``init`` and ``measure``;
 * the fitness inherits ``DefaultFitness`` and overrides
   ``get_fitness``;
 * both are referenced by dotted class name in a main configuration
@@ -38,6 +39,8 @@ class ThermalEfficiencyMeasurement(Measurement):
 
     Mirrors how a user would script an i2c read plus two perf counters.
     """
+
+    metric = "temperature"
 
     def init(self, params: Dict[str, str]) -> None:
         super().init(params)

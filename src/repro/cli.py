@@ -138,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("source", type=Path, help="assembly source file")
     check.add_argument("--platform", default="cortex_a15",
                        choices=preset_names(),
-                       help="platform whose syntax and cache geometry "
-                            "the check uses")
+                       help="platform whose assembler the check uses; "
+                            "the footprint is checked against the stock "
+                            "32 KiB L1 / 256 KiB L2 on every platform")
     check.add_argument("--json", action="store_true", dest="as_json")
 
     analyze = sub.add_parser(

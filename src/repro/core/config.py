@@ -153,22 +153,29 @@ class SearchParameters:
 
     ``strategy`` names a registered :class:`~repro.search.SearchStrategy`
     (``genetic`` — the paper's GA and the default — ``static_rank``,
-    ``surrogate``, ``random``, ``hill_climb``, ``simulated_annealing``);
-    ``params`` carries the strategy's own parameters from the
-    ``<search>`` block's remaining attributes (the one stock parameter
-    is ``static_rank``'s ``metric``).  Values stay as strings here — the
-    strategy's declared parsers normalise them, so validation
-    instantiates the strategy once and lets it reject unknown names or
-    bad values with the full choice list.
+    ``surrogate``, ``random``, ``hill_climb``, ``simulated_annealing``).
+    A strategy takes no parameters, so an unknown name and a parameter
+    are both ``SC210``.
     """
 
     strategy: str = "genetic"
-    params: Dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         # Lazy import: repro.search imports core submodules.
-        from ..search import make_strategy
-        make_strategy(self.strategy, self.params)
+        from ..search import STRATEGIES
+        STRATEGIES.get(self.strategy)
+        # A configuration pickled while strategies took parameters (a
+        # stored service row) still carries them.
+        _refuse_search_params(self.strategy, vars(self).get("params"))
+
+
+def _refuse_search_params(strategy: str, params) -> None:
+    """SC210 for ``<search>`` attributes other than ``strategy``."""
+    if params:
+        raise ConfigError(
+            f"search strategy {strategy!r} does not accept parameter(s) "
+            f"{', '.join(sorted(params))}; a <search> block names only "
+            "its strategy", diagnostic_code="SC210")
 
 
 @dataclass
@@ -335,16 +342,14 @@ def parse_config_text(text: str,
 
 
 def _parse_search(element: Optional[ET.Element]) -> SearchParameters:
-    """``<search strategy="..." param="value" .../>`` — every attribute
-    other than ``strategy`` is passed to the strategy as a parameter."""
+    """``<search strategy="..."/>``; any other attribute is SC210."""
     search = SearchParameters()
     if element is None:
         return search
     attrs = dict(element.attrib)
-    if "strategy" in attrs:
-        search.strategy = attrs.pop("strategy")
-    search.params = attrs
+    search.strategy = attrs.pop("strategy", search.strategy)
     search.validate()
+    _refuse_search_params(search.strategy, attrs)
     return search
 
 
@@ -485,11 +490,7 @@ def config_to_xml(config: RunConfig, template_filename: str = "template.s",
         "workers": str(config.evaluation.workers),
         "cache": "true" if config.evaluation.cache else "false",
     })
-    ET.SubElement(root, "search", {
-        "strategy": config.search.strategy,
-        **{key: str(value)
-           for key, value in config.search.params.items()},
-    })
+    ET.SubElement(root, "search", {"strategy": config.search.strategy})
 
     operands_el = ET.SubElement(root, "operands")
     for operand in config.library.operands.values():

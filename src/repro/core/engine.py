@@ -279,12 +279,10 @@ class GeneticEngine:
         Which search proposes populations: a registered strategy name,
         a ready :class:`~repro.search.SearchStrategy` instance, or
         ``None`` for the config's ``<search>`` block (default
-        ``genetic`` — the paper's GA).  A name matching the config's
-        strategy picks up the config's strategy parameters (the one
-        there is: ``static_rank``'s ``metric``); a different name runs
-        with that strategy's defaults.  The strategy is bound to the
-        measured machine's microarchitecture and compile, and draws
-        from the run's RNG stream, seeded from ``config.ga.seed``.
+        ``genetic`` — the paper's GA).  The strategy is bound to the
+        measured machine's microarchitecture and compile and to the
+        measurement's metric, and draws from the run's RNG stream,
+        seeded from ``config.ga.seed``.
     run_id:
         Explicit run identity stamped into every stats record and
         event; defaults to the content-derived :func:`derive_run_id`.
@@ -320,21 +318,19 @@ class GeneticEngine:
 
         if strategy is None:
             strategy = config.search.strategy
-        if isinstance(strategy, SearchStrategy):
-            self.strategy = strategy
-        else:
-            params = config.search.params \
-                if strategy == config.search.strategy else None
-            self.strategy = make_strategy(strategy, params)
+        self.strategy = strategy if isinstance(strategy, SearchStrategy) \
+            else make_strategy(strategy)
 
         pipeline = EvaluationPipeline(
             template=self.template, measurement=measurement,
             fitness=fitness, screen=screen,
             noise_seed=config.ga.seed if config.ga.seed is not None else 0)
         # Strategies that price offspring (the pruning wrappers) do so
-        # on the program this run measures, on the machine it measures.
+        # on the program this run measures, on the machine it measures,
+        # for the metric it measures.
         self.strategy.bind(config, self.rng, self._uids,
-                           pipeline.machine.arch, pipeline.compile)
+                           pipeline.machine.arch, pipeline.compile,
+                           measurement.metric)
         if backend is None:
             backend = AutoSelectBackend(_pool_workers(workers, config))
         elif not isinstance(backend, ExecutorBackend):

@@ -32,6 +32,7 @@ from ..core.errors import SimulationError, TargetError
 from ..core.rng import make_rng
 from ..isa import assembler_for
 from ..isa.model import Program
+from ..isa.splice import TemplateSplicer
 from .batch import simulate_population
 from .cache import MemoryHierarchy
 from .microarch import MicroArch, microarch_for
@@ -155,6 +156,7 @@ class SimulatedMachine:
             if nominal_frequency_hz is not None else arch.frequency_hz
         self.hierarchy = hierarchy
         self.assembler = assembler_for(arch.isa)
+        self._splicer = TemplateSplicer(self.assembler)
         #: Whether the pipeline may stop at a recurring scheduler state
         #: and tile the detected period (observably identical; see
         #: :mod:`repro.cpu.pipeline`).  Exposed for A/B validation.
@@ -185,21 +187,17 @@ class SimulatedMachine:
 
     # -- toolchain -----------------------------------------------------------
 
-    def compile(self, source: str, name: str = "stress.s",
-                builder=None) -> Program:
+    def compile(self, source: str, name: str = "stress.s") -> Program:
         """Assemble source text; raises AssemblyError on bad code.
 
         Results are cached content-addressed on ``(name, source)`` —
         assembly is pure, and :class:`~repro.isa.model.Program` is
         treated as immutable by every consumer — with LRU eviction at
         :data:`COMPILE_CACHE_CAP` entries.  Failures are not cached.
-
-        ``builder`` optionally supplies the Program on a cache miss in
-        place of ``assembler.assemble`` — the evaluation pipeline
-        passes its :class:`~repro.isa.splice.TemplateSplicer`, which
-        assembles with the run's memo of decoded lines.  The builder
-        must produce exactly what ``assemble`` would, so cache content
-        is identical either way.
+        A miss is built by the machine's
+        :class:`~repro.isa.splice.TemplateSplicer`, which assembles with
+        its memo of decoded lines, so only lines no earlier compile on
+        this machine decoded are decoded again.
         """
         key = (name, source)
         cached = self._compile_cache.get(key)
@@ -207,10 +205,7 @@ class SimulatedMachine:
             self._compile_cache.move_to_end(key)
             self.compile_cache_hits += 1
             return cached
-        if builder is not None:
-            program = builder(source, name)
-        else:
-            program = self.assembler.assemble(source, name=name)
+        program = self._splicer.compile(source, name)
         self.compile_cache_misses += 1
         self._compile_cache[key] = program
         if len(self._compile_cache) > self.COMPILE_CACHE_CAP:

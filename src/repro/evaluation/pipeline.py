@@ -52,7 +52,6 @@ from ..core.individual import Individual
 from ..core.template import Template
 from ..cpu.machine import SimulatedMachine
 from ..isa.model import Program
-from ..isa.splice import TemplateSplicer
 from ..measurement.base import Measurement
 
 __all__ = ["FitnessProtocol", "ScreenProtocol", "ScreenReportProtocol",
@@ -246,7 +245,6 @@ class EvaluationPipeline:
         self.noise_seed = noise_seed
         #: The simulated machine the measurement compiles for and runs on.
         self.machine: SimulatedMachine = measurement.target.machine
-        self._splicer = TemplateSplicer(self.machine.assembler)
 
     # -- stages -------------------------------------------------------------
 
@@ -263,8 +261,7 @@ class EvaluationPipeline:
         """The program the measurement compiles from ``source`` (raises
         AssemblyError), cached where the measurement's own compile finds
         it."""
-        return self.measurement.compile_source(
-            source, builder=self._splicer.compile)
+        return self.measurement.compile_source(source)
 
     def prepare(self, individual: Individual, source: str,
                 timings: StageTimings

@@ -23,24 +23,14 @@ from ..cpu.machine import RunResult, SimulatedMachine
 from ..cpu.target import SimulatedTarget
 from ..fitness.default_fitness import DefaultFitness
 from ..isa.catalogs import library_for, template_for
+from ..measurement import MEASUREMENTS
 from ..measurement.base import Measurement
-from ..measurement.ipc import IPCMeasurement
-from ..measurement.oscilloscope import OscilloscopeMeasurement
-from ..measurement.power import PowerMeasurement
-from ..measurement.temperature import TemperatureMeasurement
 from ..search import SearchStrategy
 from ..workloads.library import workload
 
 __all__ = ["GAScale", "VirusResult", "make_machine", "make_engine",
            "evolve_virus", "score_baselines", "clear_virus_cache",
            "MEASUREMENTS"]
-
-MEASUREMENTS: Dict[str, type] = {
-    "power": PowerMeasurement,
-    "temperature": TemperatureMeasurement,
-    "ipc": IPCMeasurement,
-    "didt": OscilloscopeMeasurement,
-}
 
 #: Environments per platform, matching Table II.
 _PLATFORM_ENV = {

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.engine import RunHistory
-from ..search import make_strategy
 from .common import GAScale, make_engine, make_machine
 
 __all__ = ["SearchComparisonResult", "search_comparison",
@@ -86,8 +85,9 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
     seed, so generation 0 and the measurement noise stream are
     identical across strategies; the trajectories diverge only through
     the strategies' proposals.  ``strategies`` are registered names;
-    ``static_rank`` ranks by the comparison's ``metric`` (the learned
-    ``surrogate`` predicts the configured fitness directly).  Both
+    ``static_rank`` ranks by the measurement's metric, the comparison's
+    ``metric`` (the learned ``surrogate`` predicts the configured
+    fitness directly).  Both
     pruning strategies simulate only the top-ranked fraction of each
     generation (compare with
     :meth:`SearchComparisonResult.simulated_evaluations`).
@@ -98,9 +98,6 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
                                     seed=seed)
     for name in strategies:
         machine = make_machine(platform, seed=seed)
-        strategy = make_strategy(name, {"metric": metric}) \
-            if name == "static_rank" else name
-        engine = make_engine(machine, metric, seed, scale,
-                             strategy=strategy)
+        engine = make_engine(machine, metric, seed, scale, strategy=name)
         result.histories[name] = engine.run()
     return result

@@ -294,17 +294,12 @@ def write_stock_config(directory, isa: str = "arm",
     from ..core.config import (MEASUREMENT_CONFIG_FILENAME, GAParameters,
                                RunConfig, config_to_xml,
                                measurement_config_to_xml)
+    from ..measurement import MEASUREMENTS
 
-    measurement_classes = {
-        "power": "repro.measurement.power.PowerMeasurement",
-        "temperature": "repro.measurement.temperature."
-                       "TemperatureMeasurement",
-        "ipc": "repro.measurement.ipc.IPCMeasurement",
-        "didt": "repro.measurement.oscilloscope.OscilloscopeMeasurement",
-    }
-    if metric not in measurement_classes:
+    if metric not in MEASUREMENTS:
         raise ValueError(f"unknown metric {metric!r}; expected one of "
-                         f"{sorted(measurement_classes)}")
+                         f"{sorted(MEASUREMENTS)}")
+    measurement = MEASUREMENTS[metric]
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -315,7 +310,8 @@ def write_stock_config(directory, isa: str = "arm",
                       generations=generations, seed=seed)
     config = RunConfig(ga=ga, library=library_for(isa),
                        template_text=template_text,
-                       measurement_class=measurement_classes[metric],
+                       measurement_class=f"{measurement.__module__}."
+                                         f"{measurement.__qualname__}",
                        measurement_params={"duration": "5", "samples": "5",
                                            "cores": "1"})
     (directory / "template.s").write_text(template_text)

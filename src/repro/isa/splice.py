@@ -1,10 +1,12 @@
-"""A run's compile path: the assembler with one memo of decoded lines.
+"""A machine's compile path: the assembler with one memo of decoded lines.
 
 Every individual of a run renders into the same template, so most
 lines of a source were already decoded, at the same line number, for
 an earlier individual.  :class:`TemplateSplicer` keeps that memo for
-the run and passes it to :meth:`BaseAssembler.assemble`, which decodes
-only the lines it has not seen; every program is the assembler's own.
+the :class:`~repro.cpu.machine.SimulatedMachine` that builds every
+compile miss through it and passes it to
+:meth:`BaseAssembler.assemble`, which decodes only the lines it has
+not seen; every program is the assembler's own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ __all__ = ["TemplateSplicer"]
 
 
 class TemplateSplicer:
-    """Compiles a run's sources with one assembler and one line memo."""
+    """Compiles a machine's sources with one assembler and one line
+    memo."""
 
     def __init__(self, assembler: BaseAssembler) -> None:
         self.assembler = assembler

@@ -93,6 +93,11 @@ class Measurement:
     ``source_name``     remote file name for the uploaded source
     """
 
+    #: What the first measured value measures: ``ipc``, ``power``,
+    #: ``temperature``, ``didt`` or another name a subclass declares.
+    #: ``static_rank`` ranks offspring by it.
+    metric: str = "ipc"
+
     def __init__(self, target: SimulatedTarget,
                  params: Optional[Dict[str, str]] = None) -> None:
         cls = type(self)
@@ -297,16 +302,14 @@ class Measurement:
 
     # -- batched execution ----------------------------------------------------
 
-    def compile_source(self, source_text: str, builder=None) -> Program:
+    def compile_source(self, source_text: str) -> Program:
         """Compile ``source_text`` as :meth:`execute_on_target` does
         (through the target's translator, under ``source_name``) without
-        the upload round trip; ``builder`` goes to
-        :meth:`~repro.cpu.machine.SimulatedMachine.compile`."""
+        the upload round trip."""
         target = self.target
         if target.translator is not None:
             source_text = target.translator(source_text)
-        return target.machine.compile(source_text, name=self.source_name,
-                                      builder=builder)
+        return target.machine.compile(source_text, name=self.source_name)
 
     def measure_batch(self, programs: Sequence[Program],
                       individuals: Sequence[Individual],

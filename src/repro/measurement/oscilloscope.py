@@ -22,6 +22,8 @@ __all__ = ["OscilloscopeMeasurement"]
 class OscilloscopeMeasurement(Measurement):
     """Peak-to-peak die voltage from the PDN waveform."""
 
+    metric = "didt"
+
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         trace = result.voltage

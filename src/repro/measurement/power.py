@@ -24,6 +24,8 @@ __all__ = ["PowerMeasurement"]
 class PowerMeasurement(Measurement):
     """Average and peak power over multiple samples."""
 
+    metric = "power"
+
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         samples = result.power_samples_w

@@ -23,6 +23,8 @@ __all__ = ["TemperatureMeasurement"]
 class TemperatureMeasurement(Measurement):
     """Quantised chip temperature after the run duration."""
 
+    metric = "temperature"
+
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         return [result.temperature_c, result.avg_power_w, result.ipc]

@@ -20,16 +20,14 @@ MicroGrad centralises tuning mechanisms over a fixed evaluation core:
   offspring by static predicted fitness, ``surrogate`` by an
   online-learned ridge model (see :mod:`repro.surrogate`).
 
-Every GA setting lives in the config's ``<ga>`` block.  The one
-per-search strategy parameter is ``static_rank``'s ``metric``; every
-other strategy setting is a class constant.
+Every GA setting lives in the config's ``<ga>`` block.  A strategy
+takes no parameters: its settings are class constants, and
+``static_rank`` ranks by the metric the run's measurement declares.
 
 Importing this package registers every built-in operator and strategy.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Optional
 
 from .base import STRATEGIES, SearchStrategy
 from .genetic import GeneticStrategy  # isort:skip — registration order
@@ -51,15 +49,8 @@ __all__ = [
 ]
 
 
-def make_strategy(name: str,
-                  params: Optional[Dict[str, Any]] = None
-                  ) -> SearchStrategy:
-    """Instantiate a registered strategy by name.
-
-    ``params`` are the strategy's own parameters (the ``<search>``
-    block attributes); unknown names and bad values raise
-    :class:`~repro.core.errors.ConfigError` (SC210) with the valid
-    choices listed.
-    """
-    cls = STRATEGIES.get(name)
-    return cls(params)
+def make_strategy(name: str) -> SearchStrategy:
+    """Instantiate a registered strategy by name; an unknown name
+    raises :class:`~repro.core.errors.ConfigError` (SC210) with the
+    valid choices listed."""
+    return STRATEGIES.get(name)()

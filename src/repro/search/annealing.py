@@ -16,7 +16,7 @@ the population or the RNG stream — so it rides in every checkpoint via
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.errors import ConfigError
 from ..core.population import Population
@@ -46,8 +46,8 @@ class SimulatedAnnealingStrategy(HillClimbStrategy):
     #: leaves a trickle of exploration even in long runs.
     MIN_TEMPERATURE = 1e-3
 
-    def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
-        super().__init__(params)
+    def __init__(self) -> None:
+        super().__init__()
         self._temperature: float = self.INITIAL_TEMPERATURE
 
     def observe(self, population: Population) -> None:

@@ -16,15 +16,15 @@ evaluation pipeline:
    generation;
 5. repeat.
 
-A strategy is a *pure proposal mechanism*: it owns no evaluation code
-and performs no I/O.  Everything it needs beyond the evaluated
-populations arrives through :meth:`bind` — the run configuration, the
-run's single RNG stream, the engine's uid allocator, and the
-:class:`~repro.cpu.microarch.MicroArch` and compile of the machine
-the run measures on.  All randomness must come from that bound RNG;
-this is what makes runs reproducible and checkpoints exact (the engine
-snapshots the RNG state, so a resumed strategy replays the identical
-draw sequence).
+A strategy is a *pure proposal mechanism*: it owns no evaluation code,
+performs no I/O and takes no parameters.  Everything it needs beyond
+the evaluated populations arrives through :meth:`bind` — the run
+configuration, the run's single RNG stream, the engine's uid
+allocator, the :class:`~repro.cpu.microarch.MicroArch` and compile of
+the machine the run measures on, and the measurement's metric.  All
+randomness must come from that bound RNG; this is what makes runs
+reproducible and checkpoints exact (the engine snapshots the RNG
+state, so a resumed strategy replays the identical draw sequence).
 
 Strategy-specific state that is *not* recoverable from the population
 (the annealer's temperature, the hill-climber's incumbent) is carried
@@ -35,10 +35,10 @@ every checkpoint.
 from __future__ import annotations
 
 from random import Random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..core.errors import ConfigError
-from ..core.individual import Individual, random_individual
+from ..core.individual import random_individual
 from ..core.population import Population, load_population
 from ..cpu.microarch import MicroArch
 from ..isa.model import Program
@@ -54,62 +54,38 @@ STRATEGIES = Registry("search strategy", diagnostic_code="SC210")
 class SearchStrategy:
     """Base class for search strategies.
 
-    Subclasses set :attr:`name` (the registry key) and, for a setting
-    whose right value differs from one search to the next,
-    :attr:`PARAMS` — an ordered mapping ``param name → (parser,
-    default)``.  Parameters arrive as strings from the XML ``<search>``
-    block or as already-typed values from code; the parser callable
-    normalises either.  Unknown parameter names are rejected here with
-    the valid names listed, mirroring the operator registries'
-    behaviour.  A setting no search needs to change is a class
-    constant instead, which a test overrides by subclassing.
+    Subclasses set :attr:`name` (the registry key).  A strategy takes
+    no parameters: a ``<search>`` block names only its strategy, and
+    every setting is a class constant, which a test overrides by
+    subclassing.
     """
 
     #: Registry key; subclasses override.
     name: str = ""
 
-    #: ``param name → (parser, default)``.  Subclasses override.
-    PARAMS: Dict[str, Tuple[Callable[[Any], Any], Any]] = {}
-
-    def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
-        supplied = dict(params) if params else {}
-        unknown = [key for key in supplied if key not in self.PARAMS]
-        if unknown:
-            valid = ", ".join(self.PARAMS) if self.PARAMS else "(none)"
-            raise ConfigError(
-                f"search strategy {self.name!r} does not accept "
-                f"parameter(s) {', '.join(sorted(unknown))}; valid "
-                f"parameters: {valid}", diagnostic_code="SC210")
-        self.params: Dict[str, Any] = {}
-        for key, (parser, default) in self.PARAMS.items():
-            if key in supplied:
-                try:
-                    self.params[key] = parser(supplied[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(
-                        f"search strategy {self.name!r}: invalid value "
-                        f"{supplied[key]!r} for parameter {key!r}: {exc}",
-                        diagnostic_code="SC210") from None
-            else:
-                self.params[key] = default
+    def __init__(self) -> None:
         # Populated by bind().
         self.config = None
         self.rng: Optional[Random] = None
         self._take_uid: Optional[Callable[[], int]] = None
         self.arch: Optional[MicroArch] = None
         self.compile: Optional[Callable[[str], Program]] = None
+        self.metric: Optional[str] = None
 
     # -- engine wiring ------------------------------------------------------
 
     def bind(self, config, rng: Random, take_uid: Callable[[], int],
-             arch: MicroArch, compile: Callable[[str], Program]) -> None:
+             arch: MicroArch, compile: Callable[[str], Program],
+             metric: str) -> None:
         """Attach the run context.  Called once by the engine before
         any population is proposed.
 
         ``arch`` is the microarchitecture of the simulated machine the
-        run's measurement drives and ``compile`` the pipeline's compile
+        run's measurement drives, ``compile`` the pipeline's compile
         (:meth:`~repro.evaluation.pipeline.EvaluationPipeline.compile`),
-        which builds the program the measurement measures.
+        which builds the program the measurement measures, and
+        ``metric`` what that measurement measures
+        (:attr:`~repro.measurement.base.Measurement.metric`).
         """
         config.validate()
         self.config = config
@@ -117,11 +93,12 @@ class SearchStrategy:
         self._take_uid = take_uid
         self.arch = arch
         self.compile = compile
+        self.metric = metric
         self._bound()
 
     def _bound(self) -> None:
-        """Hook for subclasses to resolve operators / validate params
-        against the now-available configuration."""
+        """Hook for subclasses to resolve operators and check the
+        bound run context."""
 
     def take_uid(self) -> int:
         if self._take_uid is None:

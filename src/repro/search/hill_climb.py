@@ -43,8 +43,8 @@ class HillClimbStrategy(SearchStrategy):
 
     name = "hill_climb"
 
-    def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
-        super().__init__(params)
+    def __init__(self) -> None:
+        super().__init__()
         self._current: Optional[Individual] = None
 
     def observe(self, population: Population) -> None:

@@ -27,7 +27,6 @@ class RandomStrategy(SearchStrategy):
     """
 
     name = "random"
-    PARAMS = {}
 
     def next_population(self, population: Population,
                         next_number: int) -> Population:

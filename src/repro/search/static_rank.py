@@ -4,17 +4,19 @@ The static cost model prices a candidate for far less than one
 simulated measurement, so a whole generation can be ranked before any
 of it is measured.  This strategy ranks the GA's fresh offspring by
 :func:`repro.staticcheck.costmodel.static_score` of their compiled
-programs on the measured machine's microarchitecture and measures only
-the top half; the shared machinery (replay memo, cut, pruned status,
-Spearman record, checkpoint state) lives in
-:mod:`repro.search.pruning`.  The ranker draws no randomness.
+programs, for the run's measurement metric, on the measured machine's
+microarchitecture and measures only the top half; the shared machinery
+(replay memo, cut, pruned status, Spearman record, checkpoint state)
+lives in :mod:`repro.search.pruning`.  The ranker draws no randomness
+and keeps no state: a recurring genome's program comes back from the
+compile cache with its dependence summary built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List
 
-from ..core.errors import AssemblyError
+from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
 from ..core.population import Population
 from ..core.template import Template
@@ -25,58 +27,41 @@ from .pruning import PruningStrategy
 __all__ = ["StaticRankStrategy"]
 
 
-def _metric(value: Any) -> str:
-    """A metric :func:`static_score` prices: ``ipc`` or one of the
-    power family.  Anything else (a typo, ``IPC``) would silently rank
-    by the power proxy, so it is refused."""
-    metric = str(value)
-    if metric not in INTENT_PORTS:
-        raise ValueError(f"expected one of {', '.join(INTENT_PORTS)}")
-    return metric
-
-
 @STRATEGIES.register("static_rank")
 class StaticRankStrategy(PruningStrategy):
     """The GA with static-cost-model pruning.
 
-    Its one parameter, ``metric``, is what :func:`static_score`
-    predicts — ``ipc`` (the default) or one of the power-family metrics
-    (``power``/``energy``/``temperature``/``didt``) — so a power search
-    ranks by ``metric="power"``.  Half of each generation's fresh
-    offspring go to full simulation; generation 0 is always fully
-    measured — it anchors the search and the first Spearman record.
+    It ranks by the bound measurement's metric, which must be one
+    :func:`static_score` prices (``ipc`` or the power family
+    ``power``/``energy``/``temperature``/``didt``); any other is
+    refused at bind.  Half of each generation's fresh offspring go to
+    full simulation; generation 0 is always fully measured — it
+    anchors the search and the first Spearman record.
     """
 
     name = "static_rank"
-    PARAMS = {"metric": (_metric, "ipc")}
     TOP_FRACTION = 0.5
 
     def _bound(self) -> None:
         super()._bound()
+        if self.metric not in INTENT_PORTS:
+            raise ConfigError(
+                f"search strategy {self.name!r} cannot rank by "
+                f"{self.metric!r}, the metric the measurement class "
+                f"declares; static_score prices {', '.join(INTENT_PORTS)}",
+                diagnostic_code="SC210")
         self._template = Template(self.config.template_text)
-        self._metric = self.params["metric"]
-        #: genome key -> static score; elitism clones and replayed
-        #: genomes recur every generation, and their static score is a
-        #: pure function of the genome, so it is never recomputed.
-        self._score_memo: Dict[Tuple, float] = {}
 
     def _score(self, individual: Individual) -> float:
         """Static predicted fitness; -inf for unassemblable genomes
         (they would compile-fail to fitness 0 anyway, so they rank
-        last and are the first pruned).  Memoised per genome."""
-        key = individual.genome_key()
-        cached = self._score_memo.get(key)
-        if cached is not None:
-            return cached
+        last and are the first pruned)."""
         source = self._template.instantiate(individual.render_body())
         try:
             program = self.compile(source)
         except AssemblyError:
-            score = float("-inf")
-        else:
-            score = static_score(program, self.arch, self._metric)
-        self._score_memo[key] = score
-        return score
+            return float("-inf")
+        return static_score(program, self.arch, self.metric)
 
     def _predict(self, individuals: List[Individual]) -> Dict[int, float]:
         return {individual.uid: self._score(individual)
@@ -84,12 +69,4 @@ class StaticRankStrategy(PruningStrategy):
 
     def observe(self, population: Population) -> None:
         super().observe(population)
-        self._last_metrics["metric"] = self._metric
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {**super().state_dict(),
-                "score_memo": dict(self._score_memo)}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        super().load_state(state)
-        self._score_memo = dict(state.get("score_memo") or {})
+        self._last_metrics["metric"] = self.metric

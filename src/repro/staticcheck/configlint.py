@@ -247,14 +247,12 @@ def lint_search(config: RunConfig,
     ``GAParameters.validate`` and the CLI ``--strategy`` choices read —
     and every diagnostic carries the registry's full choice list plus a
     nearest-match suggestion (``did you mean 'tournament'?``).  GA
-    operators are named only in the ``<ga>`` block (``SC209``); a
-    strategy parameter it does not declare, or cannot parse, is
-    ``SC210``.
+    operators are named only in the ``<ga>`` block (``SC209``); an
+    unknown strategy, or a parameter given to one, is ``SC210``.
     """
     # Lazy imports: repro.search imports core submodules, and this
     # module is reachable from repro.core.config's validators.
-    from ..search import (CROSSOVER_OPERATORS, SELECTION_OPERATORS,
-                          STRATEGIES, make_strategy)
+    from ..search import CROSSOVER_OPERATORS, SELECTION_OPERATORS
 
     diagnostics: List[Diagnostic] = []
     ga = config.ga
@@ -269,14 +267,8 @@ def lint_search(config: RunConfig,
             CROSSOVER_OPERATORS.unknown_message(ga.crossover_operator),
             file=file))
 
-    search = config.search
-    if search.strategy not in STRATEGIES:
-        diagnostics.append(make_diagnostic(
-            "SC210", STRATEGIES.unknown_message(search.strategy),
-            file=file))
-        return diagnostics
     try:
-        make_strategy(search.strategy, search.params)
+        config.search.validate()
     except ConfigError as exc:
         diagnostics.append(make_diagnostic("SC210", str(exc), file=file))
     return diagnostics

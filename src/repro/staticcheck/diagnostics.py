@@ -76,8 +76,8 @@ CODES: Dict[str, tuple] = {
     "SC207": (Severity.ERROR, "template does not assemble"),
     "SC208": (Severity.WARNING, "template has no .loop/.endloop section"),
     "SC209": (Severity.ERROR, "unknown GA operator name"),
-    "SC210": (Severity.ERROR, "unknown search strategy or invalid "
-                              "strategy parameter"),
+    "SC210": (Severity.ERROR, "unknown search strategy, a strategy "
+                              "parameter, or a metric it cannot rank by"),
     # -- static cost model -----------------------------------------------
     "SC301": (Severity.WARNING, "serializing loop-carried chain dominates "
                                 "issue width"),

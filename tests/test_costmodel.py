@@ -30,7 +30,7 @@ from repro.cpu.pipeline import PipelineSimulator
 from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler, X86Assembler, arm_library, \
     arm_template, clike_library, clike_template, compile_clike
-from repro.measurement import PowerMeasurement
+from repro.measurement import MEASUREMENTS, PowerMeasurement
 from repro.search import STRATEGIES, StaticRankStrategy, make_strategy
 from repro.staticcheck import (StaticScreen, analyze_cost, analyze_program,
                                render_cost_table, sort_diagnostics,
@@ -373,34 +373,35 @@ class TestScreenStaticRankMode:
 # the static_rank strategy
 # ---------------------------------------------------------------------------
 
-def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
-                     params=None):
+def _strategy_config(tiny_library, tiny_template, generations=4, seed=3):
     ga = GAParameters(population_size=8, individual_size=8,
                       mutation_rate=0.1, generations=generations,
                       tournament_size=3, seed=seed)
     config = RunConfig(ga=ga, library=tiny_library,
                        template_text=tiny_template.text)
-    config.search = SearchParameters(strategy="static_rank",
-                                     params=dict(params or {}))
+    config.search = SearchParameters(strategy="static_rank")
     return config
 
 
-def _measurement(seed=17, platform="cortex_a15"):
+def _measurement(seed=17, platform="cortex_a15", cls=PowerMeasurement):
     machine = SimulatedMachine(platform, seed=seed, sim_cycles=600)
     target = SimulatedTarget(machine)
     target.connect()
-    return PowerMeasurement(target, {"samples": "2"})
+    return cls(target, {"samples": "2"})
 
 
 class TestStaticRankStrategy:
     def test_registered(self):
         assert "static_rank" in STRATEGIES
 
-    def test_rejects_bad_top_fraction(self):
-        with pytest.raises(ConfigError, match="top_fraction"):
-            make_strategy("static_rank", {"top_fraction": "0"})
-        with pytest.raises(ConfigError, match="top_fraction"):
-            make_strategy("static_rank", {"top_fraction": "1.5"})
+    def test_rejects_bad_top_fraction(self, tiny_library, tiny_template):
+        # TOP_FRACTION is a class constant: a configuration still
+        # carrying it, whatever its value, is refused.
+        for value in ("0", "1.5"):
+            config = _strategy_config(tiny_library, tiny_template)
+            config.search.params = {"top_fraction": value}
+            with pytest.raises(ConfigError, match="top_fraction"):
+                config.validate()
 
     def test_prices_on_the_measured_machine(self, tiny_library,
                                             tiny_template, monkeypatch):
@@ -436,15 +437,14 @@ class TestStaticRankStrategy:
                                PowerMeasurement(target, {"samples": "2"}),
                                DefaultFitness())
         history = engine.run()
-        scores = list(engine.strategy._score_memo.values())
+        scores = list(engine.strategy._predictions.values())
         assert scores and all(math.isfinite(score) for score in scores)
         pruned = history.generations[1].surrogate
         assert pruned["pruned"] > 0 and pruned["spearman"] is not None
 
     def test_prunes_and_records_surrogate(self, tiny_library,
                                           tiny_template):
-        config = _strategy_config(tiny_library, tiny_template,
-                                  params={"metric": "power"})
+        config = _strategy_config(tiny_library, tiny_template)
         engine = GeneticEngine(config, _measurement(), DefaultFitness())
         history = engine.run()
         gen0 = history.generations[0].surrogate
@@ -503,58 +503,50 @@ class TestStaticRankStrategy:
         assert all("spearman" in row["surrogate"] for row in rows)
         assert rows[0]["surrogate"]["spearman"] is not None
 
-    def test_score_memoised_per_genome(self, tiny_library, tiny_template,
-                                       monkeypatch):
-        # Regression: replayed genomes (elitism clones) used to re-price
-        # every generation; the score memo must hold each genome's
-        # static_score to exactly one computation — including in the
-        # no-prune TOP_FRACTION = 1.0 case.
+    # Every stock procedure's metric is one static_score prices, and
+    # the ranker ranks by it.
+    @pytest.mark.parametrize("metric", sorted(MEASUREMENTS))
+    def test_stats_jsonl_records_the_measurement_metric(
+            self, tiny_library, tiny_template, tmp_path, monkeypatch,
+            metric):
         import repro.search.static_rank as static_rank_module
-        calls = []
+        priced = set()
         real = static_rank_module.static_score
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def recording(program, arch, metric):
+            priced.add(metric)
+            return real(program, arch, metric)
 
-        class NoPruning(StaticRankStrategy):
-            TOP_FRACTION = 1.0
-
-        monkeypatch.setattr(static_rank_module, "static_score", counting)
+        monkeypatch.setattr(static_rank_module, "static_score", recording)
         config = _strategy_config(tiny_library, tiny_template,
-                                  generations=5)
-        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
-                               strategy=NoPruning())
-        history = engine.run()
-        # the memo was actually exercised: clones were replayed
-        assert any(g.surrogate["replayed"] > 0
-                   for g in history.generations[1:])
-        # nothing pruned in the no-prune case
-        assert all(g.surrogate["pruned"] == 0
-                   for g in history.generations)
-        # one static_score call per distinct assemblable genome, ever
-        strategy = engine.strategy
-        priced = [s for s in strategy._score_memo.values()
-                  if s != float("-inf")]
-        assert len(calls) == len(priced)
+                                  generations=2)
+        engine = GeneticEngine(
+            config, _measurement(cls=MEASUREMENTS[metric]),
+            DefaultFitness(), recorder=OutputRecorder(tmp_path / "run"))
+        engine.run()
+        rows = [json.loads(line) for line in
+                (tmp_path / "run" / "stats.jsonl").read_text()
+                .strip().splitlines()]
+        assert [row["surrogate"]["metric"] for row in rows] == \
+            [metric, metric]
+        assert priced == {metric}
 
     def test_state_round_trip(self, tiny_config):
         machine = SimulatedMachine("cortex_a15")
-        strategy = make_strategy("static_rank", None)
+        strategy = make_strategy("static_rank")
         strategy.bind(tiny_config, make_rng(0),
                       iter(range(10_000)).__next__, machine.arch,
-                      machine.compile)
+                      machine.compile, "power")
         key = (("ADD", ("x1", "x2", "x3")),)
         strategy._memo[key] = ((1.0,), 1.0, False, False)
-        strategy._score_memo[key] = 0.25
         state = strategy.state_dict()
-        fresh = make_strategy("static_rank", None)
+        fresh = make_strategy("static_rank")
         fresh.bind(tiny_config, make_rng(0),
                    iter(range(10_000)).__next__, machine.arch,
-                   machine.compile)
+                   machine.compile, "power")
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
-        assert fresh._score_memo == {key: 0.25}
+        assert fresh.state_dict() == state
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from repro.core.errors import AssemblyError, MeasurementError
 from repro.core.individual import random_individual
 from repro.core.rng import make_rng
 from repro.cpu import SimulatedMachine, SimulatedTarget
-from repro.measurement import (IPCMeasurement, Measurement,
+from repro.measurement import (MEASUREMENTS, CacheMissMeasurement,
+                               IPCMeasurement, Measurement,
                                OscilloscopeMeasurement, PowerMeasurement,
                                TemperatureMeasurement)
 
@@ -66,6 +67,24 @@ class TestBaseMeasurement:
     def test_is_abstract(self, target):
         with pytest.raises(TypeError):
             Measurement(target)
+
+
+class TestMetric:
+    def test_each_procedure_declares_its_first_value(self):
+        assert Measurement.metric == "ipc"
+        assert {cls: cls.metric for cls in (
+            IPCMeasurement, PowerMeasurement, TemperatureMeasurement,
+            OscilloscopeMeasurement, CacheMissMeasurement)} == {
+            IPCMeasurement: "ipc", PowerMeasurement: "power",
+            TemperatureMeasurement: "temperature",
+            OscilloscopeMeasurement: "didt", CacheMissMeasurement: "ipc"}
+
+    def test_registry_is_keyed_by_each_class_metric(self):
+        from repro.experiments import common
+        assert list(MEASUREMENTS) == ["power", "temperature", "ipc",
+                                      "didt"]
+        assert all(cls.metric == key for key, cls in MEASUREMENTS.items())
+        assert common.MEASUREMENTS is MEASUREMENTS
 
 
 class TestPowerMeasurement:

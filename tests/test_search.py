@@ -29,9 +29,8 @@ from repro.evaluation import ProcessPoolBackend, SerialBackend
 from repro.fitness import DefaultFitness
 from repro.measurement import PowerMeasurement
 from repro.search import (CROSSOVER_OPERATORS, SELECTION_OPERATORS,
-                          STRATEGIES, SearchStrategy,
-                          SimulatedAnnealingStrategy, SurrogateStrategy,
-                          make_strategy)
+                          STRATEGIES, SimulatedAnnealingStrategy,
+                          SurrogateStrategy, make_strategy)
 from repro.search.operators import rank_select, roulette_select
 from repro.search.registry import Registry, suggest
 from repro.service import execute_run
@@ -45,23 +44,29 @@ ALL_STRATEGIES = ("genetic", "random", "hill_climb",
                   "simulated_annealing", "static_rank", "surrogate")
 
 
-def _power_measurement(seed=99):
+def _power_measurement(seed=99, cls=PowerMeasurement):
     machine = SimulatedMachine("cortex_a15", seed=seed, sim_cycles=600)
     target = SimulatedTarget(machine)
     target.connect()
-    return PowerMeasurement(target, {"samples": "2"})
+    return cls(target, {"samples": "2"})
 
 
 def _config(tiny_library, tiny_template, generations=3, seed=99,
-            strategy=None, params=None):
+            strategy=None):
     ga = GAParameters(population_size=6, individual_size=8,
                       mutation_rate=0.1, generations=generations,
                       tournament_size=3, seed=seed)
     config = RunConfig(ga=ga, library=tiny_library,
                        template_text=tiny_template.text)
     if strategy is not None:
-        config.search = SearchParameters(strategy=strategy,
-                                         params=dict(params or {}))
+        config.search = SearchParameters(strategy=strategy)
+    return config
+
+
+def _with_params(config, params):
+    """``config`` as pickled while strategies took parameters: its
+    ``SearchParameters`` still carries them (a stored service row)."""
+    config.search.params = dict(params)
     return config
 
 
@@ -243,15 +248,6 @@ class TestStrategyParams:
         assert "unknown search strategy 'genetik'" in message
         assert "did you mean 'genetic'?" in message
 
-    def test_unknown_parameter_lists_valid_names(self):
-        with pytest.raises(ConfigError, match="valid parameters: metric"):
-            make_strategy("static_rank", {"bogus": "1"})
-
-    def test_parameterless_strategy_says_none(self):
-        with pytest.raises(ConfigError, match=r"valid parameters: "
-                                              r"\(none\)"):
-            make_strategy("random", {"anything": "1"})
-
     # The annealing schedule is three class constants; every value the
     # three former parameters took, valid or not, is refused.
     @pytest.mark.parametrize("params", [
@@ -261,35 +257,23 @@ class TestStrategyParams:
         {"initial_temperature": "warm"},
         {"min_temperature": "0"},
     ])
-    def test_bad_annealing_values_rejected(self, params):
+    def test_bad_annealing_values_rejected(self, tmp_path, params):
+        (param, value), = params.items()
+        xml = _minimal_xml(
+            tmp_path, extra=f'<search strategy="simulated_annealing" '
+                            f'{param}="{value}"/>')
         with pytest.raises(ConfigError) as excinfo:
-            make_strategy("simulated_annealing", params)
+            parse_config_text(xml, base_dir=tmp_path)
         assert excinfo.value.diagnostic_code == "SC210"
-        assert f"does not accept parameter(s) {next(iter(params))}; " \
-            "valid parameters: (none)" in str(excinfo.value)
+        assert _refusal(param) in str(excinfo.value)
 
     def test_annealing_defaults(self):
         strategy = make_strategy("simulated_annealing")
-        assert strategy.params == {}
         assert strategy._temperature == 1.0
         assert SimulatedAnnealingStrategy.INITIAL_TEMPERATURE == 1.0
         assert SimulatedAnnealingStrategy.COOLING == pytest.approx(0.95)
         assert SimulatedAnnealingStrategy.MIN_TEMPERATURE == \
             pytest.approx(1e-3)
-
-    def test_string_params_are_parsed(self):
-        strategy = make_strategy("static_rank", {"metric": "power"})
-        assert strategy.params["metric"] == "power"
-        assert make_strategy("static_rank").params["metric"] == "ipc"
-
-    def test_bad_param_value_names_the_parameter(self):
-        class Sized(SearchStrategy):
-            name = "sized"
-            PARAMS = {"width": (int, 1)}
-
-        with pytest.raises(ConfigError, match="invalid value 'wide' for "
-                                              "parameter 'width'"):
-            Sized({"width": "wide"})
 
     def test_unbound_strategy_cannot_allocate_uids(self):
         with pytest.raises(ConfigError, match="not bound"):
@@ -310,26 +294,20 @@ class TestEngineStrategySelection:
     def test_config_search_block_selects_strategy(self, tiny_library,
                                                   tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="static_rank",
-                         params={"metric": "power"})
+                         strategy="static_rank")
         engine = GeneticEngine(config, _power_measurement(),
                                DefaultFitness())
         assert engine.strategy.name == "static_rank"
-        assert engine.strategy.params["metric"] == "power"
+        assert engine.strategy.metric == "power"
         engine.evaluator.close()
 
     def test_explicit_name_overrides_config(self, tiny_library,
                                             tiny_template):
-        # A different explicit name runs with that strategy's own
-        # defaults; the config's static_rank metric must not leak into
-        # a strategy that refuses it.
         config = _config(tiny_library, tiny_template,
-                         strategy="static_rank",
-                         params={"metric": "power"})
+                         strategy="static_rank")
         engine = GeneticEngine(config, _power_measurement(),
                                DefaultFitness(), strategy="surrogate")
         assert engine.strategy.name == "surrogate"
-        assert engine.strategy.params == {}
         engine.evaluator.close()
 
     def test_strategy_instance_used_verbatim(self, tiny_config):
@@ -731,6 +709,33 @@ class TestLegacyPruningCheckpoints:
             GeneticEngine.resume(config, _power_measurement(),
                                  DefaultFitness(), checkpoint)
 
+    def test_score_memo_checkpoints_resume(self, tiny_library,
+                                           tiny_template, tmp_path):
+        # static_rank checkpoints once carried a per-genome score memo,
+        # priced by the <search metric> (ipc unless set) whatever the
+        # measurement.  A resumed power search ignores it and ranks by
+        # the measurement's metric, so it matches an uninterrupted run.
+        config = _config(tiny_library, tiny_template, generations=6,
+                         strategy="static_rank")
+        full = GeneticEngine(config, _power_measurement(),
+                             DefaultFitness()).run()
+        checkpoint = tmp_path / "run.ckpt"
+        GeneticEngine(config, _power_measurement(), DefaultFitness(),
+                      checkpoint_path=checkpoint).run(generations=3)
+        payload = pickle.loads(checkpoint.read_bytes())
+        score_memo = {individual.genome_key(): -float(individual.uid)
+                      for individual in payload["population"]}
+        _rewrite_checkpoint(checkpoint, strategy_state={
+            **payload["strategy_state"], "score_memo": score_memo})
+
+        resumed = GeneticEngine.resume(config, _power_measurement(),
+                                       DefaultFitness(), checkpoint)
+        assert "score_memo" not in resumed.strategy.state_dict()
+        history = resumed.run(generations=6)
+        assert history.generations == full.generations[3:]
+        assert [g.surrogate for g in history.generations] == \
+            [g.surrogate for g in full.generations[3:]]
+
 
 # ---------------------------------------------------------------------------
 # <search> configuration block
@@ -760,15 +765,20 @@ class TestSearchConfigBlock:
         config = parse_config_text(_minimal_xml(tmp_path),
                                    base_dir=tmp_path)
         assert config.search.strategy == "genetic"
-        assert config.search.params == {}
 
     def test_strategy_and_params_parsed(self, tmp_path):
+        xml = _minimal_xml(tmp_path,
+                           extra='<search strategy="static_rank"/>')
+        config = parse_config_text(xml, base_dir=tmp_path)
+        assert config.search == SearchParameters(strategy="static_rank")
+        # A strategy takes no parameters; the one static_rank took is
+        # now the measurement's metric.
         xml = _minimal_xml(
             tmp_path,
             extra='<search strategy="static_rank" metric="power"/>')
-        config = parse_config_text(xml, base_dir=tmp_path)
-        assert config.search.strategy == "static_rank"
-        assert config.search.params == {"metric": "power"}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(xml, base_dir=tmp_path)
+        assert _refusal("metric") in str(excinfo.value)
 
     def test_unknown_strategy_rejected_with_suggestion(self, tmp_path):
         xml = _minimal_xml(
@@ -788,14 +798,13 @@ class TestSearchConfigBlock:
     def test_round_trip_through_xml(self, tmp_path, tiny_library,
                                     tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="static_rank",
-                         params={"metric": "power"})
+                         strategy="static_rank")
         xml = config_to_xml(config, template_filename="template.s",
                             results_dir="results")
+        assert '<search strategy="static_rank" />' in xml
         (tmp_path / "template.s").write_text(config.template_text)
         reparsed = parse_config_text(xml, base_dir=tmp_path)
-        assert reparsed.search.strategy == "static_rank"
-        assert reparsed.search.params == {"metric": "power"}
+        assert reparsed.search == config.search
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +840,7 @@ class TestLintSearch:
     def test_clean_config_has_no_findings(self, tiny_library,
                                           tiny_template):
         config = _config(tiny_library, tiny_template,
-                         strategy="static_rank",
-                         params={"metric": "power"})
+                         strategy="static_rank")
         assert lint_search(config) == []
 
     def test_unknown_selection_is_sc209(self, tiny_library,
@@ -861,27 +869,27 @@ class TestLintSearch:
             diagnostics[0].message
 
     # GA operators are named only in the <ga> block: a <search>
-    # parameter that re-spells one is refused like any other unknown
-    # strategy parameter.
+    # parameter that re-spells one is refused like any other strategy
+    # parameter.
     # The pruning strategies price on the measured machine and have no
     # residual boost, so `platform` and `boost` are refused the same way.
-    @pytest.mark.parametrize("strategy,param,value,valid", [
-        ("genetic", "selection", "rank", "(none)"),
-        ("genetic", "crossover", "uniform", "(none)"),
-        ("genetic", "mutation", "operand_only", "(none)"),
-        ("genetic", "replacement", "generational", "(none)"),
-        ("hill_climb", "mutation", "operand_only", "(none)"),
-        ("simulated_annealing", "mutation", "instruction_only", "(none)"),
-        ("static_rank", "platform", "cortex_a15", "metric"),
-        ("surrogate", "platform", "cortex_a15", "(none)"),
-        ("surrogate", "boost", "2", "(none)"),
+    @pytest.mark.parametrize("strategy,param,value", [
+        ("genetic", "selection", "rank"),
+        ("genetic", "crossover", "uniform"),
+        ("genetic", "mutation", "operand_only"),
+        ("genetic", "replacement", "generational"),
+        ("hill_climb", "mutation", "operand_only"),
+        ("simulated_annealing", "mutation", "instruction_only"),
+        ("static_rank", "platform", "cortex_a15"),
+        ("surrogate", "platform", "cortex_a15"),
+        ("surrogate", "boost", "2"),
     ], ids=["genetic-selection", "genetic-crossover", "genetic-mutation",
             "genetic-replacement", "hill_climb-mutation",
             "simulated_annealing-mutation", "static_rank-platform",
             "surrogate-platform", "surrogate-boost"])
     def test_operator_param_on_search_is_sc210(
             self, tmp_path, tiny_library, tiny_template, strategy, param,
-            value, valid):
+            value):
         xml = _minimal_xml(
             tmp_path,
             extra=f'<search strategy="{strategy}" {param}="{value}"/>')
@@ -889,18 +897,17 @@ class TestLintSearch:
             parse_config_text(xml, base_dir=tmp_path)
         assert excinfo.value.diagnostic_code == "SC210"
 
-        config = _config(tiny_library, tiny_template, strategy=strategy,
-                         params={param: value})
+        config = _with_params(_config(tiny_library, tiny_template,
+                                      strategy=strategy), {param: value})
         diagnostics = lint_config(config)
         assert [d.code for d in diagnostics] == ["SC210"]
-        assert f"parameter(s) {param}; valid parameters: {valid}" in \
-            diagnostics[0].message
+        assert _refusal(param) in diagnostics[0].message
 
     def test_invalid_param_value_is_sc210(self, tiny_library,
                                           tiny_template):
-        config = _config(tiny_library, tiny_template)
-        config.search = SearchParameters(
-            strategy="simulated_annealing", params={"cooling": "7"})
+        config = _with_params(_config(tiny_library, tiny_template,
+                                      strategy="simulated_annealing"),
+                              {"cooling": "7"})
         diagnostics = lint_search(config)
         assert [d.code for d in diagnostics] == ["SC210"]
 
@@ -944,56 +951,52 @@ class TestLintSearch:
         assert [d.code for d in diagnostics] == ["SC210"]
 
 
-#: Every strategy setting that became a class constant, with a value
-#: the strategy once accepted, and the parameters it still declares.
+#: Every strategy setting that became a class constant, and
+#: ``static_rank``'s ``metric``, now the measurement's, with a value
+#: the strategy once accepted.
 REMOVED_PARAMS = [
-    ("static_rank", "base", "genetic", "metric"),
-    ("static_rank", "top_fraction", "0.5", "metric"),
-    ("surrogate", "base", "genetic", "(none)"),
-    ("surrogate", "top_fraction", "0.4", "(none)"),
-    ("surrogate", "epsilon", "0.1", "(none)"),
-    ("surrogate", "probe", "0", "(none)"),
-    ("surrogate", "l2", "1.0", "(none)"),
-    ("surrogate", "min_train", "8", "(none)"),
-    ("simulated_annealing", "initial_temperature", "1.0", "(none)"),
-    ("simulated_annealing", "cooling", "0.95", "(none)"),
-    ("simulated_annealing", "min_temperature", "0.001", "(none)"),
+    ("static_rank", "base", "genetic"),
+    ("static_rank", "top_fraction", "0.5"),
+    ("static_rank", "metric", "power"),
+    ("surrogate", "base", "genetic"),
+    ("surrogate", "top_fraction", "0.4"),
+    ("surrogate", "epsilon", "0.1"),
+    ("surrogate", "probe", "0"),
+    ("surrogate", "l2", "1.0"),
+    ("surrogate", "min_train", "8"),
+    ("simulated_annealing", "initial_temperature", "1.0"),
+    ("simulated_annealing", "cooling", "0.95"),
+    ("simulated_annealing", "min_temperature", "0.001"),
 ]
 
 removed_params = pytest.mark.parametrize(
-    "strategy,param,value,valid", REMOVED_PARAMS,
-    ids=[f"{strategy}-{param}" for strategy, param, _, _ in REMOVED_PARAMS])
+    "strategy,param,value", REMOVED_PARAMS,
+    ids=[f"{strategy}-{param}" for strategy, param, _ in REMOVED_PARAMS])
 
 
-def _refusal(param, valid):
-    return f"does not accept parameter(s) {param}; valid parameters: {valid}"
+def _refusal(param):
+    return (f"does not accept parameter(s) {param}; a <search> block "
+            "names only its strategy")
 
 
 class TestRemovedStrategyParams:
-    """A strategy setting that became a class constant is refused with
-    SC210 wherever a strategy parameter can arrive."""
-
-    @removed_params
-    def test_make_strategy_refuses(self, strategy, param, value, valid):
-        with pytest.raises(ConfigError) as excinfo:
-            make_strategy(strategy, {param: value})
-        assert excinfo.value.diagnostic_code == "SC210"
-        assert _refusal(param, valid) in str(excinfo.value)
+    """A strategy takes no parameters: one a strategy once took is
+    refused with SC210 wherever a ``<search>`` attribute can arrive."""
 
     @removed_params
     def test_search_block_refused_at_parse(self, tmp_path, strategy, param,
-                                           value, valid):
+                                           value):
         xml = _minimal_xml(
             tmp_path,
             extra=f'<search strategy="{strategy}" {param}="{value}"/>')
         with pytest.raises(ConfigError) as excinfo:
             parse_config_text(xml, base_dir=tmp_path)
         assert excinfo.value.diagnostic_code == "SC210"
-        assert _refusal(param, valid) in str(excinfo.value)
+        assert _refusal(param) in str(excinfo.value)
 
     @removed_params
     def test_cli_lint_json_refuses(self, tmp_path, capsys, strategy, param,
-                                   value, valid):
+                                   value):
         config = tmp_path / "config.xml"
         config.write_text(_minimal_xml(
             tmp_path,
@@ -1002,14 +1005,13 @@ class TestRemovedStrategyParams:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert [d["code"] for d in payload["diagnostics"]] == ["SC210"]
-        assert _refusal(param, valid) in \
-            payload["diagnostics"][0]["message"]
+        assert _refusal(param) in payload["diagnostics"][0]["message"]
 
     @removed_params
     def test_stored_run_fails(self, tiny_library, tiny_template, tmp_path,
-                              strategy, param, value, valid):
-        config = _config(tiny_library, tiny_template, strategy=strategy,
-                         params={param: value})
+                              strategy, param, value):
+        config = _with_params(_config(tiny_library, tiny_template,
+                                      strategy=strategy), {param: value})
         store_path = tmp_path / "gest.sqlite"
         with RunStore(store_path) as store:
             run_id = store.submit_run(config, platform="cortex_a15")
@@ -1017,46 +1019,30 @@ class TestRemovedStrategyParams:
         with RunStore(store_path) as store:
             row = store.get_run(run_id)
         assert row.status == "failed"
-        assert _refusal(param, valid) in row.error
+        assert _refusal(param) in row.error
 
 
 class TestStaticRankMetric:
-    """``metric`` names what :func:`static_score` prices (ipc and the
-    power family); any other value is SC210 rather than a silent
-    ranking by the power proxy."""
+    """``static_rank`` ranks by the bound measurement's ``metric``,
+    which must be one :func:`static_score` prices (ipc and the power
+    family); any other is SC210 at bind rather than a silent ranking
+    by the power proxy."""
 
     @pytest.mark.parametrize("metric", ["bogus", "IPC"])
-    def test_make_strategy_refuses(self, metric):
+    def test_bind_refuses(self, tiny_library, tiny_template, metric):
+        declared = type("Declared", (PowerMeasurement,), {"metric": metric})
+        measurement = _power_measurement(cls=declared)
+        config = _config(tiny_library, tiny_template,
+                         strategy="static_rank")
         with pytest.raises(ConfigError) as excinfo:
-            make_strategy("static_rank", {"metric": metric})
+            GeneticEngine(config, measurement, DefaultFitness())
         assert excinfo.value.diagnostic_code == "SC210"
-        assert f"invalid value {metric!r} for parameter 'metric'" in \
-            str(excinfo.value)
-
-    @pytest.mark.parametrize("metric", ["bogus", "IPC"])
-    def test_cli_lint_json_refuses(self, tmp_path, capsys, metric):
-        config = tmp_path / "config.xml"
-        config.write_text(_minimal_xml(
-            tmp_path,
-            extra=f'<search strategy="static_rank" metric="{metric}"/>'))
-        rc = main(["lint", "--json", str(config)])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert [d["code"] for d in payload["diagnostics"]] == ["SC210"]
-        assert f"invalid value {metric!r} for parameter 'metric'" in \
-            payload["diagnostics"][0]["message"]
-
-    def test_power_is_accepted(self, tmp_path, capsys):
-        assert make_strategy("static_rank", {"metric": "power"}) \
-            .params["metric"] == "power"
-        config = tmp_path / "config.xml"
-        config.write_text(_minimal_xml(
-            tmp_path,
-            extra='<search strategy="static_rank" metric="power"/>'))
-        rc = main(["lint", "--json", str(config)])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert "SC210" not in [d["code"] for d in payload["diagnostics"]]
+        assert f"cannot rank by {metric!r}, the metric the measurement " \
+            "class declares" in str(excinfo.value)
+        # Only the ranker reads the metric.
+        GeneticEngine(_config(tiny_library, tiny_template,
+                              strategy="surrogate"),
+                      measurement, DefaultFitness()).evaluator.close()
 
 
 # ---------------------------------------------------------------------------

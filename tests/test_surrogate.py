@@ -35,15 +35,13 @@ from repro.surrogate import RidgeModel, SurrogateFeaturizer
 # helpers
 # ---------------------------------------------------------------------------
 
-def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
-                     params=None):
+def _strategy_config(tiny_library, tiny_template, generations=4, seed=3):
     ga = GAParameters(population_size=8, individual_size=8,
                       mutation_rate=0.1, generations=generations,
                       tournament_size=3, seed=seed)
     config = RunConfig(ga=ga, library=tiny_library,
                        template_text=tiny_template.text)
-    config.search = SearchParameters(strategy="surrogate",
-                                     params=dict(params or {}))
+    config.search = SearchParameters(strategy="surrogate")
     return config
 
 
@@ -184,15 +182,15 @@ class TestSurrogateStrategy:
     def test_registered(self):
         assert "surrogate" in STRATEGIES
 
-    def test_rejects_bad_params(self):
-        with pytest.raises(ConfigError, match="epsilon"):
-            make_strategy("surrogate", {"epsilon": "1.5"})
-        with pytest.raises(ConfigError, match="top_fraction"):
-            make_strategy("surrogate", {"top_fraction": "0"})
-        with pytest.raises(ConfigError, match="l2"):
-            make_strategy("surrogate", {"l2": "0"})
-        with pytest.raises(ConfigError, match="min_train"):
-            make_strategy("surrogate", {"min_train": "0"})
+    def test_rejects_bad_params(self, tiny_library, tiny_template):
+        # The former settings are class constants: a configuration
+        # still carrying one, whatever its value, is refused.
+        for param, value in (("epsilon", "1.5"), ("top_fraction", "0"),
+                             ("l2", "0"), ("min_train", "0")):
+            config = _strategy_config(tiny_library, tiny_template)
+            config.search.params = {param: value}
+            with pytest.raises(ConfigError, match=param):
+                config.validate()
 
     def test_prices_and_probes_on_the_measured_machine(
             self, tiny_library, tiny_template, tmp_path):
@@ -283,10 +281,10 @@ class TestSurrogateStrategy:
         assert first == second
 
     def test_state_round_trip(self, tiny_config):
-        strategy = make_strategy("surrogate", None)
+        strategy = make_strategy("surrogate")
         strategy.bind(tiny_config, make_rng(0),
                       iter(range(10_000)).__next__, CORTEX_A15,
-                      _a15_compile())
+                      _a15_compile(), "power")
         key = (("ADD", ("x1", "x2", "x3")),)
         strategy._memo[key] = ((1.0,), 1.0, False, False)
         strategy._feature_memo[key] = {"loop_length": 3.0}
@@ -298,10 +296,10 @@ class TestSurrogateStrategy:
                             strategy._train_targets)
         state = strategy.state_dict()
 
-        fresh = make_strategy("surrogate", None)
+        fresh = make_strategy("surrogate")
         fresh.bind(tiny_config, make_rng(0),
                    iter(range(10_000)).__next__, CORTEX_A15,
-                   _a15_compile())
+                   _a15_compile(), "power")
         fresh.load_state(state)
         assert fresh._memo == strategy._memo
         assert fresh._feature_memo == strategy._feature_memo
