@@ -48,6 +48,10 @@ class WorkloadProfile:
     #: Memory offset stride in bytes.
     mem_stride: int = 16
 
+    #: Standard deviation of a mutation's Gaussian step on a mix weight
+    #: or the FMA fraction (a class constant, not a gene).
+    MUTATION_SIGMA = 0.15
+
     def validate(self) -> None:
         if set(self.mix) != set(CATEGORIES):
             raise ConfigError(
@@ -86,8 +90,9 @@ class WorkloadProfile:
         profile.validate()
         return profile
 
-    def mutate(self, rng: Random, sigma: float = 0.15) -> "WorkloadProfile":
+    def mutate(self, rng: Random) -> "WorkloadProfile":
         """Gaussian perturbation of one or two genes."""
+        sigma = self.MUTATION_SIGMA
         mix = dict(self.mix)
         dep = self.dependency_distance
         fma = self.fma_fraction

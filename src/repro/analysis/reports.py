@@ -15,6 +15,9 @@ from ..core.errors import ConfigError
 
 __all__ = ["normalize", "figure_rows", "bar_chart"]
 
+#: Characters in the longest bar of a chart.
+_BAR_WIDTH = 48
+
 
 def normalize(values: Mapping[str, float],
               reference: str) -> Dict[str, float]:
@@ -30,15 +33,14 @@ def normalize(values: Mapping[str, float],
 
 
 def figure_rows(values: Mapping[str, float],
-                reference: str = "",
-                descending: bool = True) -> List[Tuple[str, float]]:
-    """Sorted (name, value) rows, optionally normalised."""
+                reference: str = "") -> List[Tuple[str, float]]:
+    """(name, value) rows, largest value first, optionally normalised."""
     data = normalize(values, reference) if reference else dict(values)
-    return sorted(data.items(), key=lambda kv: kv[1], reverse=descending)
+    return sorted(data.items(), key=lambda kv: kv[1], reverse=True)
 
 
 def bar_chart(rows: Sequence[Tuple[str, float]], title: str = "",
-              width: int = 48, unit: str = "") -> str:
+              unit: str = "") -> str:
     """Render rows as a horizontal ASCII bar chart."""
     if not rows:
         raise ConfigError("cannot chart an empty result set")
@@ -48,6 +50,6 @@ def bar_chart(rows: Sequence[Tuple[str, float]], title: str = "",
         raise ConfigError("cannot chart non-positive values")
     lines = [title] if title else []
     for name, value in rows:
-        bar = "#" * max(1, round(width * value / peak))
+        bar = "#" * max(1, round(_BAR_WIDTH * value / peak))
         lines.append(f"{name.ljust(label_width)}  {value:8.3f}{unit}  {bar}")
     return "\n".join(lines)

@@ -28,6 +28,14 @@ __all__ = ["CurrentSpectrum", "current_spectrum", "resonance_band_ratio"]
 #: amplitude.
 _HANN_ENBW = 1.5
 
+#: Share of a current trace, from its start, discarded as warm-up
+#: (pipeline fill, cache warming).
+_WARMUP_FRACTION = 0.25
+
+#: Width of the resonance band as a fraction of the resonance frequency
+#: (±12.5%).
+_RELATIVE_BANDWIDTH = 0.25
+
 
 @dataclass
 class CurrentSpectrum:
@@ -61,13 +69,12 @@ class CurrentSpectrum:
 
 
 def current_spectrum(current_a: np.ndarray,
-                     sample_rate_hz: float,
-                     warmup_fraction: float = 0.25) -> CurrentSpectrum:
+                     sample_rate_hz: float) -> CurrentSpectrum:
     """One-sided FFT of a per-cycle current trace.
 
-    The warm-up prefix (pipeline fill, cache warming) is discarded, the
-    mean (DC) removed and a Hann window applied so loop harmonics don't
-    leak across the whole spectrum.
+    The warm-up prefix is discarded (unless that would leave fewer than
+    8 samples), the mean (DC) removed and a Hann window applied so loop
+    harmonics don't leak across the whole spectrum.
     """
     current_a = np.asarray(current_a, dtype=float)
     if current_a.ndim != 1 or len(current_a) < 8:
@@ -76,7 +83,7 @@ def current_spectrum(current_a: np.ndarray,
     if sample_rate_hz <= 0:
         raise SimulationError("sample rate must be positive")
 
-    start = int(len(current_a) * warmup_fraction)
+    start = int(len(current_a) * _WARMUP_FRACTION)
     steady = current_a[start:] if len(current_a) - start >= 8 else current_a
     dc = float(np.mean(steady))
     ac = steady - dc
@@ -94,18 +101,13 @@ def current_spectrum(current_a: np.ndarray,
 
 
 def resonance_band_ratio(spectrum: CurrentSpectrum,
-                         resonance_hz: float,
-                         relative_bandwidth: float = 0.25
-                         ) -> Tuple[float, float]:
-    """(amplitude near resonance, fraction of total AC energy there).
-
-    ``relative_bandwidth`` is the band's width as a fraction of the
-    resonance frequency (default ±12.5%).
-    """
+                         resonance_hz: float) -> Tuple[float, float]:
+    """(amplitude near resonance, fraction of total AC energy there),
+    over a band ±12.5% around the resonance frequency."""
     if resonance_hz <= 0:
         raise SimulationError("resonance frequency must be positive")
     band = spectrum.amplitude_near(resonance_hz,
-                                   resonance_hz * relative_bandwidth)
+                                   resonance_hz * _RELATIVE_BANDWIDTH)
     total = spectrum.total_ac_amplitude()
     fraction = (band / total) ** 2 if total > 0 else 0.0
     return band, fraction

@@ -43,18 +43,16 @@ class VminResult:
 def characterize_vmin(machine: SimulatedMachine, program: Program,
                       cores: Optional[int] = None,
                       step_v: float = VMIN_STEP_V,
-                      floor_v: Optional[float] = None,
                       name: Optional[str] = None) -> VminResult:
     """Sweep the supply down from nominal until the workload crashes.
 
-    Returns the lowest passing setting.  ``floor_v`` bounds the sweep
-    (default: the critical voltage itself — below it nothing passes).
+    Returns the lowest passing setting.  The sweep stops two steps
+    below the critical voltage, where nothing passes.
     """
     if step_v <= 0:
         raise SimulationError("sweep step must be positive")
     nominal = machine.arch.vdd_nominal
-    floor = floor_v if floor_v is not None \
-        else machine.critical_voltage_v() - 2 * step_v
+    floor = machine.critical_voltage_v() - 2 * step_v
     cores = cores if cores is not None else machine.arch.core_count
 
     sweep: List[Tuple[float, bool]] = []

@@ -1,8 +1,8 @@
 """CPU substrate: microarchitectures, pipeline, power, thermal, PDN,
 cache hierarchy."""
 
-from .cache import (AccessResult, Cache, CacheConfig, CacheStats,
-                    MemoryHierarchy)
+from .cache import (STOCK_L1, STOCK_L2, AccessResult, Cache, CacheConfig,
+                    CacheStats, MemoryHierarchy)
 
 from .machine import ENVIRONMENTS, RunResult, SimulatedMachine
 from .microarch import (MicroArch, PDNParams, PRESETS, ThermalParams,
@@ -15,7 +15,7 @@ from .thermal import ThermalModel
 
 __all__ = [
     "AccessResult", "Cache", "CacheConfig", "CacheStats",
-    "MemoryHierarchy",
+    "MemoryHierarchy", "STOCK_L1", "STOCK_L2",
     "ENVIRONMENTS", "RunResult", "SimulatedMachine",
     "MicroArch", "PDNParams", "PRESETS", "ThermalParams",
     "microarch_for", "preset_names",

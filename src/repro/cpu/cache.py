@@ -25,7 +25,7 @@ from typing import Dict
 from ..core.errors import ConfigError
 
 __all__ = ["CacheConfig", "CacheStats", "Cache", "MemoryHierarchy",
-           "AccessResult"]
+           "AccessResult", "STOCK_L1", "STOCK_L2"]
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,13 @@ class Cache:
         self.reset_stats()
 
 
-#: Default geometries loosely modelled on the X-Gene2-class server core.
-_DEFAULT_L1 = CacheConfig(name="l1d", size_bytes=32 * 1024, line_bytes=64,
-                          ways=8, hit_latency=4, hit_energy_pj=0.0)
-_DEFAULT_L2 = CacheConfig(name="l2", size_bytes=256 * 1024, line_bytes=64,
-                          ways=8, hit_latency=14, hit_energy_pj=450.0)
+#: The stock geometries, loosely modelled on the X-Gene2-class server
+#: core: a :class:`MemoryHierarchy`'s defaults and the geometry the static
+#: footprint check (SC104) compares against.
+STOCK_L1 = CacheConfig(name="l1d", size_bytes=32 * 1024, line_bytes=64,
+                       ways=8, hit_latency=4, hit_energy_pj=0.0)
+STOCK_L2 = CacheConfig(name="l2", size_bytes=256 * 1024, line_bytes=64,
+                       ways=8, hit_latency=14, hit_energy_pj=450.0)
 
 
 @dataclass
@@ -131,8 +133,8 @@ class MemoryHierarchy:
     power the flat model cannot represent).
     """
 
-    l1_config: CacheConfig = _DEFAULT_L1
-    l2_config: CacheConfig = _DEFAULT_L2
+    l1_config: CacheConfig = STOCK_L1
+    l2_config: CacheConfig = STOCK_L2
     dram_latency: int = 140
     dram_energy_pj: float = 6500.0
 

@@ -31,6 +31,10 @@ from .microarch import PDNParams
 
 __all__ = ["VoltageTrace", "PDNModel"]
 
+#: Share of a voltage trace, from its start, that the scope statistics
+#: skip as settling.
+_WARMUP_FRACTION = 0.25
+
 
 @dataclass
 class VoltageTrace:
@@ -90,14 +94,13 @@ class PDNModel:
         return self.frequency_hz / self.resonance_hz
 
     def simulate(self, current_a: np.ndarray, supply_v: float,
-                 warmup_fraction: float = 0.25,
                  period: int | None = None,
                  prefix: int = 0) -> VoltageTrace:
         """Integrate the network against a per-cycle load current.
 
         The state starts at the DC solution for the trace's mean current
-        so the scope statistics reflect steady operation, and an
-        additional ``warmup_fraction`` of samples is excluded from the
+        so the scope statistics reflect steady operation, and the first
+        ``_WARMUP_FRACTION`` of samples is excluded from the
         min/max/peak-to-peak statistics.
 
         ``period``/``prefix`` are an optional hint that ``current_a`` is
@@ -158,10 +161,8 @@ class PDNModel:
             voltage[k] = v
             k += 1
 
-        warmup = int(n * warmup_fraction)
-        warmup = min(warmup, n - 1)
         return VoltageTrace(voltage=voltage, supply=supply_v,
-                            warmup_samples=warmup)
+                            warmup_samples=int(n * _WARMUP_FRACTION))
 
     def impedance_magnitude(self, frequency_hz: float) -> float:
         """|Z(f)| seen by the die load — peaks near the resonance.

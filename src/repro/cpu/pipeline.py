@@ -567,15 +567,3 @@ class PipelineSimulator:
         for reg in slot.writes:
             if reg in reg_values and reg != "flags":
                 reg_values.pop(reg, None)
-
-    # -- convenience -------------------------------------------------------
-
-    def steady_state_ipc(self, program: Program,
-                         max_cycles: int = 1600,
-                         warmup_fraction: float = 0.2) -> float:
-        """IPC measured after discarding the pipeline warm-up prefix."""
-        trace = self.execute(program, max_cycles=max_cycles)
-        start = int(trace.cycles * warmup_fraction)
-        issued = int(trace.issue_counts[start:].sum())
-        cycles = trace.cycles - start
-        return issued / cycles if cycles else 0.0

@@ -36,8 +36,15 @@ __all__ = ["value_toggle_activity", "PowerModel"]
 
 #: Toggle activity assumed for values loaded from (checkerboard-
 #: initialised) memory and for registers never written by init code.
-DEFAULT_MEMORY_ACTIVITY = 0.9
-DEFAULT_REGISTER_ACTIVITY = 0.35
+LOADED_VALUE_ACTIVITY = 0.9
+UNKNOWN_VALUE_ACTIVITY = 0.35
+
+#: Passes of activity propagation through the loop dataflow.
+_PROPAGATION_PASSES = 3
+
+#: Share of an energy trace, from its start, that average power skips
+#: as pipeline warm-up.
+_WARMUP_FRACTION = 0.2
 
 #: EPI multiplier range driven by toggle activity: 0.55× (static data)
 #: up to 1.1× (checkerboard).
@@ -62,17 +69,12 @@ def value_toggle_activity(value: int) -> float:
 class PowerModel:
     """Derives energy traces and power figures from execution traces."""
 
-    def __init__(self, arch: MicroArch,
-                 memory_activity: float = DEFAULT_MEMORY_ACTIVITY,
-                 default_activity: float = DEFAULT_REGISTER_ACTIVITY) -> None:
+    def __init__(self, arch: MicroArch) -> None:
         self.arch = arch
-        self.memory_activity = memory_activity
-        self.default_activity = default_activity
 
     # -- per-slot effective energies ------------------------------------------
 
-    def slot_activities(self, program: Program,
-                        propagation_passes: int = 3) -> List[float]:
+    def slot_activities(self, program: Program) -> List[float]:
         """Converged data-toggle activity per static loop slot.
 
         Register activities start from the init section's immediate
@@ -84,24 +86,24 @@ class PowerModel:
         for reg, value in program.register_values.items():
             activity[reg] = value_toggle_activity(value)
 
-        slot_activity = [self.default_activity] * len(program.loop)
-        for _ in range(max(1, propagation_passes)):
+        slot_activity = [UNKNOWN_VALUE_ACTIVITY] * len(program.loop)
+        for _ in range(_PROPAGATION_PASSES):
             for index, instr in enumerate(program.loop):
-                sources = [activity.get(reg, self.default_activity)
+                sources = [activity.get(reg, UNKNOWN_VALUE_ACTIVITY)
                            for reg in instr.reads if reg != "flags"]
                 if instr.immediate is not None:
                     sources.append(value_toggle_activity(instr.immediate))
                 if instr.iclass is InstrClass.MEM_LOAD:
-                    op_activity = self.memory_activity
+                    op_activity = LOADED_VALUE_ACTIVITY
                 elif sources:
                     op_activity = sum(sources) / len(sources)
                 else:
-                    op_activity = self.default_activity
+                    op_activity = UNKNOWN_VALUE_ACTIVITY
                 slot_activity[index] = op_activity
                 for reg in instr.writes:
                     if reg != "flags":
                         if instr.iclass is InstrClass.MEM_LOAD:
-                            activity[reg] = self.memory_activity
+                            activity[reg] = LOADED_VALUE_ACTIVITY
                         else:
                             activity[reg] = op_activity
         return slot_activity
@@ -168,22 +170,19 @@ class PowerModel:
         return self.arch.static_power_w * (vdd / self.arch.vdd_nominal) ** 2
 
     def core_power_w(self, program: Program, trace: ExecutionTrace,
-                     vdd: float | None = None,
-                     warmup_fraction: float = 0.2) -> float:
+                     vdd: float | None = None) -> float:
         """Average single-core power over the post-warm-up window."""
         return self.core_power_from_energy_w(
-            self.energy_trace_pj(program, trace), vdd, warmup_fraction)
+            self.energy_trace_pj(program, trace), vdd)
 
     def core_power_from_energy_w(self, energy_pj: np.ndarray,
-                                 vdd: float | None = None,
-                                 warmup_fraction: float = 0.2) -> float:
+                                 vdd: float | None = None) -> float:
         """Average single-core power of an :meth:`energy_trace_pj` trace
         over its post-warm-up window."""
         vdd = vdd if vdd is not None else self.arch.vdd_nominal
         scale = (vdd / self.arch.vdd_nominal) ** 2
         energy = energy_pj * scale
-        start = int(len(energy) * warmup_fraction)
-        steady = energy[start:] if len(energy) > start else energy
+        steady = energy[int(len(energy) * _WARMUP_FRACTION):]
         mean_pj = float(np.mean(steady)) if len(steady) else 0.0
         return mean_pj * 1e-12 * self.arch.frequency_hz \
             + self.static_power_w(vdd)

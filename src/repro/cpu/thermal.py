@@ -25,12 +25,13 @@ __all__ = ["ThermalModel"]
 class ThermalModel:
     """Chip temperature from chip power."""
 
-    def __init__(self, params: ThermalParams,
-                 sensor_step_c: float = 0.125) -> None:
+    #: Quantisation step of the i2c sensor readout (°C).
+    SENSOR_STEP_C = 0.125
+
+    def __init__(self, params: ThermalParams) -> None:
         if params.r_th_c_per_w <= 0 or params.tau_s <= 0:
             raise ValueError("thermal resistance and tau must be positive")
         self.params = params
-        self.sensor_step_c = sensor_step_c
 
     def temperature_c(self, power_w: float, elapsed_s: float) -> float:
         """Exact model temperature after ``elapsed_s`` at ``power_w``."""
@@ -46,10 +47,7 @@ class ThermalModel:
     def sensor_reading_c(self, power_w: float, elapsed_s: float) -> float:
         """Temperature as the quantised i2c sensor would report it."""
         exact = self.temperature_c(power_w, elapsed_s)
-        step = self.sensor_step_c
-        if step <= 0:
-            return exact
-        return round(exact / step) * step
+        return round(exact / self.SENSOR_STEP_C) * self.SENSOR_STEP_C
 
     def idle_temperature_c(self, idle_power_w: float) -> float:
         """Steady-state temperature under idle power — the ``I_T`` term

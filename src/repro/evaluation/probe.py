@@ -48,17 +48,16 @@ class ShortProbe:
     cycles:
         Simulated cycle budget per probe run (floored to the machine's
         100-cycle minimum).
-    seed:
-        Seed of the private probe machine.  Fixed per strategy so probe
-        features never depend on how many probes ran before.
     """
 
-    def __init__(self, arch: MicroArch, cycles: int = 1600,
-                 seed: int = 0) -> None:
+    #: Seed of the private probe machine and of its noise keys.  Fixed,
+    #: so probe features never depend on how many probes ran before.
+    SEED = 0
+
+    def __init__(self, arch: MicroArch, cycles: int = 1600) -> None:
         self.cycles = max(100, int(cycles))
-        self.seed = int(seed)
         machine = SimulatedMachine(arch, environment="bare_metal",
-                                   seed=self.seed,
+                                   seed=self.SEED,
                                    sim_cycles=self.cycles)
         self._batch = BatchedMachine(machine)
 
@@ -73,7 +72,7 @@ class ShortProbe:
             raise ValueError("need one source per program")
         if not programs:
             return []
-        keys = [noise_key(self.seed, source) for source in sources]
+        keys = [noise_key(self.SEED, source) for source in sources]
         rounds = self._batch.run_batch(list(programs), duration_s=1.0,
                                        power_sample_count=4,
                                        noise_keys=keys)

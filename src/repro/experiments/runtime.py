@@ -19,8 +19,8 @@ from ..core.errors import ConfigError
 
 __all__ = ["RuntimeEstimate", "estimate_runtime"]
 
-#: Default per-individual overhead (scp + compile + launch) in seconds.
-DEFAULT_OVERHEAD_S = 0.35
+#: Per-individual overhead (scp + compile + launch) in seconds.
+OVERHEAD_S = 0.35
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,13 @@ class RuntimeEstimate:
 
 
 def estimate_runtime(population_size: int = 50, generations: int = 100,
-                     measurement_s: float = 5.0,
-                     overhead_s: float = DEFAULT_OVERHEAD_S
-                     ) -> RuntimeEstimate:
+                     measurement_s: float = 5.0) -> RuntimeEstimate:
     """Estimate a GA run's wall time (defaults = the paper's example)."""
     if population_size < 1 or generations < 1:
         raise ConfigError("population size and generations must be >= 1")
-    if measurement_s <= 0 or overhead_s < 0:
+    if measurement_s <= 0:
         raise ConfigError("times must be positive")
     return RuntimeEstimate(population_size=population_size,
                            generations=generations,
                            measurement_s=measurement_s,
-                           overhead_s=overhead_s)
+                           overhead_s=OVERHEAD_S)

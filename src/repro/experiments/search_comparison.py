@@ -19,18 +19,23 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.engine import RunHistory
 from .common import GAScale, make_engine, make_machine
 
 __all__ = ["SearchComparisonResult", "search_comparison",
-           "COMPARISON_SEED"]
+           "COMPARISON_SEED", "COMPARED_STRATEGIES"]
 
 #: One fixed seed for the whole comparison: every strategy starts from
 #: the identical generation-0 population.  With the default scale this
 #: seed reproduces the paper's full ordering (GA first, random last).
 COMPARISON_SEED = 7
+
+#: The registered strategies the comparison runs, in report order for
+#: ties.
+COMPARED_STRATEGIES = ("genetic", "static_rank", "surrogate", "random",
+                       "hill_climb", "simulated_annealing")
 
 
 @dataclass
@@ -72,22 +77,17 @@ class SearchComparisonResult:
 
 def search_comparison(platform: str = "xgene2", metric: str = "ipc",
                       seed: int = COMPARISON_SEED,
-                      strategies: Sequence[str] = ("genetic",
-                                                   "static_rank",
-                                                   "surrogate", "random",
-                                                   "hill_climb",
-                                                   "simulated_annealing"),
                       scale: Optional[GAScale] = None
                       ) -> SearchComparisonResult:
-    """Run every strategy on one (platform, metric, seed) search.
+    """Run every strategy in :data:`COMPARED_STRATEGIES` on one
+    (platform, metric, seed) search.
 
     Each strategy gets a fresh machine and engine built from the same
     seed, so generation 0 and the measurement noise stream are
     identical across strategies; the trajectories diverge only through
-    the strategies' proposals.  ``strategies`` are registered names;
-    ``static_rank`` ranks by the measurement's metric, the comparison's
-    ``metric`` (the learned ``surrogate`` predicts the configured
-    fitness directly).  Both
+    the strategies' proposals.  ``static_rank`` ranks by the
+    measurement's metric, the comparison's ``metric`` (the learned
+    ``surrogate`` predicts the configured fitness directly).  Both
     pruning strategies simulate only the top-ranked fraction of each
     generation (compare with
     :meth:`SearchComparisonResult.simulated_evaluations`).
@@ -96,7 +96,7 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
                              individual_size=20, samples=2)
     result = SearchComparisonResult(platform=platform, metric=metric,
                                     seed=seed)
-    for name in strategies:
+    for name in COMPARED_STRATEGIES:
         machine = make_machine(platform, seed=seed)
         engine = make_engine(machine, metric, seed, scale, strategy=name)
         result.histories[name] = engine.run()

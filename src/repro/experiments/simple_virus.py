@@ -86,20 +86,17 @@ class Table4Result:
         return breakdown_table(rows, extra_columns=extra)
 
 
-def table4(scale: Optional[GAScale] = None,
-           temp_seed: int = XGENE_TEMP_SEED,
-           simple_seed: int = XGENE_SIMPLE_SEED,
-           ipc_seed: int = XGENE_IPC_SEED) -> Table4Result:
+def table4(scale: Optional[GAScale] = None) -> Table4Result:
     """Reproduce Table IV on the simulated X-Gene2."""
     scale = scale or XGENE_SCALE
-    power_virus = evolve_virus("xgene2", "temperature", temp_seed,
+    power_virus = evolve_virus("xgene2", "temperature", XGENE_TEMP_SEED,
                                scale=scale, name="powerVirus")
-    ipc_virus = evolve_virus("xgene2", "ipc", ipc_seed, scale=scale,
+    ipc_virus = evolve_virus("xgene2", "ipc", XGENE_IPC_SEED, scale=scale,
                              name="IPCvirus")
     # MAX_T from the previous GA run, as the paper does: the power
     # virus's best single-core temperature measurement.
     max_t = power_virus.individual.measurements[0]
-    simple_virus = evolve_simple_virus(simple_seed, scale=scale,
+    simple_virus = evolve_simple_virus(XGENE_SIMPLE_SEED, scale=scale,
                                        max_temperature_c=max_t)
 
     reference = power_virus.all_cores_run

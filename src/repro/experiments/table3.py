@@ -44,14 +44,12 @@ class Table3Result:
                 "(paper Table III)\n" + breakdown_table(rows))
 
 
-def table3(scale: Optional[GAScale] = None,
-           a15_seed: int = A15_SEED,
-           a7_seed: int = A7_SEED) -> Table3Result:
+def table3(scale: Optional[GAScale] = None) -> Table3Result:
     """Reproduce Table III from the Figure 5/6 viruses."""
     scale = scale or GAScale()
     return Table3Result(
-        a15_virus=evolve_virus("cortex_a15", "power", a15_seed,
+        a15_virus=evolve_virus("cortex_a15", "power", A15_SEED,
                                scale=scale, name="A15powerVirus"),
-        a7_virus=evolve_virus("cortex_a7", "power", a7_seed,
+        a7_virus=evolve_virus("cortex_a7", "power", A7_SEED,
                               scale=scale, name="A7powerVirus"),
     )

@@ -62,17 +62,15 @@ class TemperatureFigureResult:
             unit="x")
 
 
-def figure7(scale: Optional[GAScale] = None,
-            temp_seed: int = XGENE_TEMP_SEED,
-            ipc_seed: int = XGENE_IPC_SEED) -> TemperatureFigureResult:
+def figure7(scale: Optional[GAScale] = None) -> TemperatureFigureResult:
     """X-Gene2 chip temperature results (paper Figure 7)."""
     scale = scale or XGENE_SCALE
-    power_virus = evolve_virus("xgene2", "temperature", temp_seed,
+    power_virus = evolve_virus("xgene2", "temperature", XGENE_TEMP_SEED,
                                scale=scale, name="powerVirus")
-    ipc_virus = evolve_virus("xgene2", "ipc", ipc_seed,
+    ipc_virus = evolve_virus("xgene2", "ipc", XGENE_IPC_SEED,
                              scale=scale, name="IPCvirus")
 
-    machine = make_machine("xgene2", seed=temp_seed + 20_000)
+    machine = make_machine("xgene2", seed=XGENE_TEMP_SEED + 20_000)
     cores = machine.arch.core_count
     temps: Dict[str, float] = {
         "powerVirus": machine.run_source(power_virus.source,
@@ -82,7 +80,7 @@ def figure7(scale: Optional[GAScale] = None,
     }
     baselines = score_baselines(
         "xgene2", FIGURE_BASELINES["fig7_xgene2_temperature"],
-        seed=temp_seed)
+        seed=XGENE_TEMP_SEED)
     for name, run in baselines.items():
         temps[name] = run.temperature_c
 

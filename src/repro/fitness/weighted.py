@@ -56,14 +56,14 @@ class DroopOverPowerFitness(WeightedFitness):
     (``[pk-pk, droop, v_min, v_max, avg_power]``).
     """
 
+    #: Weight of normalised average power against normalised droop.
+    POWER_PENALTY = 0.25
+
     def __init__(self, droop_normaliser_v: float,
-                 power_normaliser_w: float,
-                 power_penalty: float = 0.25) -> None:
+                 power_normaliser_w: float) -> None:
         if droop_normaliser_v <= 0 or power_normaliser_w <= 0:
             raise ConfigError("normalisers must be positive")
-        if power_penalty < 0:
-            raise ConfigError("power penalty must be non-negative")
         super().__init__([
             (1, 1.0, droop_normaliser_v),
-            (4, -power_penalty, power_normaliser_w),
+            (4, -self.POWER_PENALTY, power_normaliser_w),
         ])

@@ -45,19 +45,22 @@ __all__ = [
 CHECKERBOARD_A = 0xAAAAAAAAAAAAAAAA
 CHECKERBOARD_5 = 0x5555555555555555
 
+#: The stock memory-offset immediate pool, 0..256 in steps of 8 (Figure
+#: 4's, giving its LDR "99 possible forms"); the C-level catalog uses it
+#: too.
+MAX_MEM_OFFSET = 256
+MEM_OFFSET_STRIDE = 8
+
 
 # ---------------------------------------------------------------------------
 # ARM-like catalog
 # ---------------------------------------------------------------------------
 
-def arm_library(max_offset: int = 256, offset_stride: int = 8,
-                include_nop: bool = True) -> InstructionLibrary:
+def arm_library() -> InstructionLibrary:
     """The stock ARM-flavoured GA search set.
 
     ~20 instruction definitions spanning all five of the paper's
-    instruction categories.  ``max_offset``/``offset_stride`` control
-    the memory-offset immediate pool (Figure 4 uses 0..256 stride 8,
-    giving the LDR its "99 possible forms").
+    instruction categories, plus ``NOP``.
     """
     operands = [
         RegisterOperand("int_dst", ["x1", "x2", "x3", "x4", "x5", "x6"]),
@@ -66,7 +69,7 @@ def arm_library(max_offset: int = 256, offset_stride: int = 8,
         RegisterOperand("pair_result1", ["x7"]),
         RegisterOperand("pair_result2", ["x8"]),
         RegisterOperand("mem_address_register", ["x10", "x11"]),
-        ImmediateOperand("mem_offset", 0, max_offset, offset_stride),
+        ImmediateOperand("mem_offset", 0, MAX_MEM_OFFSET, MEM_OFFSET_STRIDE),
         ImmediateOperand("shift_amount", 1, 31, 2),
         RegisterOperand("vec_dst", [f"v{i}" for i in range(16)]),
         RegisterOperand("vec_src", [f"v{i}" for i in range(16)]),
@@ -115,9 +118,8 @@ def arm_library(max_offset: int = 256, offset_stride: int = 8,
                         "stp op1, op2, [op3, #op4]", "mem"),
         InstructionSpec("B", [], "b 1f\n1:", "branch"),
         InstructionSpec("CBNZ", ["int_src"], "cbnz op1, 1f\n1:", "branch"),
+        InstructionSpec("NOP", [], "nop", "nop"),
     ]
-    if include_nop:
-        instructions.append(InstructionSpec("NOP", [], "nop", "nop"))
     return InstructionLibrary(operands, instructions)
 
 
@@ -158,8 +160,7 @@ def arm_template(iterations: int = 1_000_000,
 # x86-like catalog
 # ---------------------------------------------------------------------------
 
-def x86_library(max_offset: int = 256, offset_stride: int = 8,
-                include_nop: bool = True) -> InstructionLibrary:
+def x86_library() -> InstructionLibrary:
     """The stock x86-flavoured GA search set (two-operand forms)."""
     operands = [
         RegisterOperand("int_dst",
@@ -168,7 +169,7 @@ def x86_library(max_offset: int = 256, offset_stride: int = 8,
                         ["rax", "rbx", "rcx", "rdx", "rsi", "rdi"]),
         RegisterOperand("mem_result", ["r9", "r10", "r11"]),
         RegisterOperand("mem_address_register", ["rbp", "r8"]),
-        ImmediateOperand("mem_offset", 0, max_offset, offset_stride),
+        ImmediateOperand("mem_offset", 0, MAX_MEM_OFFSET, MEM_OFFSET_STRIDE),
         ImmediateOperand("shift_amount", 1, 31, 2),
         RegisterOperand("xmm_dst", [f"xmm{i}" for i in range(16)]),
         RegisterOperand("xmm_src", [f"xmm{i}" for i in range(16)]),
@@ -209,9 +210,8 @@ def x86_library(max_offset: int = 256, offset_stride: int = 8,
                                     "xmm_src"],
                         "movaps [op1+op2], op3", "mem"),
         InstructionSpec("JMP", [], "jmp 1f\n1:", "branch"),
+        InstructionSpec("NOP", [], "nop", "nop"),
     ]
-    if include_nop:
-        instructions.append(InstructionSpec("NOP", [], "nop", "nop"))
     return InstructionLibrary(operands, instructions)
 
 
@@ -253,10 +253,10 @@ _LIBRARIES = {"arm": arm_library, "x86": x86_library}
 _TEMPLATES = {"arm": arm_template, "x86": x86_template}
 
 
-def library_for(isa: str, **kwargs) -> InstructionLibrary:
+def library_for(isa: str) -> InstructionLibrary:
     """Stock library by ISA name (``arm`` or ``x86``)."""
     try:
-        return _LIBRARIES[isa](**kwargs)
+        return _LIBRARIES[isa]()
     except KeyError:
         raise ValueError(f"unknown ISA {isa!r}; expected one of "
                          f"{sorted(_LIBRARIES)}") from None
@@ -327,11 +327,14 @@ def write_stock_config(directory, isa: str = "arm",
 # cache/DRAM stress catalog (paper Section VII extension)
 # ---------------------------------------------------------------------------
 
-def arm_cache_stress_library(max_offset: int = 4096,
-                             offset_stride: int = 64,
-                             max_base_stride: int = 8192,
-                             base_stride_step: int = 64
-                             ) -> InstructionLibrary:
+#: The stress catalog's immediate pools: offsets up to 4 KiB and base
+#: advances up to 8 KiB, in cache-line steps.
+_STRESS_MAX_OFFSET = 4096
+_STRESS_MAX_BASE_STRIDE = 8192
+_STRESS_STRIDE = 64
+
+
+def arm_cache_stress_library() -> InstructionLibrary:
     """Instruction definitions for LLC/DRAM stress searches.
 
     The paper sketches exactly this recipe: "providing in the input
@@ -348,9 +351,9 @@ def arm_cache_stress_library(max_offset: int = 4096,
         RegisterOperand("int_src", ["x1", "x2", "x3", "x4"]),
         RegisterOperand("mem_result", ["x7", "x8", "x9"]),
         RegisterOperand("mem_address_register", ["x10", "x11"]),
-        ImmediateOperand("mem_offset", 0, max_offset, offset_stride),
-        ImmediateOperand("base_stride", base_stride_step, max_base_stride,
-                         base_stride_step),
+        ImmediateOperand("mem_offset", 0, _STRESS_MAX_OFFSET, _STRESS_STRIDE),
+        ImmediateOperand("base_stride", _STRESS_STRIDE,
+                         _STRESS_MAX_BASE_STRIDE, _STRESS_STRIDE),
         RegisterOperand("vec_dst", [f"v{i}" for i in range(8)]),
         RegisterOperand("vec_src", [f"v{i}" for i in range(8)]),
     ]

@@ -42,6 +42,7 @@ from typing import List
 from ..core.errors import AssemblyError
 from ..core.instruction import InstructionLibrary, InstructionSpec
 from ..core.operand import ImmediateOperand, RegisterOperand
+from .catalogs import MAX_MEM_OFFSET, MEM_OFFSET_STRIDE
 
 __all__ = ["compile_clike", "clike_library", "clike_template"]
 
@@ -183,8 +184,7 @@ def compile_clike(source: str) -> str:
 # GA catalog at the C level
 # ---------------------------------------------------------------------------
 
-def clike_library(max_offset: int = 256,
-                  offset_stride: int = 8) -> InstructionLibrary:
+def clike_library() -> InstructionLibrary:
     """Statement definitions for a C-level GA search.
 
     The GA machinery is unchanged — these are ordinary Figure-4 style
@@ -194,7 +194,7 @@ def clike_library(max_offset: int = 256,
         RegisterOperand("ivar", ["a", "b", "c", "d", "e", "f"]),
         RegisterOperand("fvar", [f"f{n}" for n in range(8)]),
         RegisterOperand("ptr", ["p", "q"]),
-        ImmediateOperand("offset", 0, max_offset, offset_stride),
+        ImmediateOperand("offset", 0, MAX_MEM_OFFSET, MEM_OFFSET_STRIDE),
     ]
     instructions = [
         InstructionSpec("IADD", ["ivar", "ivar", "ivar"],

@@ -25,6 +25,8 @@ class CacheMissMeasurement(Measurement):
     """LLC misses per thousand instructions (the fitness) plus the
     supporting hierarchy counters."""
 
+    metric = "llc_mpki"
+
     def measure_from_result(self, result: RunResult,
                             individual: Individual) -> List[float]:
         if result.cache is None:

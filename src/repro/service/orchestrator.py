@@ -163,15 +163,15 @@ class Orchestrator:
         Per-run evaluation worker processes (the engine's ``workers``
         knob); 1 keeps each run serial and lets run-level concurrency
         come from the slots.
-    poll_interval:
-        Seconds between store polls when idle.
     """
+
+    #: Seconds between store polls when idle.
+    POLL_INTERVAL_S = 0.1
 
     def __init__(self, store_path: Union[str, Path], workers: int = 2,
                  queue_limit: int = 8,
                  workdir: Optional[Union[str, Path]] = None,
-                 evaluation_workers: int = 1,
-                 poll_interval: float = 0.1) -> None:
+                 evaluation_workers: int = 1) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_limit < 1:
@@ -181,7 +181,6 @@ class Orchestrator:
         self.queue_limit = queue_limit
         self.workdir = Path(workdir) if workdir is not None else None
         self.evaluation_workers = evaluation_workers
-        self.poll_interval = poll_interval
         self._active = 0
         self.completed: List[str] = []
 
@@ -227,7 +226,7 @@ class Orchestrator:
                     continue
                 if until_idle and queue.empty() and self._active == 0:
                     break
-                await asyncio.sleep(self.poll_interval)
+                await asyncio.sleep(self.POLL_INTERVAL_S)
         finally:
             for _ in worker_tasks:
                 await queue.put(None)

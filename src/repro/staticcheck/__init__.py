@@ -31,9 +31,7 @@ from .configlint import (detect_syntax, lint_config, lint_config_file,
 from .costmodel import (CostModelReport, InstructionCost, INTENT_PORTS,
                         StaticCostReport, analyze_cost, render_cost_table,
                         spearman, static_score)
-from .dataflow import (DataflowReport, StaticProfile, analyze_program,
-                       DEFAULT_L1_BYTES, DEFAULT_L2_BYTES,
-                       DEFAULT_LINE_BYTES)
+from .dataflow import DataflowReport, StaticProfile, analyze_program
 from .diagnostics import (CODES, Diagnostic, Location, Severity,
                           diagnostics_to_json, format_diagnostics,
                           has_errors, make_diagnostic, sort_diagnostics,
@@ -49,7 +47,6 @@ __all__ = [
     "StaticCostReport", "analyze_cost", "render_cost_table", "spearman",
     "static_score",
     "DataflowReport", "StaticProfile", "analyze_program",
-    "DEFAULT_L1_BYTES", "DEFAULT_L2_BYTES", "DEFAULT_LINE_BYTES",
     "CODES", "Diagnostic", "Location", "Severity",
     "diagnostics_to_json", "format_diagnostics", "has_errors",
     "make_diagnostic", "sort_diagnostics", "summarise", "worst_severity",

@@ -48,8 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cpu.microarch import MicroArch
 from ..cpu.power import _EPI_FLOOR, _EPI_SPAN
 from ..isa.model import Program
-from .dataflow import (DEFAULT_L1_BYTES, DEFAULT_L2_BYTES,
-                       DEFAULT_LINE_BYTES, StaticProfile, analyze_program)
+from .dataflow import StaticProfile, analyze_program
 from .diagnostics import Diagnostic, make_diagnostic
 
 __all__ = ["InstructionCost", "StaticCostReport", "CostModelReport",
@@ -401,9 +400,6 @@ def _critical_slots(facts: Sequence[tuple]) -> List[bool]:
 # ---------------------------------------------------------------------------
 
 def analyze_cost(program: Program, arch: MicroArch, *,
-                 l1_bytes: Optional[int] = DEFAULT_L1_BYTES,
-                 l2_bytes: Optional[int] = DEFAULT_L2_BYTES,
-                 line_bytes: int = DEFAULT_LINE_BYTES,
                  source_file: Optional[str] = None,
                  intent: Optional[str] = None,
                  fitness_target: Optional[float] = None
@@ -413,8 +409,7 @@ def analyze_cost(program: Program, arch: MicroArch, *,
     ``intent`` is the config's fitness metric name (``power``, ``ipc``,
     ...) and arms SC302/SC303; without it only SC301 can fire.
     """
-    base = analyze_program(program, l1_bytes=l1_bytes, l2_bytes=l2_bytes,
-                           line_bytes=line_bytes, source_file=source_file)
+    base = analyze_program(program, source_file=source_file)
     diagnostics = list(base.diagnostics)
     facts = _slot_facts(program, arch)
     loop_len = len(facts)

@@ -7,8 +7,8 @@ the pipeline model:
   (``SC101``) and dead writes (``SC102``);
 * the critical dependency-chain depth of one loop iteration;
 * the per-class instruction-mix vector;
-* static memory-footprint bounds, checked against the configured cache
-  geometry (``SC104``).
+* static memory-footprint bounds, checked against the stock cache
+  geometry the simulated hierarchy models (``SC104``).
 
 The derived features are exposed as a :class:`StaticProfile` so the
 analysis layer and fitness predictors can consume them; ``gest check``
@@ -28,17 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..cpu.cache import STOCK_L1, STOCK_L2
 from ..isa.model import DecodedInstruction, InstrClass, Program
 from .diagnostics import Diagnostic, make_diagnostic
 
 __all__ = ["StaticProfile", "DataflowReport", "analyze_program",
-           "empty_loop_diagnostic", "DEFAULT_LINE_BYTES",
-           "DEFAULT_L1_BYTES", "DEFAULT_L2_BYTES"]
-
-#: Geometry defaults matching :mod:`repro.cpu.cache`'s stock hierarchy.
-DEFAULT_LINE_BYTES = 64
-DEFAULT_L1_BYTES = 32 * 1024
-DEFAULT_L2_BYTES = 256 * 1024
+           "empty_loop_diagnostic"]
 
 
 @dataclass(frozen=True)
@@ -154,9 +149,9 @@ def _mix_vector(program: Program) -> Dict[str, float]:
             for cls in InstrClass}
 
 
-def _footprint(program: Program,
-               line_bytes: int) -> Tuple[int, int, int]:
+def _footprint(program: Program) -> Tuple[int, int, int]:
     """(distinct lines, footprint bytes, memory instruction count)."""
+    line_bytes = STOCK_L1.line_bytes
     lines: Set[Tuple[str, int]] = set()
     mem_count = 0
     for instr in program.loop:
@@ -185,9 +180,6 @@ def empty_loop_diagnostic(source_file: Optional[str] = None) -> Diagnostic:
 
 
 def analyze_program(program: Program,
-                    l1_bytes: Optional[int] = DEFAULT_L1_BYTES,
-                    l2_bytes: Optional[int] = DEFAULT_L2_BYTES,
-                    line_bytes: int = DEFAULT_LINE_BYTES,
                     source_file: Optional[str] = None) -> DataflowReport:
     """Run the dataflow pass; never raises on program content."""
     diagnostics: List[Diagnostic] = []
@@ -244,14 +236,13 @@ def analyze_program(program: Program,
             file=source_file))
 
     # -- footprint vs cache geometry --------------------------------------
-    distinct_lines, footprint_bytes, mem_count = _footprint(program,
-                                                           line_bytes)
-    if l1_bytes is not None and footprint_bytes > l1_bytes:
+    distinct_lines, footprint_bytes, mem_count = _footprint(program)
+    if footprint_bytes > STOCK_L1.size_bytes:
         level = "L1"
-        limit = l1_bytes
-        if l2_bytes is not None and footprint_bytes > l2_bytes:
+        limit = STOCK_L1.size_bytes
+        if footprint_bytes > STOCK_L2.size_bytes:
             level = "L2"
-            limit = l2_bytes
+            limit = STOCK_L2.size_bytes
         diagnostics.append(make_diagnostic(
             "SC104",
             f"static memory footprint is at least {footprint_bytes} bytes "

@@ -162,14 +162,11 @@ class Diagnostic:
 
 
 def make_diagnostic(code: str, message: str,
-                    severity: Optional[Severity] = None,
                     **location_fields) -> Diagnostic:
-    """Build a diagnostic, defaulting the severity from :data:`CODES`."""
+    """Build a diagnostic with the code's severity from :data:`CODES`."""
     if code not in CODES:
         raise ValueError(f"unknown diagnostic code {code!r}")
-    if severity is None:
-        severity = CODES[code][0]
-    return Diagnostic(code=code, severity=severity, message=message,
+    return Diagnostic(code=code, severity=CODES[code][0], message=message,
                       location=Location(**location_fields))
 
 

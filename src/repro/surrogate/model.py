@@ -27,20 +27,14 @@ __all__ = ["RidgeModel"]
 
 
 class RidgeModel:
-    """Closed-form ridge regressor over named-feature rows.
+    """Closed-form ridge regressor over named-feature rows."""
 
-    Parameters
-    ----------
-    l2:
-        Ridge penalty λ (> 0); keeps the normal equations solvable even
-        when features are collinear or the row count is below the
-        feature count (always true in early generations).
-    """
+    #: Ridge penalty λ (> 0); keeps the normal equations solvable even
+    #: when features are collinear or the row count is below the
+    #: feature count (always true in early generations).
+    L2 = 1.0
 
-    def __init__(self, l2: float = 1.0) -> None:
-        if not l2 > 0.0:
-            raise ValueError("l2 must be > 0")
-        self.l2 = float(l2)
+    def __init__(self) -> None:
         self._names: List[str] = []
         self._means: List[float] = []
         self._stds: List[float] = []
@@ -81,7 +75,7 @@ class RidgeModel:
         stds = numpy.where(stds > 1e-12, stds, 1.0)
         z = (matrix - means) / stds
         y_mean = float(y.mean())
-        gram = z.T @ z + self.l2 * numpy.eye(dims)
+        gram = z.T @ z + self.L2 * numpy.eye(dims)
         weights = numpy.linalg.solve(gram, z.T @ (y - y_mean))
 
         self._names = names
@@ -109,7 +103,6 @@ class RidgeModel:
 
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "l2": self.l2,
             "names": list(self._names),
             "means": list(self._means),
             "stds": list(self._stds),
@@ -120,11 +113,10 @@ class RidgeModel:
 
     def load_state(self, state: Optional[Dict[str, Any]]) -> None:
         """Restore :meth:`state_dict` output.  Keys this model does not
-        read, such as the residual-correction entries of states from
-        older checkpoints, are ignored."""
+        read, such as the residual-correction entries and the ``l2`` of
+        states from older checkpoints, are ignored."""
         if not state:
             return
-        self.l2 = float(state.get("l2", self.l2))
         self._names = list(state.get("names") or [])
         self._means = list(state.get("means") or [])
         self._stds = list(state.get("stds") or [])

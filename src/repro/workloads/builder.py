@@ -101,13 +101,12 @@ class LoopBuilder:
                 self.lines.append("idiv2 rsi, rdi")
         return self
 
-    def float_block(self, n: int, chain: bool = False,
-                    multiply: bool = True) -> "LoopBuilder":
-        """Scalar floating point adds/multiplies."""
+    def float_block(self, n: int, chain: bool = False) -> "LoopBuilder":
+        """Scalar floating point adds and multiplies, alternating."""
         for _ in range(n):
             i = self._next()
             if self.isa == "arm":
-                op = "fmul" if multiply and i % 2 else "fadd"
+                op = "fmul" if i % 2 else "fadd"
                 if chain:
                     self.lines.append(f"{op} v0, v0, v1")
                 else:
@@ -115,7 +114,7 @@ class LoopBuilder:
                                _ARM_VEC[(i + 2) % 16])
                     self.lines.append(f"{op} {d}, {a}, {b}")
             else:
-                op = "mulsd" if multiply and i % 2 else "addsd"
+                op = "mulsd" if i % 2 else "addsd"
                 if chain:
                     self.lines.append(f"{op} xmm0, xmm1")
                 else:

@@ -81,6 +81,14 @@ def athlon_machine():
     return SimulatedMachine("athlon_x4", seed=5, sim_cycles=800)
 
 
+@pytest.fixture(scope="session")
+def a15_power_comparison():
+    """Every strategy on one cortex_a15 power search, shared by the two
+    pruning strategies' acceptance tests."""
+    from repro.experiments.search_comparison import search_comparison
+    return search_comparison(platform="cortex_a15", metric="power")
+
+
 @pytest.fixture
 def target(a15_machine):
     t = SimulatedTarget(a15_machine)

@@ -341,9 +341,9 @@ class TestCliAnalyze:
 
 class TestScreenStaticRankMode:
     def test_for_machine_ignores_configured_geometry(self):
-        # A footprint that fits the stock 32 KiB L1 but not this 1 KiB
-        # one draws SC104 against the configured geometry, a note that
-        # never decides a verdict: the screen reads no geometry.
+        # A footprint past this 1 KiB L1 (and past the stock 32 KiB one,
+        # so the analyzer draws SC104, a note that never decides a
+        # verdict) passes the screen: the screen reads no geometry.
         from repro.cpu.cache import CacheConfig, MemoryHierarchy
         hierarchy = MemoryHierarchy(
             l1_config=CacheConfig("L1", size_bytes=1024, line_bytes=64,
@@ -354,10 +354,9 @@ class TestScreenStaticRankMode:
                                   hit_energy_pj=120.0))
         machine = SimulatedMachine("cortex_a15", hierarchy=hierarchy)
         body = "\n".join(f"ldr x1, [x10, #{offset * 64}]"
-                         for offset in range(32))
+                         for offset in range(513))
         program = arm_program(body)
-        assert "SC104" in codes_of(analyze_program(
-            program, l1_bytes=1024, l2_bytes=4096).diagnostics)
+        assert "SC104" in codes_of(analyze_program(program).diagnostics)
         screen = StaticScreen.for_machine(machine)
         assert type(screen) is StaticScreen
         report = screen.screen(program)
@@ -554,11 +553,9 @@ class TestStaticRankStrategy:
 # ---------------------------------------------------------------------------
 
 class TestSearchComparisonAcceptance:
-    def test_static_rank_matches_genetic_with_fewer_simulations(self):
-        from repro.experiments.search_comparison import search_comparison
-        result = search_comparison(
-            platform="cortex_a15", metric="power",
-            strategies=("genetic", "static_rank"))
+    def test_static_rank_matches_genetic_with_fewer_simulations(
+            self, a15_power_comparison):
+        result = a15_power_comparison
         plain = result.best_fitness("genetic")
         ranked = result.best_fitness("static_rank")
         assert ranked >= plain - 1e-9

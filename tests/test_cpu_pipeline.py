@@ -150,15 +150,6 @@ class TestTraceContents:
         assert a.issued_per_cycle == b.issued_per_cycle
 
 
-class TestSteadyStateIpc:
-    def test_steady_state_close_to_raw(self):
-        program = ArmAssembler().assemble("add x1, x7, x8\nadd x2, x7, x8")
-        sim = PipelineSimulator(_arch())
-        raw = sim.execute(program, max_cycles=200).ipc
-        steady = sim.steady_state_ipc(program, max_cycles=200)
-        assert steady == pytest.approx(raw, rel=0.1)
-
-
 class TestPresetBehaviour:
     def test_a7_is_narrower_than_a15(self):
         src = "\n".join(f"vmul v{i}, v{i + 8}, v{i + 4}" for i in range(4))

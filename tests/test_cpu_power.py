@@ -5,7 +5,8 @@ import pytest
 
 from repro.cpu.microarch import microarch_for
 from repro.cpu.pipeline import PipelineSimulator
-from repro.cpu.power import PowerModel, value_toggle_activity
+from repro.cpu.power import (LOADED_VALUE_ACTIVITY, UNKNOWN_VALUE_ACTIVITY,
+                             PowerModel, value_toggle_activity)
 from repro.isa import ArmAssembler
 
 
@@ -70,12 +71,12 @@ class TestSlotActivities:
     def test_loads_import_memory_activity(self, a15, model):
         program = _program(".loop\nldr x7, [x10, #8]\n.endloop\n")
         assert model.slot_activities(program)[0] == \
-            pytest.approx(model.memory_activity)
+            pytest.approx(LOADED_VALUE_ACTIVITY)
 
     def test_uninitialised_registers_use_default(self, a15, model):
         program = _program(".loop\nadd x3, x4, x5\n.endloop\n")
         assert model.slot_activities(program)[0] == \
-            pytest.approx(model.default_activity)
+            pytest.approx(UNKNOWN_VALUE_ACTIVITY)
 
     def test_mixed_sources_average(self, a15, model):
         program = _program(

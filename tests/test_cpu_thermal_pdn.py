@@ -43,7 +43,7 @@ class TestThermalModel:
 
     def test_sensor_quantisation(self, thermal):
         reading = thermal.sensor_reading_c(10.0, 100.0)
-        step = thermal.sensor_step_c
+        step = ThermalModel.SENSOR_STEP_C
         assert reading == pytest.approx(round(45.0 / step) * step)
 
     def test_idle_temperature(self, thermal):

@@ -3,7 +3,7 @@ unit files."""
 
 import pytest
 
-from repro.analysis import figure_rows, final_improvement
+from repro.analysis import final_improvement
 from repro.analysis.vmin import characterize_vmin
 from repro.core.engine import RunHistory
 from repro.core.errors import AssemblyError, ConfigError
@@ -47,10 +47,6 @@ class TestCatalogDispatch:
         with pytest.raises(ValueError, match="unknown metric"):
             write_stock_config(tmp_path, "arm", "luminosity")
 
-    def test_library_kwargs_forwarded(self):
-        narrow = library_for("arm", max_offset=64, offset_stride=64)
-        assert narrow.operand("mem_offset").cardinality() == 2
-
     def test_library_names_stable(self):
         assert arm_library().names == arm_library().names
 
@@ -74,10 +70,16 @@ class TestStreamBlock:
 
 class TestVminEdges:
     def test_floor_stops_sweep(self, athlon_machine):
+        # The sweep stops at its first failing setting, which comes
+        # before its floor two steps under the critical voltage, even
+        # with a step coarse enough to cross the critical voltage at once.
         program = athlon_machine.compile(".loop\nnop\n.endloop\n")
-        floor = athlon_machine.arch.vdd_nominal - 0.05
+        step = 0.2
+        floor = athlon_machine.critical_voltage_v() - 2 * step
         result = characterize_vmin(athlon_machine, program, cores=1,
-                                   floor_v=floor)
+                                   step_v=step)
+        assert [passed for _, passed in result.sweep] == \
+            [True] * (len(result.sweep) - 1) + [False]
         assert min(s for s, _ in result.sweep) > floor
 
     def test_crash_at_nominal_reports_above_nominal(self):
@@ -95,10 +97,6 @@ class TestVminEdges:
 
 
 class TestReportEdges:
-    def test_figure_rows_ascending(self):
-        rows = figure_rows({"a": 2.0, "b": 1.0}, descending=False)
-        assert [name for name, _ in rows] == ["b", "a"]
-
     def test_final_improvement_empty_history(self):
         assert final_improvement(RunHistory()) == 0.0
 

@@ -144,7 +144,9 @@ class TestSpectrum:
         f0 = 100e6
         t = np.arange(n) / fs
         current = 10.0 + 2.0 * np.sin(2 * np.pi * f0 * t)
-        spectrum = current_spectrum(current, fs, warmup_fraction=0.0)
+        # A cold first quarter is the warm-up the spectrum discards.
+        current[:n // 4] = 0.0
+        spectrum = current_spectrum(current, fs)
         assert spectrum.dominant_frequency_hz() == pytest.approx(
             f0, rel=0.02)
         assert spectrum.dc_a == pytest.approx(10.0, abs=0.01)
@@ -162,7 +164,9 @@ class TestSpectrum:
         t = np.arange(4096) / fs
         current = 10.0 + 2.0 * np.sin(2 * np.pi * 100e6 * t) \
             + 0.2 * np.sin(2 * np.pi * 500e6 * t)
-        spectrum = current_spectrum(current, fs, warmup_fraction=0.0)
+        # Off-resonance energy in the warm-up quarter is discarded.
+        current[:1024] = 10.0 + 4.0 * np.sin(2 * np.pi * 500e6 * t[:1024])
+        spectrum = current_spectrum(current, fs)
         band, fraction = resonance_band_ratio(spectrum, 100e6)
         assert band == pytest.approx(2.0, rel=0.1)
         assert fraction > 0.9

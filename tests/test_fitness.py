@@ -149,4 +149,4 @@ class TestDroopOverPowerFitness:
         with pytest.raises(ConfigError):
             DroopOverPowerFitness(0.0, 1.0)
         with pytest.raises(ConfigError):
-            DroopOverPowerFitness(1.0, 1.0, power_penalty=-1.0)
+            DroopOverPowerFitness(1.0, -1.0)

@@ -77,7 +77,8 @@ class TestMetric:
             OscilloscopeMeasurement, CacheMissMeasurement)} == {
             IPCMeasurement: "ipc", PowerMeasurement: "power",
             TemperatureMeasurement: "temperature",
-            OscilloscopeMeasurement: "didt", CacheMissMeasurement: "ipc"}
+            OscilloscopeMeasurement: "didt",
+            CacheMissMeasurement: "llc_mpki"}
 
     def test_registry_is_keyed_by_each_class_metric(self):
         from repro.experiments import common

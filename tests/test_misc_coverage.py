@@ -2,7 +2,6 @@
 focused unit files."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import current_spectrum
 from repro.cli import build_parser
@@ -11,9 +10,9 @@ from repro.core.config import GAParameters, RunConfig, config_to_xml, \
 from repro.core.individual import random_individual
 from repro.core.output import OutputRecorder, individual_filename
 from repro.core.rng import make_rng
-from repro.cpu import PDNModel, PipelineSimulator, ThermalModel
-from repro.cpu.microarch import ThermalParams, microarch_for
-from repro.isa import ArmAssembler, arm_library, arm_template
+from repro.cpu import PDNModel
+from repro.cpu.microarch import microarch_for
+from repro.isa import arm_library, arm_template
 from repro.workloads import workload, workload_names
 
 
@@ -54,31 +53,15 @@ class TestOutputNaming:
 
 
 class TestModelEdges:
-    def test_steady_state_ipc_handles_full_warmup(self):
-        program = ArmAssembler().assemble("nop\n")
-        sim = PipelineSimulator(microarch_for("cortex_a7"))
-        # warmup_fraction close to 1 leaves at least one cycle.
-        value = sim.steady_state_ipc(program, max_cycles=200,
-                                     warmup_fraction=0.99)
-        assert value >= 0.0
-
     def test_voltage_trace_steady_excludes_warmup(self):
         model = PDNModel(microarch_for("athlon_x4").pdn, 3.1e9)
-        trace = model.simulate(np.full(1000, 5.0), 1.35,
-                               warmup_fraction=0.5)
+        trace = model.simulate(np.full(1000, 5.0), 1.35)
         assert len(trace.steady) == len(trace.voltage) - \
             trace.warmup_samples
-        assert trace.warmup_samples == 500
-
-    def test_thermal_sensor_without_quantisation(self):
-        model = ThermalModel(ThermalParams(25.0, 2.0, 1.0),
-                             sensor_step_c=0.0)
-        assert model.sensor_reading_c(10.0, 100.0) == pytest.approx(
-            model.temperature_c(10.0, 100.0))
+        assert trace.warmup_samples == 250
 
     def test_spectrum_empty_band_is_zero(self):
-        spectrum = current_spectrum(
-            10.0 + np.sin(np.arange(512)), 1e9, warmup_fraction=0.0)
+        spectrum = current_spectrum(10.0 + np.sin(np.arange(512)), 1e9)
         assert spectrum.amplitude_near(1e18, 1.0) == 0.0
 
 

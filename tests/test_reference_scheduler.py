@@ -111,3 +111,22 @@ def test_scheduler_matches_reference(library_name, preset, seed, size):
             PipelineSimulator(arch, detect_steady_state=detect)
             .execute(program, CYCLES, hierarchy=MemoryHierarchy()),
             reference, hierarchy=True)
+
+
+#: A base register walked down by ``sub base, base, #imm``: a stride rule
+#: of the scheduler's value tracking that no library draws.
+SUB_STRIDE_BODY = ("ldr x7, [x10, #128]\nadd x1, x7, x7\nadd x2, x1, x1\n"
+                   "ldr x8, [x10, #0]\nsub x10, x10, #64\n")
+
+
+def test_sub_stride_matches_reference():
+    _, template = _library("arm")
+    machine = _machine("cortex_a15")
+    program = machine.compile(Template(template).instantiate(SUB_STRIDE_BODY))
+    reference = reference_schedule(program, machine.arch, CYCLES,
+                                   MemoryHierarchy())
+    for detect in (True, False):
+        _assert_matches(
+            PipelineSimulator(machine.arch, detect_steady_state=detect)
+            .execute(program, CYCLES, hierarchy=MemoryHierarchy()),
+            reference, hierarchy=True)

@@ -24,10 +24,10 @@ from repro.core.config import (SearchParameters, config_to_xml,
 from repro.core.errors import ConfigError
 from repro.core.individual import Individual
 from repro.core.population import load_population
-from repro.cpu import SimulatedMachine, SimulatedTarget
+from repro.cpu import MemoryHierarchy, SimulatedMachine, SimulatedTarget
 from repro.evaluation import ProcessPoolBackend, SerialBackend
 from repro.fitness import DefaultFitness
-from repro.measurement import PowerMeasurement
+from repro.measurement import CacheMissMeasurement, PowerMeasurement
 from repro.search import (CROSSOVER_OPERATORS, SELECTION_OPERATORS,
                           STRATEGIES, SimulatedAnnealingStrategy,
                           SurrogateStrategy, make_strategy)
@@ -1044,6 +1044,26 @@ class TestStaticRankMetric:
                               strategy="surrogate"),
                       measurement, DefaultFitness()).evaluator.close()
 
+    def test_cache_miss_search_refused(self, tiny_library, tiny_template):
+        # LLC misses per kilo-instruction is no metric static_score
+        # prices, so an LLC search is refused rather than pruned in uid
+        # order by an IPC bound that reads the same for every offspring.
+        machine = SimulatedMachine("cortex_a15", seed=99, sim_cycles=600,
+                                   hierarchy=MemoryHierarchy())
+        target = SimulatedTarget(machine)
+        target.connect()
+        measurement = CacheMissMeasurement(target, {"samples": "2"})
+        assert measurement.metric == "llc_mpki"
+        with pytest.raises(ConfigError) as excinfo:
+            GeneticEngine(_config(tiny_library, tiny_template,
+                                  strategy="static_rank"),
+                          measurement, DefaultFitness())
+        assert excinfo.value.diagnostic_code == "SC210"
+        assert "cannot rank by 'llc_mpki'" in str(excinfo.value)
+        GeneticEngine(_config(tiny_library, tiny_template,
+                              strategy="genetic"),
+                      measurement, DefaultFitness()).evaluator.close()
+
 
 # ---------------------------------------------------------------------------
 # ablation: the paper's GA-vs-random argument (Section III.A)
@@ -1052,13 +1072,15 @@ class TestStaticRankMetric:
 class TestSearchComparison:
     def test_genetic_beats_random_on_ipc(self):
         from repro.experiments import search_comparison
-        result = search_comparison(strategies=("genetic", "random"))
+        result = search_comparison()
+        assert set(result.histories) == set(ALL_STRATEGIES)
         assert len(result.histories["genetic"].generations) == 8
         assert all(g.strategy == "random"
                    for g in result.histories["random"].generations)
         assert result.best_fitness("genetic") > \
             result.best_fitness("random")
         assert result.ranking()[0] == "genetic"
+        assert result.ranking()[-1] == "random"
         assert "genetic" in result.render()
 
 

@@ -18,7 +18,8 @@ from repro.core.instruction import InstructionLibrary, InstructionSpec
 from repro.core.operand import ImmediateOperand, RegisterOperand
 from repro.core.rng import make_rng
 from repro.core.template import Template
-from repro.cpu import SimulatedMachine, SimulatedTarget
+from repro.cpu import (STOCK_L1, STOCK_L2, SimulatedMachine,
+                       SimulatedTarget)
 from repro.evaluation import EvaluationPipeline
 from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler
@@ -169,20 +170,27 @@ class TestDataflow:
         assert report.profile.loop_length == 0
 
     def test_sc104_footprint_exceeds_cache(self):
-        body = "\n".join(f"ldr x{i}, [x10, #{i * 64}]" for i in range(1, 5))
-        report = analyze_program(asm_program(body), l1_bytes=128,
-                                 l2_bytes=None)
-        sc104 = [d for d in report.diagnostics if d.code == "SC104"]
-        assert len(sc104) == 1
-        assert "L1" in sc104[0].message
-        assert report.profile.footprint_bytes == 4 * 64
-        assert report.profile.distinct_lines == 4
+        # The check reads the stock geometry the simulated hierarchy
+        # models: a footprint of exactly the L1 fits, and one line past a
+        # level's capacity draws SC104 naming that level.
+        line = STOCK_L1.line_bytes
 
-    def test_sc104_disabled_without_geometry(self):
-        body = "\n".join(f"ldr x{i}, [x10, #{i * 64}]" for i in range(1, 5))
-        report = analyze_program(asm_program(body), l1_bytes=None,
-                                 l2_bytes=None)
-        assert "SC104" not in codes_of(report.diagnostics)
+        def report_for(lines):
+            body = "\n".join(f"ldr x1, [x10, #{i * line}]"
+                             for i in range(lines))
+            return analyze_program(asm_program(body))
+
+        fits = report_for(STOCK_L1.size_bytes // line)
+        assert "SC104" not in codes_of(fits.diagnostics)
+        for level, config in (("L1", STOCK_L1), ("L2", STOCK_L2)):
+            lines = config.size_bytes // line + 1
+            report = report_for(lines)
+            sc104 = [d for d in report.diagnostics if d.code == "SC104"]
+            assert len(sc104) == 1
+            assert f"exceeding the {config.size_bytes}-byte {level}" \
+                in sc104[0].message
+            assert report.profile.footprint_bytes == lines * line
+            assert report.profile.distinct_lines == lines
 
     def test_sc105_fully_serial_chain(self):
         report = analyze_program(

@@ -71,11 +71,17 @@ def _arm_program(body, name="probe.s"):
 # RidgeModel
 # ---------------------------------------------------------------------------
 
+class _LightRidge(RidgeModel):
+    """A near-zero penalty, so a fit reproduces exact linear data."""
+
+    L2 = 1e-6
+
+
 class TestRidgeModel:
     def test_recovers_linear_relationship(self):
         rows = [{"a": float(i), "b": float(i % 3)} for i in range(12)]
         targets = [2.0 * r["a"] - r["b"] + 5.0 for r in rows]
-        model = RidgeModel(l2=1e-6)
+        model = _LightRidge()
         model.fit(rows, targets)
         for row, target in zip(rows, targets):
             assert model.predict(row) == pytest.approx(target, abs=1e-3)
@@ -91,7 +97,7 @@ class TestRidgeModel:
 
     def test_constant_columns_are_inert(self):
         rows = [{"a": float(i), "c": 7.0} for i in range(8)]
-        model = RidgeModel(l2=1e-6)
+        model = _LightRidge()
         model.fit(rows, [float(i) for i in range(8)])
         with_const = model.predict({"a": 3.0, "c": 7.0})
         without = model.predict({"a": 3.0, "c": 123.0})
@@ -101,7 +107,7 @@ class TestRidgeModel:
         assert with_const == pytest.approx(without)
 
     def test_state_round_trip(self):
-        model = RidgeModel(l2=0.5)
+        model = RidgeModel()
         rows = [{"a": float(i), "b": float(i * i)} for i in range(10)]
         model.fit(rows, [3.0 * i for i in range(10)])
         clone = RidgeModel()
@@ -109,10 +115,14 @@ class TestRidgeModel:
         probe = {"a": 4.5, "b": 19.0}
         assert clone.predict(probe) == model.predict(probe)
         assert clone.training_size == model.training_size
+        # A checkpoint from before the penalty became a constant stored
+        # it (always 1.0); the stored value is ignored.
+        legacy = RidgeModel()
+        legacy.load_state(dict(model.state_dict(), l2=0.5))
+        assert legacy.predict(probe) == model.predict(probe)
+        assert legacy.state_dict() == model.state_dict()
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="l2"):
-            RidgeModel(l2=0.0)
         model = RidgeModel()
         with pytest.raises(ValueError, match="empty"):
             model.fit([], [])
@@ -341,11 +351,9 @@ class TestSurrogateStrategy:
 # ---------------------------------------------------------------------------
 
 class TestSurrogateAcceptance:
-    def test_matches_genetic_at_half_the_simulations(self):
-        from repro.experiments.search_comparison import search_comparison
-        result = search_comparison(
-            platform="cortex_a15", metric="power",
-            strategies=("genetic", "surrogate"))
+    def test_matches_genetic_at_half_the_simulations(
+            self, a15_power_comparison):
+        result = a15_power_comparison
         plain = result.best_fitness("genetic")
         learned = result.best_fitness("surrogate")
         assert learned >= plain - 1e-9
